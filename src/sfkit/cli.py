@@ -27,6 +27,7 @@ from .pipeline import (
     load_pipeline_weights,
     save_pipeline_weights,
 )
+from .voxelizer import KernelMap, SparseTensor4D
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -117,7 +118,8 @@ def cmd_infer(args):
     if args.save_weights is not None:
         save_pipeline_weights(weights, args.save_weights)
     out = args.out or Path("flow.sffl")
-    flow = infer_flow(scene, weights, config)
+    trace = InferenceTrace() if args.dump_features is not None else None
+    flow = infer_flow(scene, weights, config, trace=trace)
     pc.save_flow(flow, out)
     mean_mag = flow.magnitudes().mean() if len(flow) else 0.0
     print(f"wrote {out}: {len(flow)} flow vectors (|flow| mean {mean_mag:.4f} m)")
@@ -128,15 +130,12 @@ def cmd_infer(args):
                 fh.write(f"{i},{dx:.9g},{dy:.9g},{dz:.9g}\n")
         print(f"wrote {args.csv} (flow as CSV)")
     if args.dump_features is not None:
-        _dump_backbone_csv(scene, weights, config, args.dump_features)
+        _dump_backbone_csv(trace.backbone_out, args.dump_features)
         print(f"wrote {args.dump_features} (backbone feature dump)")
     return EXIT_OK
 
 
-def _dump_backbone_csv(scene, weights, config, path):
-    trace = InferenceTrace()
-    infer_flow(scene, weights, config, trace=trace)
-    tensor = trace.backbone_out
+def _dump_backbone_csv(tensor, path):
     with open(path, "w") as fh:
         header = ",".join(f"c{i}" for i in range(tensor.n_channels))
         fh.write(f"t,ix,iy,iz,{header}\n")
@@ -320,6 +319,21 @@ def _check_weights_roundtrip():
         )
 
 
+def _check_kernel_map():
+    rng = np.random.default_rng(8)
+    extent = (5, 12, 12, 12)
+    cells = rng.choice(int(np.prod(extent)), size=800, replace=False)
+    tensor = SparseTensor4D(np.stack(np.unravel_index(cells, extent), axis=1), np.zeros((800, 1)))
+    taps = np.array([(0, a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+                    + [(dt, 0, 0, 0) for dt in (-2, -1, 1, 2)])
+    for tap, pair in zip(taps, KernelMap(tensor.coords).pairs(taps)):
+        idx, found = tensor.lookup(tensor.coords + tap)
+        if pair is None:
+            pair = (np.arange(tensor.n_active), np.arange(tensor.n_active))
+        assert np.array_equal(pair[0], np.flatnonzero(found)), f"tap {tap}: rows differ"
+        assert np.array_equal(pair[1], idx[found]), f"tap {tap}: neighbours differ"
+
+
 SELFTEST_CHECKS = (
     ("serialization.roundtrip", _check_serialization_roundtrip),
     ("ssm.scan_equivalence", _check_scan_equivalence),
@@ -327,6 +341,7 @@ SELFTEST_CHECKS = (
     ("loss.construction", _check_loss_construction),
     ("pointcloud.roundtrip", _check_scene_roundtrip),
     ("weights.roundtrip", _check_weights_roundtrip),
+    ("stdcb.kmap", _check_kernel_map),
 )
 
 

@@ -38,6 +38,9 @@ from .voxelizer import (
 from .weights import MlpWeights, load_weight_dict, save_weight_dict
 
 
+_INT_FIELDS = ("channels", "decoder_layers", "state_size", "k_bins", "block_size", "threads")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline in one validated bundle."""
@@ -60,6 +63,10 @@ class RunConfig:
     decode_frame: str = "t"  # which frame's points receive flow: "t" | "t+1"
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.zoh_mode not in ("exact", "simplified"):
             raise InvalidConfig(f"zoh_mode must be exact|simplified, got {self.zoh_mode!r}")
         if self.dilation not in ("gap1", "literal"):
@@ -70,6 +77,10 @@ class RunConfig:
             raise InvalidConfig("decoder_layers must be >= 1")
         if self.k_bins < 2:
             raise InvalidConfig("k_bins must be >= 2")
+        if self.block_size < 1:
+            raise InvalidConfig("block_size must be >= 1")
+        if not self.dynamic_threshold >= 0:
+            raise InvalidConfig("dynamic_threshold must be >= 0")
         if self.dt <= 0:
             raise InvalidConfig("dt must be positive")
         if self.threads < 1:
@@ -149,57 +160,6 @@ def init_pipeline_weights(config, seed):
         backbone=backbone,
         decoder=DecoderWeights(
             offset_encoder=offset_encoder, ssm_layers=ssm_layers, head=head
-        ),
-    )
-
-
-def zero_pipeline_weights(config):
-    """All-zero bundle; useful for the zero-network sanity contract."""
-    c = config.channels
-    seeded = init_pipeline_weights(config, 0)
-
-    def zero_kernel(k):
-        return ConvKernel4D(
-            weights=np.zeros_like(k.weights),
-            bias=np.zeros_like(k.bias),
-            dilation_t=k.dilation_t,
-        )
-
-    def zero_sfsm(w):
-        return SfsmWeights(
-            conv_w=np.zeros_like(w.conv_w), conv_b=np.zeros_like(w.conv_b),
-            bn_scale=np.ones_like(w.bn_scale), bn_shift=np.zeros_like(w.bn_shift),
-            bn_mean=np.zeros_like(w.bn_mean), bn_var=np.ones_like(w.bn_var),
-        )
-
-    def zero_block(b):
-        return StdcbWeights(
-            conv_spatial=zero_kernel(b.conv_spatial),
-            conv_temporal=zero_kernel(b.conv_temporal),
-            conv_cross=zero_kernel(b.conv_cross),
-            sfsm_temporal=zero_sfsm(b.sfsm_temporal),
-            gate=GateWeights(
-                w1=np.zeros_like(b.gate.w1), b1=np.zeros_like(b.gate.b1),
-                w2=np.zeros_like(b.gate.w2), b2=np.zeros_like(b.gate.b2),
-            ),
-            sfsm_fuse=zero_sfsm(b.sfsm_fuse),
-            fuse_w=np.zeros_like(b.fuse_w), fuse_b=np.zeros_like(b.fuse_b),
-        )
-
-    backbone = BackboneWeights(
-        encoder=tuple(tuple(zero_block(b) for b in stack) for stack in seeded.backbone.encoder),
-        decoder=tuple(tuple(zero_block(b) for b in stack) for stack in seeded.backbone.decoder),
-    )
-    return PipelineWeights(
-        point_encoder=MlpWeights.zeros(3, c, c),
-        backbone=backbone,
-        decoder=DecoderWeights(
-            offset_encoder=MlpWeights.zeros(3, c, c),
-            ssm_layers=tuple(
-                SsmParams.zeros(2 * c, config.state_size, c)
-                for _ in range(config.decoder_layers)
-            ),
-            head=FlowHeadWeights.zeros(c),
         ),
     )
 
@@ -355,11 +315,6 @@ def infer_flow(scene, weights, config, trace=None):
     if not np.all(found):
         raise ShapeError("backbone dropped prediction-frame voxels")
     f3d_t = refined.features[idx]
-
-    flow = decode(
-        f3d_t, point_feats_t, res_t.offsets, res_t, weights.decoder,
-        config.decoder_config(),
-    )
     if trace is not None:
         trace.results = results
         trace.voxel_features = voxel_feats
@@ -367,4 +322,9 @@ def infer_flow(scene, weights, config, trace=None):
         trace.backbone_out = refined
         trace.frame_t_voxel_features = f3d_t
         trace.coarse_point_features = point_feats_t
-    return flow
+    # The decoder sets the peak memory: keep alive only what it reads.
+    del results, voxel_feats, stacked, refined
+    return decode(
+        f3d_t, point_feats_t, res_t.offsets, res_t, weights.decoder,
+        config.decoder_config(),
+    )

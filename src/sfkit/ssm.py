@@ -34,13 +34,8 @@ def softplus(z):
 
 
 def sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # The tanh form needs no overflow guard, so no masked two-branch split.
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AlignmentError, InvalidConfig, ShapeError
 from .ssm import sigmoid
-from .voxelizer import SparseTensor4D
+from .voxelizer import KernelMap, SparseTensor4D
 from .weights import uniform_init
 
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
@@ -85,23 +85,37 @@ class ConvKernel4D:
         return np.array(taps, dtype=np.int64).reshape(-1, 4)
 
 
-def sparse_conv(tensor, kernel):
+def sparse_conv(tensor, kernel, *, kmap=None):
     """Submanifold convolution: evaluate only at the input's active sites.
 
     Absent neighbors contribute zero, so the active set is preserved exactly.
     The tap order is fixed, keeping floating-point sums deterministic.
+    ``kmap`` is a KernelMap of the tensor's active set, shared by convs over
+    that set; without one the neighbour rows are built for this call only.
     """
     if kernel.c_in != tensor.n_channels:
         raise ShapeError(
             f"kernel expects {kernel.c_in} channels, tensor has {tensor.n_channels}"
         )
-    kx, ky, kz, kt = kernel.weights.shape[:4]
+    if kmap is None:
+        kmap = KernelMap(tensor.coords)
+    elif not kmap.matches(tensor):
+        raise AlignmentError("kernel map was built for a different active set")
     flat_w = kernel.weights.reshape(-1, kernel.c_in, kernel.c_out)
     out = np.broadcast_to(kernel.bias, (tensor.n_active, kernel.c_out)).copy()
-    for tap, w in zip(kernel.offsets(), flat_w):
-        idx, found = tensor.lookup(tensor.coords + tap)
-        if np.any(found):
-            out[found] += tensor.features[idx[found]] @ w
+    # Every tap reuses these two buffers: fresh per-tap temporaries cost
+    # more in page faults than the gather and the matmul themselves.
+    rows = np.empty_like(tensor.features)
+    prod = np.empty_like(out)
+    for pair, w in zip(kmap.pairs(kernel.offsets()), flat_w):
+        if pair is None:  # centre tap: every row is its own neighbour
+            out += np.matmul(tensor.features, w, out=prod)
+            continue
+        dst, src = pair
+        n = len(src)
+        # The map's rows are in range; "clip" lets take skip buffering ``out``.
+        np.take(tensor.features, src, axis=0, out=rows[:n], mode="clip")
+        out[dst] += np.matmul(rows[:n], w, out=prod[:n])
     return tensor.with_features(out)
 
 
@@ -253,13 +267,19 @@ class StdcbWeights:
         )
 
 
-def stdcb_forward(f_sparse, w):
-    """One coupling block; the active set is preserved end to end."""
+def stdcb_forward(f_sparse, w, *, kmap=None):
+    """One coupling block; the active set is preserved end to end.
+
+    The three convs share one KernelMap (``kmap`` if given, else one built
+    for this block).
+    """
     if f_sparse.n_active == 0:
         return f_sparse
-    f_spatial = sparse_conv(f_sparse, w.conv_spatial)
-    f_temporal = sparse_conv(f_sparse, w.conv_temporal)
-    f_cross = sparse_conv(f_sparse, w.conv_cross)
+    if kmap is None:
+        kmap = KernelMap(f_sparse.coords)
+    f_spatial = sparse_conv(f_sparse, w.conv_spatial, kmap=kmap)
+    f_temporal = sparse_conv(f_sparse, w.conv_temporal, kmap=kmap)
+    f_cross = sparse_conv(f_sparse, w.conv_cross, kmap=kmap)
     f_spatial_mod, f_temporal_fused = temporal_gated_block(
         f_spatial, f_temporal, f_cross, w.sfsm_temporal, w.gate
     )
@@ -367,22 +387,26 @@ def backbone_forward(f_4d, config, weights):
     """
     if len(weights.encoder) != config.n_levels or len(weights.decoder) != config.n_levels - 1:
         raise ShapeError("weights do not match the configured level count")
+    # One KernelMap per level serves that level's encoder and decoder blocks.
+    # Maps live only in these locals, so each is dropped once its level's
+    # decoder stack has run and none survives the return.
     x = f_4d
     skips = []
     for level in range(config.n_levels):
+        kmap = KernelMap(x.coords)
         for block in weights.encoder[level]:
-            x = stdcb_forward(x, block)
+            x = stdcb_forward(x, block, kmap=kmap)
         if level < config.n_levels - 1:
-            skips.append(x)
+            skips.append((x, kmap))
             x = downsample2(x)
     if config.n_levels == 1:
         return x
     for level in range(config.n_levels - 2, -1, -1):
-        skip = skips[level]
+        skip, kmap = skips.pop()
         up = upsample_into(x, skip.coords)
         x = skip.with_features(skip.features + up)
         for block in weights.decoder[level]:
-            x = stdcb_forward(x, block)
+            x = stdcb_forward(x, block, kmap=kmap)
     return f_4d.with_features(f_4d.features + x.features)
 
 

@@ -271,6 +271,78 @@ class SparseTensor4D:
         return dense
 
 
+# The dense neighbour table costs 4 bytes per bounding-box cell.  This bound
+# keeps it under 256 bytes per active site (two 16-channel float64 rows), so
+# a far-flung or huge-grid active set cannot allocate a giant table; such
+# sets search the sorted keys instead.  Voxelized scenes stay well below it.
+TABLE_CELLS_PER_SITE = 64
+
+
+class KernelMap:
+    """Neighbour rows of one active set, built once per kernel tap.
+
+    pairs(taps) gives, for each (t, x, y, z) displacement, int32 row arrays
+    (dst, src) with coords[dst] + tap == coords[src] and dst ascending: the
+    rows, in order, where a per-tap ``lookup`` of coords + tap hits.  The
+    zero tap, which maps every row to itself, gives None.  Maps live as long
+    as the KernelMap; whoever runs convolutions over one active set creates
+    it and drops it when done.
+    """
+
+    def __init__(self, coords):
+        self.coords = coords
+        self._pairs = {}
+
+    def matches(self, tensor):
+        return self.coords is tensor.coords or np.array_equal(self.coords, tensor.coords)
+
+    def pairs(self, taps):
+        taps = [tuple(int(v) for v in tap) for tap in taps]
+        missing = [tap for tap in taps if any(tap) and tap not in self._pairs]
+        if missing:
+            self._pairs.update(zip(missing, _neighbour_pairs(self.coords, missing)))
+        return [self._pairs[tap] if any(tap) else None for tap in taps]
+
+
+def _dense_table(keys, cells):
+    table = np.full(cells, -1, dtype=np.int32)
+    table[keys] = np.arange(len(keys), dtype=np.int32)
+    return table
+
+
+def _neighbour_pairs(coords, taps):
+    """(dst, src) per tap for canonical (lexicographic) coords."""
+    taps = np.asarray(taps, dtype=np.int64)
+    n = len(coords)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int32)
+        return [(empty, empty)] * len(taps)
+    # Pack keys over the bounding box padded by the kernel reach on x, y, z,
+    # so a tap shifts a key by one constant and never wraps into another
+    # row of the box.  Time, the outermost axis, needs no padding: a tap
+    # leaving it leaves [0, cells), and the sorted keys give that row range.
+    pad = np.abs(taps).max(axis=0)
+    pad[0] = 0
+    lo = coords.min(axis=0) - pad
+    size = coords.max(axis=0) + pad - lo + 1
+    strides = np.array([size[1] * size[2] * size[3], size[2] * size[3], size[3], 1])
+    keys = (coords - lo) @ strides
+    cells = int(size[0]) * int(strides[0])
+    table = _dense_table(keys, cells) if cells <= TABLE_CELLS_PER_SITE * n else None
+    out = []
+    for delta in (taps @ strides).tolist():
+        first, stop = np.searchsorted(keys, (-delta, cells - delta))
+        shifted = keys[first:stop] + delta
+        if table is not None:
+            rows = table[shifted]
+            hit = np.flatnonzero(rows >= 0)
+        else:
+            rows = np.minimum(np.searchsorted(keys, shifted), n - 1)
+            hit = np.flatnonzero(keys[rows] == shifted)
+        out.append(((hit + first).astype(np.int32), rows[hit].astype(np.int32, copy=False)))
+    return out
+
+
 def stack_temporal(results, voxel_features):
     """Concatenate per-frame voxel features along a leading time key.
 

@@ -118,6 +118,8 @@ def test_selftest_passes_and_filter(capsys):
     assert run("selftest", "--filter", "ssm") == 0
     out = capsys.readouterr().out
     assert "loss.construction" not in out
+    assert run("selftest", "--filter", "kmap") == 0
+    assert capsys.readouterr().out.splitlines() == ["stdcb.kmap: ok"]
 
 
 def test_config_file_and_flag_overrides(scene_path, tmp_path):
@@ -201,3 +203,45 @@ def test_dump_features_flag(scene_path, tmp_path):
     lines = dump.read_text().splitlines()
     assert lines[0].startswith("t,ix,iy,iz,c0")
     assert len(lines) > 1
+
+
+def test_dump_features_runs_inference_once(scene_path, tmp_path, monkeypatch):
+    import sfkit.cli as cli
+    from sfkit.pipeline import InferenceTrace, infer_flow, init_pipeline_weights
+
+    calls = []
+
+    def counting_infer(*args, **kwargs):
+        calls.append(kwargs.get("trace"))
+        return infer_flow(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "infer_flow", counting_infer)
+    dump = tmp_path / "features.csv"
+    assert run("infer", scene_path, "--seed-weights", 3, "--out", tmp_path / "f.sffl",
+               "--dump-features", dump) == 0
+    assert len(calls) == 1 and calls[0] is not None
+
+    config = RunConfig()
+    trace = InferenceTrace()
+    infer_flow(pc.load_scene(scene_path), init_pipeline_weights(config, 3), config, trace=trace)
+    tensor = trace.backbone_out
+    expect = "t,ix,iy,iz," + ",".join(f"c{i}" for i in range(tensor.n_channels)) + "\n"
+    for key, row in zip(tensor.coords, tensor.features):
+        expect += ",".join(str(k) for k in key) + ","
+        expect += ",".join(format(v, ".9g") for v in row) + "\n"
+    assert dump.read_bytes() == expect.encode()
+
+
+@pytest.mark.parametrize("command,override", [
+    ("infer", "decoder_layers=1.5"),
+    ("infer", "block_size=2.5"),
+    ("eval", "k_bins=2.5"),
+    ("infer", "threads=true"),
+    ("infer", "dynamic_threshold=-1"),
+])
+def test_bad_config_values_exit_2(scene_path, tmp_path, command, override, capsys):
+    flow = tmp_path / "f.sffl"
+    assert run("infer", scene_path, "--out", flow) == 0
+    args = (scene_path, flow) if command == "eval" else (scene_path, "--out", flow)
+    assert run(command, *args, "--set", override) == 2
+    assert "must be" in capsys.readouterr().err

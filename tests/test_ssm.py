@@ -19,6 +19,30 @@ def token_terms(params, f_off):
     return delta, f_off @ params.w_b, f_off @ params.w_c
 
 
+def two_branch_sigmoid(z):
+    """Overflow-guarded logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_two_branch_form():
+    rng = np.random.default_rng(20)
+    z = np.concatenate([
+        rng.normal(scale=5.0, size=20000),
+        rng.uniform(-800.0, 800.0, size=20000),
+        np.linspace(-40.0, 40.0, 8001),
+        [-np.inf, -800.0, -745.0, -1e-300, 0.0, 1e-300, 745.0, 800.0, np.inf],
+    ])
+    got = ssm.sigmoid(z)
+    assert np.abs(got - two_branch_sigmoid(z)).max() <= 1e-15
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    assert got[z == -np.inf][0] == 0.0 and got[z == np.inf][0] == 1.0
+
+
 # --- discretization -------------------------------------------------------------
 
 

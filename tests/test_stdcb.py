@@ -1,8 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from sfkit import pointcloud as pc
 from sfkit import stdcb
+from sfkit import voxelizer as vx
 from sfkit.errors import AlignmentError, InvalidConfig, ShapeError
+from sfkit.pipeline import InferenceTrace, RunConfig, infer_flow, init_pipeline_weights
 from sfkit.voxelizer import SparseTensor4D
 
 GRID = (8, 8, 8, 5)  # (nx, ny, nz, T)
@@ -96,6 +101,52 @@ def test_branch_convs_match_dense_oracle(extent, dilation):
     tensor = random_tensor(rng, channels=4)
     kernel = stdcb.ConvKernel4D.seeded(extent, 4, 4, rng, dilation_t=dilation)
     assert_matches_dense(tensor, kernel)
+
+
+def lookup_conv(tensor, kernel):
+    """Reference formulation: one ``lookup`` of coords + tap per kernel tap."""
+    flat_w = kernel.weights.reshape(-1, kernel.c_in, kernel.c_out)
+    out = np.broadcast_to(kernel.bias, (tensor.n_active, kernel.c_out)).copy()
+    for tap, w in zip(kernel.offsets(), flat_w):
+        idx, found = tensor.lookup(tensor.coords + tap)
+        if np.any(found):
+            out[found] += tensor.features[idx[found]] @ w
+    return tensor.with_features(out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("extent,dilation", [
+    ((3, 3, 3, 1), 1), ((1, 1, 1, 3), 1), ((1, 1, 1, 3), 2), ((3, 1, 5, 3), 2),
+])
+def test_sparse_conv_bytes_match_lookup_formulation(seed, extent, dilation):
+    rng = np.random.default_rng(40 + seed)
+    tensor = random_tensor(rng, occupancy=(0.05, 0.4, 0.9)[seed], channels=4)
+    kernel = stdcb.ConvKernel4D.seeded(extent, 4, 3, rng, dilation_t=dilation)
+    got = stdcb.sparse_conv(tensor, kernel)
+    assert got.features.tobytes() == lookup_conv(tensor, kernel).features.tobytes()
+
+
+def test_desk_backbone_bytes_match_lookup_formulation(monkeypatch):
+    scene_cfg = pc.SceneConfig(n_background=600, movers=pc.sample_mover_specs(1, 5, n_points=60))
+    scene = pc.synth_scene(scene_cfg, 5)
+    config = RunConfig()
+    weights = init_pipeline_weights(config, 5)
+    outputs = []
+    for conv in (stdcb.sparse_conv, lambda tensor, kernel, kmap=None: lookup_conv(tensor, kernel)):
+        monkeypatch.setattr(stdcb, "sparse_conv", conv)
+        trace = InferenceTrace()
+        infer_flow(scene, weights, config, trace=trace)
+        outputs.append(trace.backbone_out.features.tobytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_sparse_conv_rejects_foreign_kernel_map():
+    rng = np.random.default_rng(44)
+    tensor = random_tensor(rng, channels=2)
+    other = random_tensor(rng, channels=2)
+    kernel = stdcb.ConvKernel4D.seeded((1, 1, 1, 3), 2, 2, rng)
+    with pytest.raises(AlignmentError):
+        stdcb.sparse_conv(tensor, kernel, kmap=vx.KernelMap(other.coords))
 
 
 def test_conv_channel_mismatch():
@@ -343,6 +394,58 @@ def test_backbone_preserves_active_set():
     out = stdcb.backbone_forward(tensor, config, weights)
     assert out.same_active_set(tensor)
     assert np.all(np.isfinite(out.features))
+
+
+def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
+    maps, builds = [], []
+
+    class TrackedMap(vx.KernelMap):
+        def __init__(self, coords):
+            super().__init__(coords)
+            maps.append(weakref.ref(self))
+
+    real_build = vx._neighbour_pairs
+    monkeypatch.setattr(stdcb, "KernelMap", TrackedMap)
+    monkeypatch.setattr(vx, "_neighbour_pairs",
+                        lambda coords, taps: builds.append(len(taps)) or real_build(coords, taps))
+    rng = np.random.default_rng(45)
+    tensor = random_tensor(rng, channels=4)
+    config = stdcb.StdcbConfig(channels=4, encoder_depths=(2, 2, 1), decoder_depths=(2, 1))
+    out = stdcb.backbone_forward(tensor, config, stdcb.BackboneWeights.seeded(config, rng))
+    # One map per level, shared by its encoder and decoder blocks; within a
+    # block the spatial kernel builds 26 taps and each temporal kernel 2, as
+    # all three share the centre tap.
+    assert len(maps) == config.n_levels
+    assert builds == [26, 2, 2] * config.n_levels
+    # Nothing, the input and the output tensors included, keeps a map alive.
+    assert all(ref() is None for ref in maps)
+    assert out.same_active_set(tensor)
+
+
+def test_infer_flow_drops_backbone_tensors_before_decode(monkeypatch):
+    import sfkit.pipeline as pipeline
+
+    refs, alive = [], []
+
+    def keeping_ref(fn):
+        def wrapper(*args):
+            out = fn(*args)
+            refs.append(weakref.ref(out))
+            return out
+        return wrapper
+
+    def decode(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return real_decode(*args)
+
+    real_decode = pipeline.decode
+    monkeypatch.setattr(pipeline, "stack_temporal", keeping_ref(pipeline.stack_temporal))
+    monkeypatch.setattr(pipeline, "backbone_forward", keeping_ref(pipeline.backbone_forward))
+    monkeypatch.setattr(pipeline, "decode", decode)
+    scene = pc.synth_scene(pc.SceneConfig(n_background=200, movers=()), 6)
+    config = RunConfig()
+    infer_flow(scene, init_pipeline_weights(config, 6), config)
+    assert alive == [False, False]  # the stacked input and the backbone output
 
 
 def test_backbone_parameter_count_matches_formula():

@@ -288,3 +288,93 @@ def test_sparse_tensor_lookup():
     assert list(found) == [True, False, True]
     assert np.array_equal(tensor.features[idx[0]], feats[1])
     assert np.array_equal(tensor.features[idx[2]], feats[2])
+
+
+# --- kernel maps ------------------------------------------------------------------
+
+SPATIAL_TAPS = [(0, a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
+TEMPORAL_TAPS = [(-2, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)]
+FAR_TAPS = [(0, 9, 0, 0), (0, 0, -9, 0), (5, 0, 0, 0), (-5, 1, 1, 1), (1, -2, 3, -4)]
+TAPS = SPATIAL_TAPS + TEMPORAL_TAPS + FAR_TAPS
+
+
+def random_sparse(rng, n, extent=(5, 8, 8, 8)):
+    cells = rng.choice(int(np.prod(extent)), size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, extent), axis=1)
+    return vx.SparseTensor4D(coords, rng.normal(size=(n, 2)))
+
+
+def kernel_map_cases():
+    rng = np.random.default_rng(30)
+    time_edges = np.array([[t, x, 3, 3] for t in (0, 2, 4) for x in (2, 3)])
+    return {
+        "empty": vx.SparseTensor4D(np.empty((0, 4), dtype=int), np.empty((0, 2))),
+        "single": vx.SparseTensor4D([[4, 7, 0, 3]], [[1.0, 2.0]]),
+        "sparse": random_sparse(rng, 40),
+        "dense": random_sparse(rng, 1500),
+        "time_edges": vx.SparseTensor4D(time_edges, np.ones((len(time_edges), 2))),
+    }
+
+
+def assert_maps_match_lookup(tensor, taps=TAPS):
+    pairs = vx.KernelMap(tensor.coords).pairs(np.array(taps))
+    for tap, pair in zip(taps, pairs):
+        idx, found = tensor.lookup(tensor.coords + np.array(tap))
+        if pair is None:
+            assert not any(tap) and found.all()
+            assert np.array_equal(idx, np.arange(tensor.n_active))
+            continue
+        dst, src = pair
+        assert dst.dtype == np.int32 and src.dtype == np.int32
+        assert np.array_equal(dst, np.flatnonzero(found)), tap
+        assert np.array_equal(src, idx[found]), tap
+
+
+@pytest.mark.parametrize("cells_per_site", [0, vx.TABLE_CELLS_PER_SITE, 10**9])
+@pytest.mark.parametrize("case", sorted(kernel_map_cases()))
+def test_kernel_map_matches_lookup_oracle(case, cells_per_site, monkeypatch):
+    monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", cells_per_site)
+    assert_maps_match_lookup(kernel_map_cases()[case])
+
+
+def test_kernel_map_dilated_time_taps_at_sequence_ends():
+    coords = np.array([[0, 1, 1, 1], [2, 1, 1, 1], [4, 1, 1, 1], [4, 2, 1, 1]])
+    tensor = vx.SparseTensor4D(coords, np.zeros((4, 1)))
+    back, fwd = vx.KernelMap(tensor.coords).pairs([(-2, 0, 0, 0), (2, 0, 0, 0)])
+    assert back[0].tolist() == [1, 2] and back[1].tolist() == [0, 1]
+    assert fwd[0].tolist() == [0, 1] and fwd[1].tolist() == [1, 2]
+
+
+def test_kernel_map_table_and_sorted_paths_agree(monkeypatch):
+    tensor = random_sparse(np.random.default_rng(31), 600)
+    tables = []
+    real_table = vx._dense_table
+    monkeypatch.setattr(vx, "_dense_table", lambda *a: tables.append(a) or real_table(*a))
+    monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", 10**9)
+    from_table = vx.KernelMap(tensor.coords).pairs(TAPS)
+    assert len(tables) == 1
+    monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", 0)
+    from_search = vx.KernelMap(tensor.coords).pairs(TAPS)
+    assert len(tables) == 1
+    for a, b in zip(from_table, from_search):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_far_flung_active_set_builds_no_table(monkeypatch):
+    def refuse(keys, cells):
+        raise AssertionError(f"dense table of {cells} cells for {len(keys)} sites")
+
+    monkeypatch.setattr(vx, "_dense_table", refuse)
+    far = 1 << 20
+    coords = [[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 0, 0], [4, far, far, far]]
+    assert_maps_match_lookup(vx.SparseTensor4D(coords, np.zeros((4, 1))))
+
+
+def test_kernel_map_builds_each_tap_once():
+    tensor = random_sparse(np.random.default_rng(32), 200)
+    kmap = vx.KernelMap(tensor.coords)
+    first = kmap.pairs(SPATIAL_TAPS)
+    again = kmap.pairs(SPATIAL_TAPS[::-1])
+    assert all(a is b for a, b in zip(first, again[::-1]))
