@@ -39,7 +39,7 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, help="output path")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap (falls back to SFKIT_THREADS; orchestration is deterministic regardless)")
+                        help="worker cap; validated but no effect today (falls back to SFKIT_THREADS)")
     parser.add_argument("--k-bins", type=int, default=None, help="histogram bin count")
     parser.add_argument("--decoder-layers", type=int, default=None,
                         help="refinement cascade length")
@@ -254,6 +254,21 @@ def _check_scan_equivalence():
         assert np.abs(h1 - h2).max() <= 1e-10 * max(np.abs(h1).max(), 1.0)
 
 
+def _check_streamed_scan():
+    rng = np.random.default_rng(13)
+    length = 3 * ssm.SCAN_CHUNK + 5  # several chunks and a tail shorter than a block
+    params = ssm.SsmParams.seeded(4, 8, 3, rng)
+    x = rng.normal(size=(1, length, 4))
+    f_off = rng.normal(size=(1, length, 3))
+    h0 = rng.normal(size=(1, 4, 8))
+    refined, h = ssm.flow_ssm_layer(x, f_off, params, h0)
+    delta = ssm.softplus(f_off @ params.w_delta + params.b_delta)
+    disc = ssm.zoh_discretize(params.a, f_off @ params.w_b, delta, ssm.ZohMode.SIMPLIFIED)
+    y_ref, h_ref = ssm.scan_sequential(disc, f_off @ params.w_c, params.d, x, h0)
+    assert np.abs(refined - y_ref).max() <= 1e-10 * max(np.abs(y_ref).max(), 1.0)
+    assert np.abs(h - h_ref).max() <= 1e-10 * max(np.abs(h_ref).max(), 1.0)
+
+
 def _check_ssm_gradients():
     rng = np.random.default_rng(3)
     params = ssm.SsmParams.seeded(4, 6, 3, rng)
@@ -337,6 +352,7 @@ def _check_kernel_map():
 SELFTEST_CHECKS = (
     ("serialization.roundtrip", _check_serialization_roundtrip),
     ("ssm.scan_equivalence", _check_scan_equivalence),
+    ("ssm.stream", _check_streamed_scan),
     ("ssm.gradients", _check_ssm_gradients),
     ("loss.construction", _check_loss_construction),
     ("pointcloud.roundtrip", _check_scene_roundtrip),

@@ -124,12 +124,9 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
     f_coarse = assemble_coarse(voxel_features, point_features, assignment)
     f_offset = encode_offsets(p_offset, weights.offset_encoder)
 
-    coords = assignment.clamped_coords()
-    seq_coarse = serialize(f_coarse, coords)
-    seq_offset = serialize(f_offset, coords)
-
-    tokens = seq_coarse.rows[None]  # batch of one scene
-    offset_tokens = seq_offset.rows[None]
+    seq = serialize(f_coarse, assignment.clamped_coords())
+    tokens = seq.rows[None]  # batch of one scene
+    offset_tokens = f_offset[seq.order][None]
     hidden = None
     for params in weights.ssm_layers:
         tokens, hidden = flow_ssm_layer(
@@ -137,9 +134,8 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
             mode=config.zoh_mode, block_size=config.block_size,
         )
 
-    refined = deserialize(seq_coarse.with_rows(tokens[0]))
-    offsets_back = deserialize(seq_offset)
-    flow = weights.head.apply(np.concatenate([refined, offsets_back], axis=1))
+    refined = deserialize(seq.with_rows(tokens[0]))
+    flow = weights.head.apply(np.concatenate([refined, f_offset], axis=1))
     bad = ~np.isfinite(flow).all(axis=1)
     if np.any(bad):
         raise NumericError("non-finite flow from head", index=int(np.flatnonzero(bad)[0]))

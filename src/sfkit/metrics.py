@@ -127,7 +127,8 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
         raise ShapeError("object class array must align with the mask")
 
     gt_mag = np.linalg.norm(_vectors(gt), axis=1)
-    speed = gt_mag / dt
+    with np.errstate(over="ignore"):  # infinite bucket positions are refused below
+        bucket_pos = gt_mag / dt / bucket_width
     dynamic = mask == MotionClass.FOREGROUND_DYNAMIC
     normalized = errors / np.maximum(gt_mag, NORMALIZATION_FLOOR)
 
@@ -138,7 +139,11 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
         sel = dynamic & (object_classes == cls)
         if not np.any(sel):
             continue
-        buckets = (speed[sel] / bucket_width).astype(np.int64)
+        if not np.all(bucket_pos[sel] < 2.0 ** 63):  # also false for nan
+            raise InvalidConfig(
+                f"dt={dt} puts a dynamic point's speed bucket outside int64"
+            )
+        buckets = bucket_pos[sel].astype(np.int64)
         bucket_means = [
             float(normalized[sel][buckets == b].mean()) for b in np.unique(buckets)
         ]

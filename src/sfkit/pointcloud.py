@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, InvalidInput
+from .errors import FormatError, InvalidConfig, InvalidInput, NumericError, RangeError
 
 N_FRAMES = 5
 # Frame slots 0..4 cover five consecutive sweeps; slot 3 is the prediction
@@ -386,14 +386,33 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f4").reshape(count, 3).astype(np.float64)
 
 
+def _as_f32(rows):
+    """(N, 3) float64 rows as little-endian f32 and the first row that
+    overflows the f32 range, or None when every row fits."""
+    with np.errstate(over="ignore"):
+        out = rows.astype("<f4")
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    return out, int(bad[0]) if bad.size else None
+
+
 def save_scene(seq, path):
-    """Write a SceneSequence in the SFSC binary format (coordinates as f32)."""
+    """Write a SceneSequence in the SFSC binary format (coordinates as f32).
+
+    Raises RangeError, before the file is opened, when a coordinate or flow
+    entry does not fit f32, since load_scene would reject the file.
+    """
     chunks = [SCENE_MAGIC, struct.pack("<H", SCENE_VERSION), struct.pack("<H", N_FRAMES)]
-    for frame in seq.frames:
+    for i, frame in enumerate(seq.frames):
+        raw, bad = _as_f32(frame.points)
+        if bad is not None:
+            raise RangeError(f"frame {i} row {bad} is outside the f32 range of SFSC files")
         chunks.append(struct.pack("<Q", len(frame)))
-        chunks.append(frame.points.astype("<f4").tobytes())
+        chunks.append(raw.tobytes())
+    raw, bad = _as_f32(seq.gt_flow.vectors)
+    if bad is not None:
+        raise RangeError(f"ground-truth flow row {bad} is outside the f32 range of SFSC files")
     chunks.append(struct.pack("<Q", len(seq.gt_flow)))
-    chunks.append(seq.gt_flow.vectors.astype("<f4").tobytes())
+    chunks.append(raw.tobytes())
     chunks.append(struct.pack("<Q", len(seq.mask)))
     chunks.append(seq.mask.astype(np.uint8).tobytes())
     chunks.append(struct.pack("<Q", seq.seed))
@@ -438,12 +457,19 @@ def load_scene(path):
 
 
 def save_flow(flow, path):
-    """Write a FlowField in the SFFL binary format (f32 triplets)."""
+    """Write a FlowField in the SFFL binary format (f32 triplets).
+
+    Raises NumericError, before the file is opened, when a vector does not fit
+    f32, since load_flow would reject the file.
+    """
+    raw, bad = _as_f32(flow.vectors)
+    if bad is not None:
+        raise NumericError("flow vector outside the f32 range of SFFL files", index=bad)
     with open(path, "wb") as fh:
         fh.write(FLOW_MAGIC)
         fh.write(struct.pack("<H", FLOW_VERSION))
         fh.write(struct.pack("<Q", len(flow)))
-        fh.write(flow.vectors.astype("<f4").tobytes())
+        fh.write(raw.tobytes())
 
 
 def load_flow(path):

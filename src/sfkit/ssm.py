@@ -5,10 +5,12 @@ y_t = C_t . h_t + D * x_t, where the per-token parameters (Delta, B, C) are
 linear projections of offset features and A is diagonal per channel (stored
 as log-negatives so the decay stays strictly inside the unit interval).
 
-Two scan engines share one contract: a plain left-to-right loop and a blocked
-scan that exploits the associative composition
-(a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks.  An
-adjoint pass provides exact gradients for finite-difference verification.
+One scan engine streams the sequence in chunks of whole blocks and, within a
+chunk, exploits the associative composition
+(a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks; the
+hidden state is carried from chunk to chunk.  A plain left-to-right loop with
+the same contract is the oracle.  An adjoint pass provides exact gradients
+for finite-difference verification.
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,11 @@ from .errors import NumericError, ShapeError, StateError
 from .weights import uniform_init
 
 DEFAULT_BLOCK_SIZE = 64
+# Tokens per streamed scan chunk, rounded up to whole blocks.  Only one chunk
+# of (D, S) scan terms is alive at a time, so scan memory is O(chunk * D * S).
+# Short chunks pay per-call overhead and long ones fall out of cache: at
+# L = 32.4k, D = 32, S = 16 on a 2-core x86 VM, 512-1024 tokens ran fastest.
+SCAN_CHUNK = 1024
 
 
 class ZohMode(str, Enum):
@@ -164,8 +171,12 @@ def _check_scan_shapes(disc, c, d, x, h0):
     return batch, length, d_inner, state
 
 
-def scan_sequential(disc, c, d, x, h0):
-    """Exact left-to-right recurrence. Returns (y, h_final)."""
+def scan_sequential(disc, c, d, x, h0, states=None):
+    """Exact left-to-right recurrence. Returns (y, h_final).
+
+    When ``states`` is a (batch, L, D, S) array, every per-token hidden state
+    is written into it.
+    """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -177,63 +188,95 @@ def scan_sequential(disc, c, d, x, h0):
         h = disc.a_bar[:, t] * h + disc.b_bar[:, t] * x[:, t, :, None]
         if not np.all(np.isfinite(h)):
             raise NumericError("non-finite hidden state", index=t)
+        if states is not None:
+            states[:, t] = h
         y[:, t] = np.einsum("bds,bs->bd", h, c[:, t]) + d * x[:, t]
     return y, h
 
 
-def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE):
+def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
     """Blocked scan with identical contract to scan_sequential.
 
-    Splits the sequence into blocks, forms within-block prefix composites of
-    the transition pairs (vectorized across blocks), carries the state across
+    Streams the sequence in chunks of whole blocks, carrying the hidden state
+    from one chunk to the next, so only one chunk's (D, S) terms are alive at
+    a time.  Within a chunk it forms within-block prefix composites of the
+    transition pairs (vectorized across blocks), carries the state across
     block boundaries, then reconstructs every per-token state.  Degenerates to
-    the sequential path when one block covers the whole sequence.
+    the sequential path when one block covers the whole sequence.  ``states``
+    is filled as in scan_sequential.
     """
-    if block_size < 1:
-        raise ShapeError(f"block_size must be >= 1, got {block_size}")
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     h0 = np.asarray(h0, dtype=np.float64)
     batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0)
+    chunks = _chunk_bounds(length, block_size)
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
-        return scan_sequential(disc, c, d, x, h0)
+        return scan_sequential(disc, c, d, x, h0, states)
 
-    h = _blocked_states(disc.a_bar, disc.b_bar * x[..., None], h0, block_size)
-    if not np.all(np.isfinite(h)):
-        bad = int(np.flatnonzero(~np.isfinite(h).reshape(batch, length, -1).all(axis=(0, 2)))[0])
-        raise NumericError("non-finite hidden state", index=bad)
-    y = np.einsum("blds,bls->bld", h, c) + d * x
-    return y, h[:, -1].copy()
+    y = np.empty((batch, length, d_inner))
+    h_last = h0
+    for start, stop in chunks:
+        part = slice(start, stop)
+        h = _blocked_states(disc.a_bar[:, part], disc.b_bar[:, part], x[:, part],
+                            h_last, block_size)
+        if not np.all(np.isfinite(h)):
+            finite = np.isfinite(h).reshape(batch, stop - start, -1).all(axis=(0, 2))
+            raise NumericError("non-finite hidden state",
+                               index=start + int(np.flatnonzero(~finite)[0]))
+        y[:, part] = np.einsum("blds,bls->bld", h, c[:, part]) + d * x[:, part]
+        if states is not None:
+            states[:, part] = h
+        h_last = h[:, -1].copy()
+    return y, h_last
 
 
-def _blocked_states(a, u, h0, block_size):
-    """All hidden states for h_t = a_t * h_{t-1} + u_t via block composition."""
+def _chunk_bounds(length, block_size):
+    """Token ranges [start, stop) that the scan visits one at a time.
+
+    Chunks hold a whole number of blocks, at least two, so every block is
+    composed exactly as in one full-length pass.  A tail of at most one block
+    joins the chunk before it: scanned on its own it would take scan_blocked's
+    one-block sequential shortcut, whose rounding differs.
+    """
+    if block_size < 1:
+        raise ShapeError(f"block_size must be >= 1, got {block_size}")
+    chunk = max(2, -(-SCAN_CHUNK // block_size)) * block_size
+    starts = list(range(0, length, chunk))
+    if len(starts) > 1 and length - starts[-1] <= block_size:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [length]))
+
+
+def _blocked_states(a, b, x, h0, block_size):
+    """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition."""
     batch, length, d_inner, state = a.shape
     n_blocks = -(-length // block_size)
-    pad = n_blocks * block_size - length
-    if pad:
-        # Identity elements extend the last block without changing any state.
-        a = np.concatenate([a, np.ones((batch, pad, d_inner, state))], axis=1)
-        u = np.concatenate([u, np.zeros((batch, pad, d_inner, state))], axis=1)
-    a = a.reshape(batch, n_blocks, block_size, d_inner, state)
-    u = u.reshape(batch, n_blocks, block_size, d_inner, state)
+    padded = (batch, n_blocks * block_size, d_inner, state)
+    a_pref = np.empty(padded)
+    u_pref = np.empty(padded)
+    a_pref[:, :length] = a
+    np.multiply(b, x[..., None], out=u_pref[:, :length])
+    # Identity elements extend the last block without changing any state.
+    a_pref[:, length:] = 1.0
+    u_pref[:, length:] = 0.0
+    a_pref = a_pref.reshape(batch, n_blocks, block_size, d_inner, state)
+    u_pref = u_pref.reshape(batch, n_blocks, block_size, d_inner, state)
 
-    a_pref = a.copy()
-    u_pref = u.copy()
     for k in range(1, block_size):
-        a_pref[:, :, k] = a[:, :, k] * a_pref[:, :, k - 1]
-        u_pref[:, :, k] = a[:, :, k] * u_pref[:, :, k - 1] + u[:, :, k]
+        u_pref[:, :, k] += a_pref[:, :, k] * u_pref[:, :, k - 1]
+        a_pref[:, :, k] *= a_pref[:, :, k - 1]
 
     h_enter = np.empty((batch, n_blocks, d_inner, state))
     h_enter[:, 0] = h0
     for i in range(1, n_blocks):
         h_enter[:, i] = a_pref[:, i - 1, -1] * h_enter[:, i - 1] + u_pref[:, i - 1, -1]
 
-    h = a_pref * h_enter[:, :, None] + u_pref
-    return h.reshape(batch, n_blocks * block_size, d_inner, state)[:, :length]
+    h = np.multiply(a_pref, h_enter[:, :, None], out=a_pref)
+    h += u_pref
+    return h.reshape(padded)[:, :length]
 
 
 # ---------------------------------------------------------------------------
@@ -289,31 +332,39 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         raise ShapeError(
             f"input width {f_coarse.shape[2]} != layer width {params.d_inner}"
         )
-    batch = f_coarse.shape[0]
-    if h0 is None:
-        h0 = np.zeros((batch, params.d_inner, params.state_size))
+    batch, length, d_inner = f_coarse.shape
+    state = params.state_size
+    h0 = np.zeros((batch, d_inner, state)) if h0 is None else np.asarray(h0, dtype=np.float64)
+    if h0.shape != (batch, d_inner, state):
+        raise ShapeError(f"h0 must be {(batch, d_inner, state)}, got {h0.shape}")
 
     z_delta, delta, b_tokens, c_tokens = _project_token_params(f_offset, params)
-    disc = zoh_discretize(params.a, b_tokens, delta, mode=mode)
+    refined = np.empty((batch, length, d_inner))
+    a_bar = h_states = None
     if keep_intermediates:
-        h = _blocked_states(
-            disc.a_bar, disc.b_bar * f_coarse[..., None], np.asarray(h0, float),
-            block_size,
-        ) if f_coarse.shape[1] else np.zeros(disc.a_bar.shape)
-        if not np.all(np.isfinite(h)):
-            raise NumericError("non-finite hidden state in recorded forward")
-        refined = np.einsum("blds,bls->bld", h, c_tokens) + params.d * f_coarse
-        h_final = h[:, -1].copy() if f_coarse.shape[1] else np.asarray(h0, float).copy()
-        return FlowSsmRun(
-            refined=refined, h_final=h_final, mode=ZohMode(mode),
-            inputs=(f_coarse, f_offset, params, np.asarray(h0, float)),
-            z_delta=z_delta, delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
-            a_bar=disc.a_bar, h_states=h,
-        )
-    refined, h_final = scan_blocked(
-        disc, c_tokens, params.d, f_coarse, np.asarray(h0, float), block_size
+        a_bar = np.empty((batch, length, d_inner, state))
+        h_states = np.empty((batch, length, d_inner, state))
+    h = h0
+    for start, stop in _chunk_bounds(length, block_size):
+        part = slice(start, stop)
+        disc = zoh_discretize(params.a, b_tokens[:, part], delta[:, part], mode=mode)
+        try:
+            refined[:, part], h = scan_blocked(
+                disc, c_tokens[:, part], params.d, f_coarse[:, part], h, block_size,
+                states=None if h_states is None else h_states[:, part],
+            )
+        except NumericError as err:
+            raise NumericError("non-finite hidden state", index=start + err.index) from err
+        if keep_intermediates:
+            a_bar[:, part] = disc.a_bar
+    if not keep_intermediates:
+        return FlowSsmRun(refined=refined, h_final=h.copy(), mode=ZohMode(mode))
+    return FlowSsmRun(
+        refined=refined, h_final=h.copy(), mode=ZohMode(mode),
+        inputs=(f_coarse, f_offset, params, h0),
+        z_delta=z_delta, delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
+        a_bar=a_bar, h_states=h_states,
     )
-    return FlowSsmRun(refined=refined, h_final=h_final, mode=ZohMode(mode))
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,

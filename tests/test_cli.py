@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from sfkit import cli
 from sfkit import pointcloud as pc
 from sfkit.cli import main
 from sfkit.pipeline import RunConfig
@@ -80,6 +81,26 @@ def test_eval_count_mismatch_exit_code(scene_path, tmp_path):
     assert run("eval", scene_path, bad_flow) == 2
 
 
+def test_eval_dt_overflowing_speed_buckets_exit_code(tmp_path):
+    mover = pc.MoverSpec(center=(2.0, 1.0, 0.0), extents=(1.0, 1.0, 0.5),
+                         velocity=(2.0, 0.0, 0.0), n_points=20)
+    scene = pc.synth_scene(pc.SceneConfig(n_background=50, movers=(mover,)), 3)
+    assert np.any(scene.mask == pc.MotionClass.FOREGROUND_DYNAMIC)
+    scene_path = tmp_path / "scene.sfsc"
+    pc.save_scene(scene, scene_path)
+    flow_path = tmp_path / "gt.sffl"
+    pc.save_flow(scene.gt_flow, flow_path)
+    assert run("eval", scene_path, flow_path, "--set", "dt=1e-300") == 2
+
+
+def test_infer_flow_outside_f32_exit_code_and_no_file(scene_path, tmp_path, monkeypatch):
+    n = len(pc.load_scene(scene_path).prediction_frame)
+    monkeypatch.setattr(cli, "infer_flow", lambda *a, **k: pc.FlowField(np.full((n, 3), 1e200)))
+    out = tmp_path / "f.sffl"
+    assert run("infer", scene_path, "--out", out) == 3
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     assert run("infer", tmp_path / "nope.sfsc") == 2
 
@@ -120,6 +141,8 @@ def test_selftest_passes_and_filter(capsys):
     assert "loss.construction" not in out
     assert run("selftest", "--filter", "kmap") == 0
     assert capsys.readouterr().out.splitlines() == ["stdcb.kmap: ok"]
+    assert run("selftest", "--filter", "stream") == 0
+    assert capsys.readouterr().out.splitlines() == ["ssm.stream: ok"]
 
 
 def test_config_file_and_flag_overrides(scene_path, tmp_path):

@@ -4,7 +4,8 @@ import pytest
 from sfkit import decoder as dec
 from sfkit.errors import InvalidConfig, ShapeError
 from sfkit.pointcloud import PointCloud
-from sfkit.ssm import SsmParams
+from sfkit.serialization import deserialize, serialize
+from sfkit.ssm import SsmParams, flow_ssm_layer
 from sfkit.voxelizer import VoxelGrid, voxelize
 from sfkit.weights import MlpWeights
 
@@ -194,3 +195,34 @@ def test_decoder_config_validation():
         dec.DecoderConfig(n_layers=0)
     with pytest.raises(InvalidConfig):
         dec.DecoderConfig(channels=0)
+
+
+def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights,
+                         config):
+    """decode with both feature sets serialized separately and the offsets
+    deserialized back before the head."""
+    f_coarse = dec.assemble_coarse(voxel_features, point_features, assignment)
+    f_offset = dec.encode_offsets(p_offset, weights.offset_encoder)
+    coords = assignment.clamped_coords()
+    seq_coarse = serialize(f_coarse, coords)
+    seq_offset = serialize(f_offset, coords)
+    tokens, hidden = seq_coarse.rows[None], None
+    for params in weights.ssm_layers:
+        tokens, hidden = flow_ssm_layer(tokens, seq_offset.rows[None], params, hidden,
+                                        mode=config.zoh_mode, block_size=config.block_size)
+    refined = deserialize(seq_coarse.with_rows(tokens[0]))
+    return weights.head.apply(np.concatenate([refined, deserialize(seq_offset)], axis=1))
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_decode_serializes_once_byte_identical(n_layers, monkeypatch):
+    # 3000 points over 4096 cells: many co-voxel ties, and a scan of several chunks
+    rng = np.random.default_rng(11)
+    vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (3000, 3)))
+    w = seeded_weights(np.random.default_rng(12), n_layers=n_layers)
+    expect = two_serialize_decode(vf, pf, res.offsets, res, w, config(n_layers=n_layers))
+    calls = []
+    monkeypatch.setattr(dec, "serialize", lambda *a: calls.append(1) or serialize(*a))
+    flow = dec.decode(vf, pf, res.offsets, res, w, config(n_layers=n_layers))
+    assert np.array_equal(flow.vectors, expect)
+    assert len(calls) == 1

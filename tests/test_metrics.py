@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfkit import metrics
-from sfkit.errors import EmptyInput, ShapeError
+from sfkit.errors import EmptyInput, InvalidConfig, ShapeError
 from sfkit.pointcloud import FlowField, MotionClass
 
 
@@ -277,3 +277,19 @@ def test_report_csv_roundtrip():
         else:
             assert np.isclose(parsed[name], value, rtol=1e-8)
     assert "dynamic IoU" in report.to_text()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dt", [1e-300, 5e-324, float("nan")])
+def test_bucketed_refuses_dt_that_overflows_speed_buckets(dt):
+    gt = flow_of([[1.0, 0.0, 0.0], [1e10, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    mask = np.array([FD, FD, BS])
+    with pytest.raises(InvalidConfig, match="dt="):
+        metrics.bucketed_normalized_epe(gt, gt, mask, dt=dt)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bucketed_tiny_dt_ignored_for_static_points():
+    gt = flow_of([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    out = metrics.bucketed_normalized_epe(gt, gt, np.array([BS, FD]), dt=1e-300)
+    assert out.per_class == {"CAR": 0.0}

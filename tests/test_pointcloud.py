@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sfkit import pointcloud as pc
-from sfkit.errors import FormatError, InvalidConfig, InvalidInput
+from sfkit.errors import FormatError, InvalidConfig, InvalidInput, NumericError, RangeError
 
 
 def basic_config(**overrides):
@@ -218,3 +220,34 @@ def test_mover_spec_sampling_deterministic():
     b = pc.sample_mover_specs(3, seed=5)
     assert a == b
     assert a != pc.sample_mover_specs(3, seed=6)
+
+
+def test_flow_outside_f32_refused_before_writing(tmp_path):
+    flow = pc.FlowField([[0.0, 0.0, 0.0], [1.0, 1e200, 0.0]])
+    path = tmp_path / "flow.sffl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            pc.save_flow(flow, path)
+    assert err.value.index == 1
+    assert not path.exists()
+
+
+def test_scene_outside_f32_refused_before_writing(tmp_path):
+    scene = pc.synth_scene(basic_config(n_background=5, movers=()), seed=3)
+    points = scene.frames[2].points.copy()
+    points[4, 0] = -1e200
+    frames = list(scene.frames)
+    frames[2] = pc.PointCloud(points, 2)
+    far = pc.SceneSequence(frames, scene.gt_flow, scene.mask, scene.seed)
+    path = tmp_path / "scene.sfsc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="frame 2 row 4"):
+            pc.save_scene(far, path)
+        gt = scene.gt_flow.vectors.copy()
+        gt[3, 2] = 1e39  # beyond the largest f32, rounds to inf
+        bad_gt = pc.SceneSequence(scene.frames, pc.FlowField(gt), scene.mask, scene.seed)
+        with pytest.raises(RangeError, match="flow row 3"):
+            pc.save_scene(bad_gt, path)
+    assert not path.exists()

@@ -427,3 +427,145 @@ def test_backward_matches_finite_differences():
         lambda arr: float((gy * ssm.flow_ssm_layer(x, arr, params)[0]).sum()), f_off
     )
     assert rel_err(grads.f_offset, fd_off) < 1e-5
+
+
+# --- streamed engine ---------------------------------------------------------------
+
+
+def one_shot_layer(x, f_off, params, h0, mode, block_size):
+    """The layer as one full-length pass: every (L, D, S) term materialized at
+    once, padded by concatenation.  Returns (y, h_final, states or None)."""
+    delta, b_tok, c_tok = token_terms(params, f_off)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta, mode)
+    batch, length, d_inner, state = disc.a_bar.shape
+    if length == 0:
+        return np.empty(x.shape), h0, None
+    if length <= block_size:
+        y, h = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
+        return y, h, None
+    a, u = disc.a_bar, disc.b_bar * x[..., None]
+    n_blocks = -(-length // block_size)
+    pad = n_blocks * block_size - length
+    a = np.concatenate([a, np.ones((batch, pad, d_inner, state))], axis=1)
+    u = np.concatenate([u, np.zeros((batch, pad, d_inner, state))], axis=1)
+    a = a.reshape(batch, n_blocks, block_size, d_inner, state)
+    u = u.reshape(batch, n_blocks, block_size, d_inner, state)
+    a_pref, u_pref = a.copy(), u.copy()
+    for k in range(1, block_size):
+        a_pref[:, :, k] = a[:, :, k] * a_pref[:, :, k - 1]
+        u_pref[:, :, k] = a[:, :, k] * u_pref[:, :, k - 1] + u[:, :, k]
+    h_enter = np.empty((batch, n_blocks, d_inner, state))
+    h_enter[:, 0] = h0
+    for i in range(1, n_blocks):
+        h_enter[:, i] = a_pref[:, i - 1, -1] * h_enter[:, i - 1] + u_pref[:, i - 1, -1]
+    h = (a_pref * h_enter[:, :, None] + u_pref).reshape(batch, -1, d_inner, state)[:, :length]
+    y = np.einsum("blds,bls->bld", h, c_tok) + params.d * x
+    return y, h[:, -1].copy(), h
+
+
+def chunk_tokens(block_size):
+    return max(2, -(-ssm.SCAN_CHUNK // block_size)) * block_size
+
+
+def stream_lengths(block_size):
+    c, b = chunk_tokens(block_size), block_size
+    return [0, 1, b, b + 1, c - 1, c, c + 1, c + b, c + b + 1, 3 * c + 5]
+
+
+@pytest.mark.parametrize("block_size", [64, 48])
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_streamed_layer_byte_identical_to_one_shot(block_size, mode):
+    for length in stream_lengths(block_size):
+        rng = np.random.default_rng(length)
+        params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
+        h0 = rng.normal(size=(2, 3, 4))
+        y_ref, h_ref, _ = one_shot_layer(x, f_off, params, h0, mode, block_size)
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode, block_size)
+        assert np.array_equal(y, y_ref), length
+        assert np.array_equal(h, h_ref), length
+
+
+def test_chunk_bounds_tile_whole_blocks():
+    for block_size in (1, 7, 64, 1000, 5000):
+        chunk = chunk_tokens(block_size)
+        for length in stream_lengths(block_size) + [2 * chunk + block_size]:
+            bounds = ssm._chunk_bounds(length, block_size)
+            edges = [0] + [stop for _, stop in bounds]
+            assert [start for start, _ in bounds] == edges[:-1]
+            assert edges[-1] == length
+            for start, stop in bounds:
+                assert start % block_size == 0
+                assert stop - start <= chunk + block_size
+                # only a sequence of one block or less is scanned as one short chunk
+                assert stop - start > block_size or length <= block_size
+
+
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_recorded_run_matches_streamed_run(mode):
+    block_size = 64
+    for length in stream_lengths(block_size):
+        rng = np.random.default_rng(length + 1)
+        params, x, f_off = make_inputs(rng, 1, length, 3, 4, 2)
+        h0 = rng.normal(size=(1, 3, 4))
+        run = ssm.flow_ssm_forward(x, f_off, params, h0, mode, keep_intermediates=True)
+        streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode)
+        assert np.array_equal(run.refined, streamed.refined), length
+        assert np.array_equal(run.h_final, streamed.h_final), length
+        delta, b_tok, _ = token_terms(params, f_off)
+        a_bar = ssm.zoh_discretize(params.a, b_tok, delta, mode).a_bar
+        assert np.array_equal(run.a_bar, a_bar), length
+        _, _, states = one_shot_layer(x, f_off, params, h0, mode, block_size)
+        if states is not None:
+            assert np.array_equal(run.h_states, states), length
+
+
+def test_backward_unchanged_against_one_shot_record():
+    rng = np.random.default_rng(30)
+    length = chunk_tokens(64) + 70
+    params, x, f_off = make_inputs(rng, 1, length, 3, 4, 2)
+    h0 = rng.normal(size=(1, 3, 4))
+    gy = rng.normal(size=x.shape)
+    run = ssm.flow_ssm_forward(x, f_off, params, h0, keep_intermediates=True)
+
+    z_delta = f_off @ params.w_delta + params.b_delta
+    delta, b_tok, c_tok = token_terms(params, f_off)
+    y, h_final, states = one_shot_layer(x, f_off, params, h0, ssm.ZohMode.SIMPLIFIED, 64)
+    reference = ssm.FlowSsmRun(
+        refined=y, h_final=h_final, mode=ssm.ZohMode.SIMPLIFIED,
+        inputs=(x, f_off, params, h0), z_delta=z_delta, delta=delta,
+        b_tokens=b_tok, c_tokens=c_tok,
+        a_bar=ssm.zoh_discretize(params.a, b_tok, delta).a_bar, h_states=states,
+    )
+    got, expect = ssm.ssm_backward(run, gy), ssm.ssm_backward(reference, gy)
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(expect, field.name)), field.name
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_numeric_error_in_third_chunk_names_global_token(keep):
+    rng = np.random.default_rng(31)
+    chunk = chunk_tokens(64)
+    params, x, f_off = make_inputs(rng, 1, 3 * chunk + 5, 3, 4, 2)
+    bad = 2 * chunk + 17
+    x = x.copy()
+    x[0, bad, 1] = np.inf
+    with pytest.raises(NumericError) as err:
+        ssm.flow_ssm_forward(x, f_off, params, keep_intermediates=keep)
+    assert err.value.index == bad
+
+
+def test_streamed_layer_memory_is_bounded():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    rng = np.random.default_rng(32)
+    length, d_inner, state, c_off = 32_400, 32, 16, 16
+    params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
+    x = rng.normal(size=(1, length, d_inner))
+    f_off = rng.normal(size=(1, length, c_off))
+    tracemalloc.start()
+    try:
+        ssm.flow_ssm_layer(x, f_off, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One full-length (L, D, S) float64 term alone is 133 MB here.
+    assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
