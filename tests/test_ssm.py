@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -555,7 +556,6 @@ def test_numeric_error_in_third_chunk_names_global_token(keep):
 
 
 def test_streamed_layer_memory_is_bounded():
-    tracemalloc = pytest.importorskip("tracemalloc")
     rng = np.random.default_rng(32)
     length, d_inner, state, c_off = 32_400, 32, 16, 16
     params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
