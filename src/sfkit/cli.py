@@ -18,7 +18,8 @@ from . import metrics as metrics_mod
 from . import pointcloud as pc
 from . import serialization as sz
 from . import ssm
-from .errors import NumericError, SceneFlowError
+from . import stdcb
+from .errors import InvalidConfig, NumericError, SceneFlowError
 from .pipeline import (
     InferenceTrace,
     RunConfig,
@@ -61,7 +62,11 @@ def _load_config(args):
     if args.threads is not None:
         mapping["threads"] = args.threads
     elif os.environ.get("SFKIT_THREADS"):
-        mapping["threads"] = int(os.environ["SFKIT_THREADS"])
+        raw = os.environ["SFKIT_THREADS"]
+        try:
+            mapping["threads"] = int(raw)
+        except ValueError:
+            raise InvalidConfig(f"SFKIT_THREADS must be an integer, got {raw!r}") from None
     if args.k_bins is not None:
         mapping["k_bins"] = args.k_bins
     if args.decoder_layers is not None:
@@ -175,9 +180,23 @@ def cmd_eval(args):
     return EXIT_OK
 
 
+def _bench_lengths(text):
+    """Comma-separated scan lengths, each an integer >= 0 (0 is skipped)."""
+    try:
+        lengths = [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise InvalidConfig(f"--lengths must be comma-separated integers, got {text!r}") from None
+    if any(length < 0 for length in lengths):
+        raise InvalidConfig(f"--lengths must be >= 0, got {text!r}")
+    return lengths
+
+
 def cmd_bench(args):
     config = _load_config(args)
-    lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
+    lengths = _bench_lengths(args.lengths)
+    for flag, value in (("--batch", args.batch), ("--d-inner", args.d_inner)):
+        if value < 1:
+            raise InvalidConfig(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)
     d_inner, state, batch = args.d_inner, args.state, args.batch
     rows = ["impl,L,D_inner,S,tokens_per_second"]
@@ -349,6 +368,23 @@ def _check_kernel_map():
         assert np.array_equal(pair[1], idx[found]), f"tap {tap}: neighbours differ"
 
 
+def _check_downsample():
+    rng = np.random.default_rng(10)
+    extent = (5, 12, 12, 12)
+    cells = rng.choice(int(np.prod(extent)), size=800, replace=False)
+    coords = np.stack(np.unravel_index(cells, extent), axis=1) - (0, 6, 6, 6)
+    tensor = SparseTensor4D(coords, rng.normal(size=(800, 3)))
+    parents = tensor.coords.copy()
+    parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
+    uniq, inverse = np.unique(parents, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), 3))
+    np.add.at(sums, inverse, tensor.features)
+    down = stdcb.downsample2(tensor)
+    assert np.array_equal(down.coords, uniq), "parents differ"
+    means = sums / np.bincount(inverse)[:, None]
+    assert down.features.tobytes() == means.tobytes(), "means differ"
+
+
 SELFTEST_CHECKS = (
     ("serialization.roundtrip", _check_serialization_roundtrip),
     ("ssm.scan_equivalence", _check_scan_equivalence),
@@ -358,6 +394,7 @@ SELFTEST_CHECKS = (
     ("pointcloud.roundtrip", _check_scene_roundtrip),
     ("weights.roundtrip", _check_weights_roundtrip),
     ("stdcb.kmap", _check_kernel_map),
+    ("stdcb.downsample", _check_downsample),
 )
 
 

@@ -305,6 +305,9 @@ def infer_flow(scene, weights, config, trace=None):
             point_feats_t = pf
 
     stacked = stack_temporal(results, voxel_feats)
+    if trace is not None:
+        trace.voxel_features = voxel_feats
+    del voxel_feats  # the stacked tensor holds copies of these rows
     refined = backbone_forward(stacked, config.stdcb_config(), weights.backbone)
 
     res_t = results[slot]
@@ -317,13 +320,12 @@ def infer_flow(scene, weights, config, trace=None):
     f3d_t = refined.features[idx]
     if trace is not None:
         trace.results = results
-        trace.voxel_features = voxel_feats
         trace.stacked = stacked
         trace.backbone_out = refined
         trace.frame_t_voxel_features = f3d_t
         trace.coarse_point_features = point_feats_t
     # The decoder sets the peak memory: keep alive only what it reads.
-    del results, voxel_feats, stacked, refined
+    del results, stacked, refined
     return decode(
         f3d_t, point_feats_t, res_t.offsets, res_t, weights.decoder,
         config.decoder_config(),

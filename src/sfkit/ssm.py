@@ -40,9 +40,16 @@ def softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def sigmoid(z):
+def sigmoid(z, out=None):
     # The tanh form needs no overflow guard, so no masked two-branch split.
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
+    # Every step writes ``out``, which may be ``z`` itself.
+    z = np.asarray(z, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(z)
+    np.multiply(0.5, z, out=out)
+    np.tanh(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.multiply(0.5, out, out=out)
 
 
 @dataclass(frozen=True)

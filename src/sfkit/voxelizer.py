@@ -6,11 +6,12 @@ size, so every in-bounds point carries a conditioning vector in [-1, 1]^3.
 Out-of-bounds points are flagged with a sentinel, never dropped.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NumericError, ShapeError
+from .errors import InvalidConfig, NumericError, RangeError, ShapeError
 from .weights import MlpWeights
 
 OUT_OF_BOUNDS = -1
@@ -159,6 +160,25 @@ def devoxelize_coarse(voxel_features, result):
     return out
 
 
+def packing_strides(lo, hi):
+    """Strides that pack keys between ``lo`` and ``hi`` (per axis, inclusive)
+    into one int64 as ``(keys - lo) @ strides``, plus the box's cell count.
+
+    Packing is row-major over the bounding box, so packed keys sort like the
+    rows they pack.  The cell count is taken in Python ints: a box of more
+    than 2**63 - 1 cells would wrap the keys, so it raises RangeError.
+    """
+    span = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    cells = math.prod(span)
+    if cells > np.iinfo(np.int64).max:
+        raise RangeError(
+            f"cannot pack keys into int64: a bounding box spanning {span} cells "
+            f"per axis holds {cells} cells"
+        )
+    strides = [math.prod(span[i + 1 :]) for i in range(len(span))]
+    return np.array(strides, dtype=np.int64), cells
+
+
 class SparseTensor4D:
     """Map from (t, ix, iy, iz) keys to C-channel feature rows.
 
@@ -201,19 +221,19 @@ class SparseTensor4D:
     def _packing(self):
         if self._packed is None:
             if self.n_active == 0:
-                self._span = (np.zeros(4, np.int64), np.ones(4, np.int64))
+                self._span = (np.zeros(4, np.int64), np.ones(4, np.int64), None)
                 self._packed = np.empty(0, dtype=np.int64)
             else:
                 lo = self.coords.min(axis=0)
                 hi = self.coords.max(axis=0)
-                self._span = (lo, hi - lo + 1)
+                strides, _ = packing_strides(lo, hi)
+                self._span = (lo, hi - lo + 1, strides)
                 self._packed = self._pack(self.coords)
         return self._packed
 
     def _pack(self, coords):
-        lo, size = self._span
-        rel = coords - lo
-        return ((rel[:, 0] * size[1] + rel[:, 1]) * size[2] + rel[:, 2]) * size[3] + rel[:, 3]
+        lo, _, strides = self._span
+        return (coords - lo) @ strides
 
     def lookup(self, coords):
         """Row indices for (M, 4) query keys plus a found mask."""
@@ -221,7 +241,7 @@ class SparseTensor4D:
         packed = self._packing()
         if self.n_active == 0:
             return np.zeros(len(coords), np.int64), np.zeros(len(coords), bool)
-        lo, size = self._span
+        lo, size, _ = self._span
         rel = coords - lo
         inside = np.all((rel >= 0) & (rel < size), axis=1)
         q = np.zeros(len(coords), dtype=np.int64)
@@ -324,10 +344,8 @@ def _neighbour_pairs(coords, taps):
     pad = np.abs(taps).max(axis=0)
     pad[0] = 0
     lo = coords.min(axis=0) - pad
-    size = coords.max(axis=0) + pad - lo + 1
-    strides = np.array([size[1] * size[2] * size[3], size[2] * size[3], size[3], 1])
+    strides, cells = packing_strides(lo, coords.max(axis=0) + pad)
     keys = (coords - lo) @ strides
-    cells = int(size[0]) * int(strides[0])
     table = _dense_table(keys, cells) if cells <= TABLE_CELLS_PER_SITE * n else None
     out = []
     for delta in (taps @ strides).tolist():

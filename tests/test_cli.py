@@ -143,6 +143,8 @@ def test_selftest_passes_and_filter(capsys):
     assert capsys.readouterr().out.splitlines() == ["stdcb.kmap: ok"]
     assert run("selftest", "--filter", "stream") == 0
     assert capsys.readouterr().out.splitlines() == ["ssm.stream: ok"]
+    assert run("selftest", "--filter", "downsample") == 0
+    assert capsys.readouterr().out.splitlines() == ["stdcb.downsample: ok"]
 
 
 def test_config_file_and_flag_overrides(scene_path, tmp_path):
@@ -174,6 +176,35 @@ def test_threads_env_fallback(scene_path, tmp_path, monkeypatch):
     flow_flag = tmp_path / "flag.sffl"
     assert run("infer", scene_path, "--threads", 4, "--out", flow_flag) == 0
     assert flow_env.read_bytes() == flow_flag.read_bytes()
+
+
+def test_threads_env_not_an_integer_exit_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("SFKIT_THREADS", "abc")
+    assert run("synth", "--points", 10, "--movers", 0, "--out", tmp_path / "s.sfsc") == 2
+    assert "SFKIT_THREADS must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--lengths", "-5"), ("--lengths", "abc"), ("--lengths", "8,x"),
+    ("--batch", "0"), ("--d-inner", "0"),
+])
+def test_bench_malformed_arguments_exit_2(tmp_path, flag, value, capsys):
+    out = tmp_path / "bench.csv"
+    assert run("bench", flag, value, "--min-time", "0.001", "--out", out) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_too_wide_to_pack_keys_exit_2(scene_path, tmp_path, capsys):
+    # Each axis fits the grid, but five frames of this grid hold more than
+    # 2**63 cells, so the backbone cannot pack its keys into int64.
+    flow = tmp_path / "f.sffl"
+    assert run("infer", scene_path, "--out", flow, "--set", "cell_size=1e-5",
+               "--set", "grid_extents=[2097151,2097151,2097151]",
+               "--set", "grid_origin=[-10.5,-10.5,-10.5]") == 2
+    err = capsys.readouterr().err
+    assert "cannot pack keys into int64" in err
+    assert not flow.exists()
 
 
 def test_run_config_validation():

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -364,6 +366,164 @@ def test_stdcb_deterministic():
     assert np.array_equal(a.features, b.features)
 
 
+# --- in-place gates: byte identity with the expression forms ---------------------
+# These copy the out-of-place forms the gates had before they ran in place;
+# the in-place gates must reproduce them bit for bit.
+
+
+def pinned_gate(w, stacked):
+    pre = stacked @ w.conv_w + w.conv_b
+    norm = (pre - w.bn_mean) / np.sqrt(w.bn_var + w.bn_eps)
+    norm = w.bn_scale * norm + w.bn_shift
+    act = np.where(norm >= 0.0, norm, w.leaky_slope * norm)
+    return 0.5 * (1.0 + np.tanh(0.5 * act))
+
+
+def pinned_sfsm(main, aux, w):
+    alpha = pinned_gate(w, np.concatenate([main, aux], axis=1))
+    return alpha * main + (1.0 - alpha) * aux
+
+
+def pinned_temporal_gate(spatial, temporal, cross, sfsm_w, gate_w):
+    fused = pinned_sfsm(temporal, cross, sfsm_w)
+    hidden = np.maximum(fused @ gate_w.w1 + gate_w.b1, 0.0)
+    beta = 0.5 * (1.0 + np.tanh(0.5 * (hidden @ gate_w.w2 + gate_w.b2)))
+    return spatial * (1.0 + beta), fused
+
+
+def pinned_block(tensor, w, kmap):
+    spatial, temporal, cross = (
+        stdcb.sparse_conv(tensor, k, kmap=kmap).features
+        for k in (w.conv_spatial, w.conv_temporal, w.conv_cross)
+    )
+    spatial_mod, fused_t = pinned_temporal_gate(spatial, temporal, cross, w.sfsm_temporal, w.gate)
+    fused = pinned_sfsm(fused_t, spatial_mod, w.sfsm_fuse)
+    return np.concatenate([fused, tensor.features], axis=1) @ w.fuse_w + w.fuse_b
+
+
+def signed_zero_sfsm(channels, rng, leaky_slope=0.01):
+    """Seeded SFSM weights whose last two pre-activation columns are zero:
+    one all +0.0, one +0.0 or -0.0 by the sign of the normalised value."""
+    w = stdcb.SfsmWeights.seeded(channels, rng)
+    scale, shift = w.bn_scale.copy(), w.bn_shift.copy()
+    scale[-2:] = 0.0
+    shift[-2:] = (0.0, -0.0)
+    return stdcb.SfsmWeights(w.conv_w, w.conv_b, scale, shift, w.bn_mean, w.bn_var,
+                             leaky_slope=leaky_slope)
+
+
+def signed_zero_gate(channels, rng):
+    """Seeded beta gate whose first hidden and last output columns are zero."""
+    g = stdcb.GateWeights.seeded(channels, rng)
+    w1, b1, w2, b2 = g.w1.copy(), g.b1.copy(), g.w2.copy(), g.b2.copy()
+    w1[:, 0], b1[0] = 0.0, -0.0
+    w2[:, -1], b2[-1] = 0.0, -0.0
+    return stdcb.GateWeights(w1, b1, w2, b2)
+
+
+@pytest.mark.parametrize("leaky_slope", [-0.01, 1.5, float("nan")])
+def test_sfsm_rejects_leaky_slope_outside_unit_interval(leaky_slope):
+    w = stdcb.SfsmWeights.seeded(3, np.random.default_rng(47))
+    with pytest.raises(ShapeError, match="leaky_slope"):
+        dataclasses.replace(w, leaky_slope=leaky_slope)
+
+
+def test_signed_zero_weights_reach_the_preactivation():
+    rng = np.random.default_rng(46)
+    main = random_tensor(rng, channels=4)
+    aux = main.with_features(rng.normal(size=main.features.shape))
+    w = signed_zero_sfsm(4, rng)
+    stacked = np.concatenate([main.features, aux.features], axis=1)
+    pre = stacked @ w.conv_w + w.conv_b
+    norm = w.bn_scale * ((pre - w.bn_mean) / np.sqrt(w.bn_var + w.bn_eps)) + w.bn_shift
+    assert np.all(norm[:, -2:] == 0.0)
+    assert np.any(np.signbit(norm[:, -1])) and not np.all(np.signbit(norm[:, -1]))
+    assert not np.any(np.signbit(norm[:, -2]))
+
+
+@pytest.mark.parametrize("seed,leaky_slope", [(0, 0.01), (1, 0.01), (2, 0.0), (3, 0.5), (4, 1.0)])
+def test_sfsm_bytes_match_expression_form(seed, leaky_slope):
+    rng = np.random.default_rng(50 + seed)
+    main = random_tensor(rng, channels=4)
+    aux = main.with_features(rng.normal(size=main.features.shape))
+    seeded = dataclasses.replace(stdcb.SfsmWeights.seeded(4, rng), leaky_slope=leaky_slope)
+    for w in (seeded, signed_zero_sfsm(4, rng, leaky_slope)):
+        expect = pinned_sfsm(main.features, aux.features, w).tobytes()
+        assert stdcb.sfsm(main, aux, w).features.tobytes() == expect
+        buf = np.full((main.n_active, 8), np.nan)
+        assert stdcb.sfsm(main, aux, w, buf=buf).features.tobytes() == expect
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_temporal_gate_bytes_match_expression_form(seed):
+    rng = np.random.default_rng(53 + seed)
+    spatial = random_tensor(rng, channels=4)
+    temporal, cross = (spatial.with_features(rng.normal(size=spatial.features.shape))
+                       for _ in range(2))
+    for sfsm_w, gate_w in ((stdcb.SfsmWeights.seeded(4, rng), stdcb.GateWeights.seeded(4, rng)),
+                           (signed_zero_sfsm(4, rng), signed_zero_gate(4, rng))):
+        out_spatial, out_temporal = stdcb.temporal_gated_block(
+            spatial, temporal, cross, sfsm_w, gate_w
+        )
+        exp_spatial, exp_temporal = pinned_temporal_gate(
+            spatial.features, temporal.features, cross.features, sfsm_w, gate_w
+        )
+        assert out_spatial.features.tobytes() == exp_spatial.tobytes()
+        assert out_temporal.features.tobytes() == exp_temporal.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stdcb_forward_bytes_match_expression_form(seed):
+    rng = np.random.default_rng(56 + seed)
+    tensor = random_tensor(rng, occupancy=(0.1, 0.4, 0.9)[seed], channels=4)
+    seeded = stdcb.StdcbWeights.seeded(4, rng)
+    zeros = stdcb.StdcbWeights(
+        seeded.conv_spatial, seeded.conv_temporal, seeded.conv_cross,
+        signed_zero_sfsm(4, rng), signed_zero_gate(4, rng), signed_zero_sfsm(4, rng),
+        seeded.fuse_w, seeded.fuse_b,
+    )
+    kmap = vx.KernelMap(tensor.coords)
+    for w in (seeded, zeros):
+        got = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+        assert got.features.tobytes() == pinned_block(tensor, w, kmap).tobytes()
+        assert got.same_active_set(tensor)
+
+
+def test_stdcb_forward_leaves_its_input_untouched():
+    rng = np.random.default_rng(59)
+    tensor = random_tensor(rng, channels=4)
+    before = tensor.features.copy()
+    stdcb.stdcb_forward(tensor, stdcb.StdcbWeights.seeded(4, rng))
+    assert tensor.features.tobytes() == before.tobytes()
+
+
+def test_stdcb_forward_peak_memory_bound():
+    # One block holds a fixed handful of (N, C) arrays above its input; the
+    # out-of-place gates held about twelve.  The kernel map is built first,
+    # as the backbone builds it once per level.
+    rng = np.random.default_rng(60)
+    n, c = 6000, 16
+    cells = rng.choice(5 * 40 * 40 * 20, size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
+    tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
+    w = stdcb.StdcbWeights.seeded(c, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    stdcb.stdcb_forward(tensor, w, kmap=kmap)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert out.n_active == n
+    assert peak <= 7.5 * n * c * 8
+
+
 # --- backbone -------------------------------------------------------------------
 
 
@@ -448,6 +608,32 @@ def test_infer_flow_drops_backbone_tensors_before_decode(monkeypatch):
     assert alive == [False, False]  # the stacked input and the backbone output
 
 
+@pytest.mark.parametrize("traced", [False, True])
+def test_infer_flow_drops_voxel_features_before_backbone(monkeypatch, traced):
+    import sfkit.pipeline as pipeline
+
+    refs, alive = [], []
+
+    def pool(*args):
+        out = real_pool(*args)
+        refs.append(weakref.ref(out))
+        return out
+
+    def backbone(*args):
+        alive.extend(ref() is not None for ref in refs)
+        return real_backbone(*args)
+
+    real_pool, real_backbone = pipeline.pool_to_voxels, pipeline.backbone_forward
+    monkeypatch.setattr(pipeline, "pool_to_voxels", pool)
+    monkeypatch.setattr(pipeline, "backbone_forward", backbone)
+    scene = pc.synth_scene(pc.SceneConfig(n_background=200, movers=()), 7)
+    config = RunConfig()
+    trace = InferenceTrace() if traced else None
+    infer_flow(scene, init_pipeline_weights(config, 7), config, trace=trace)
+    # Five frames; a trace keeps them, otherwise the stacked tensor's copy is all.
+    assert alive == [traced] * 5
+
+
 def test_backbone_parameter_count_matches_formula():
     c = 4
     config = stdcb.StdcbConfig(
@@ -473,6 +659,43 @@ def test_downsample_merges_children_by_mean():
     assert down.n_active == 2
     assert np.allclose(down.feature_at((0, 0, 0, 0)), [3.0])
     assert np.allclose(down.feature_at((0, 2, 2, 2)), [10.0])
+
+
+def row_unique_downsample(tensor):
+    """The row-wise form: np.unique over (t, x // 2, y // 2, z // 2) rows."""
+    parents = tensor.coords.copy()
+    parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
+    uniq, inverse = np.unique(parents, axis=0, return_inverse=True)
+    sums = np.zeros((len(uniq), tensor.n_channels))
+    np.add.at(sums, inverse, tensor.features)
+    return uniq, sums / np.bincount(inverse, minlength=len(uniq))[:, None]
+
+
+@pytest.mark.parametrize("case", ["random", "negative", "shared_across_t", "one_site", "empty"])
+def test_downsample_matches_row_unique_form(case):
+    rng = np.random.default_rng(61)
+    if case == "empty":
+        coords = np.empty((0, 4), dtype=np.int64)
+    elif case == "one_site":
+        coords = np.array([[3, -7, 0, 9]])
+    elif case == "shared_across_t":
+        # The same eight children at every t: each parent recurs per frame.
+        cube = np.array([(x, y, z) for x in (4, 5) for y in (-2, -1) for z in (0, 1)])
+        coords = np.array([(t, *xyz) for t in range(5) for xyz in cube])
+    else:
+        cells = rng.choice(5 * 16 * 16 * 16, size=1500, replace=False)
+        coords = np.stack(np.unravel_index(cells, (5, 16, 16, 16)), axis=1)
+        if case == "negative":
+            coords = coords - (0, 9, 8, 11)
+    tensor = SparseTensor4D(coords, rng.normal(size=(len(coords), 3)))
+    down = stdcb.downsample2(tensor)
+    uniq, means = row_unique_downsample(tensor)
+    assert np.array_equal(down.coords, uniq)
+    assert down.coords.dtype == np.int64
+    assert down.features.shape == means.shape
+    assert down.features.tobytes() == means.tobytes()
+    if case == "shared_across_t":
+        assert down.n_active == 5
 
 
 def test_upsample_copies_parent_feature():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sfkit import voxelizer as vx
-from sfkit.errors import InvalidConfig, NumericError, ShapeError
+from sfkit.errors import InvalidConfig, NumericError, RangeError, ShapeError
 from sfkit.pointcloud import PointCloud
 from sfkit.weights import MlpWeights
 
@@ -288,6 +288,28 @@ def test_sparse_tensor_lookup():
     assert list(found) == [True, False, True]
     assert np.array_equal(tensor.features[idx[0]], feats[1])
     assert np.array_equal(tensor.features[idx[2]], feats[2])
+
+
+def test_keys_that_would_wrap_int64_raise_range_error():
+    m = 2**22 - 1  # two frames of a 2**22-cell cube: 2**67 cells to pack
+    coords = np.array([[0, 0, 0, 0], [0, m, m, m], [1, 0, 0, 0], [1, 5, 5, 5]])
+    tensor = vx.SparseTensor4D(coords, np.arange(4.0).reshape(4, 1))
+    with pytest.raises(RangeError, match=r"\[2, 4194304, 4194304, 4194304\]"):
+        tensor.lookup(tensor.coords)
+    with pytest.raises(RangeError):
+        vx.KernelMap(tensor.coords).pairs(SPATIAL_TAPS)
+    # A quarter of that span per axis still packs, and every row finds itself.
+    fits = vx.SparseTensor4D(coords // (1, 4, 4, 4), tensor.features)
+    idx, found = fits.lookup(fits.coords)
+    assert found.all() and idx.tolist() == [0, 1, 2, 3]
+
+
+def test_packing_strides_bound_is_int64_max():
+    top = np.iinfo(np.int64).max
+    strides, cells = vx.packing_strides((0, 0), (0, top - 1))
+    assert cells == top and strides.tolist() == [top, 1]
+    with pytest.raises(RangeError):
+        vx.packing_strides((0, 0), (1, top // 2))  # 2 * 2**62 cells
 
 
 # --- kernel maps ------------------------------------------------------------------
