@@ -9,6 +9,7 @@ submanifold: outputs exist exactly at the input's active sites, so residual
 connections are always well defined.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,15 @@ class ConvKernel4D:
         return np.array(taps, dtype=np.int64).reshape(-1, 4)
 
 
+def _scratch(buf, shape):
+    """A contiguous view of ``shape`` at the start of a contiguous ``buf``.
+
+    Scratch views of an (N, 2C) buffer are taken this way rather than as
+    column halves, because ufuncs over strided halves run far slower.
+    """
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def sparse_conv(tensor, kernel, *, kmap=None):
     """Submanifold convolution: evaluate only at the input's active sites.
 
@@ -116,11 +126,10 @@ def sparse_conv(tensor, kernel, *, kmap=None):
             continue
         dst, src = pair
         n = len(src)
-        rows = scratch[: n * c_in].reshape(n, c_in)
         # The map's rows are in range; "clip" lets take skip buffering ``out``.
-        np.take(tensor.features, src, axis=0, out=rows, mode="clip")
+        rows = np.take(tensor.features, src, axis=0, out=_scratch(scratch, (n, c_in)), mode="clip")
         np.matmul(rows, w, out=prod[:n])
-        acc = np.take(out, dst, axis=0, out=scratch[: n * c_out].reshape(n, c_out), mode="clip")
+        acc = np.take(out, dst, axis=0, out=_scratch(scratch, (n, c_out)), mode="clip")
         out[dst] = np.add(acc, prod[:n], out=acc)  # ``out[dst] += prod`` minus its temporary
     return tensor.with_features(out)
 
@@ -204,12 +213,6 @@ class SfsmWeights:
         slope_z = np.multiply(z, self.leaky_slope, out=_scratch(stacked, z.shape))
         np.maximum(z, slope_z, out=z)
         return sigmoid(z, out=z)
-
-
-def _scratch(buf, shape):
-    """A contiguous view of ``shape`` at the start of a contiguous ``buf``;
-    the strided column halves of an (N, 2C) buffer run far slower."""
-    return buf.reshape(-1)[: np.prod(shape, dtype=int)].reshape(shape)
 
 
 def sfsm(f_main, f_aux, w, *, buf=None):
@@ -466,7 +469,9 @@ def backbone_forward(f_4d, config, weights):
     for level in range(config.n_levels - 2, -1, -1):
         skip, kmap = skips.pop()
         up = upsample_into(x, skip.coords)
-        x = skip.with_features(skip.features + up)
+        up += skip.features
+        x = skip.with_features(up)
+        del skip, up  # the skip's rows are summed in; nothing else reads them
         for block in weights.decoder[level]:
             x = stdcb_forward(x, block, kmap=kmap)
     return f_4d.with_features(f_4d.features + x.features)

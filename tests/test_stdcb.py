@@ -582,6 +582,30 @@ def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
     assert out.same_active_set(tensor)
 
 
+def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
+    rng = np.random.default_rng(62)
+    tensor = random_tensor(rng, channels=4)
+    config = stdcb.StdcbConfig(channels=4, encoder_depths=(1, 1, 1), decoder_depths=(1, 1))
+    weights = stdcb.BackboneWeights.seeded(config, rng)
+    decoder_blocks = {id(block) for stack in weights.decoder for block in stack}
+    encoder_rows, alive = [], []
+    real_block = stdcb.stdcb_forward
+
+    def block(x, w, *, kmap=None):
+        if id(w) in decoder_blocks:
+            alive.append(sum(ref() is not None for ref in encoder_rows))
+        out = real_block(x, w, kmap=kmap)
+        if id(w) not in decoder_blocks:
+            encoder_rows.append(weakref.ref(out.features))
+        return out
+
+    monkeypatch.setattr(stdcb, "stdcb_forward", block)
+    stdcb.backbone_forward(tensor, config, weights)
+    # Entering the level-1 decoder, only the level-0 skip is still needed;
+    # entering the level-0 decoder, no encoder output is.
+    assert alive == [1, 0]
+
+
 def test_infer_flow_drops_backbone_tensors_before_decode(monkeypatch):
     import sfkit.pipeline as pipeline
 
