@@ -18,7 +18,7 @@ from .pointcloud import FlowField
 from .serialization import deserialize, serialize
 from .ssm import DEFAULT_BLOCK_SIZE, ZohMode, flow_ssm_layer
 from .voxelizer import devoxelize_coarse
-from .weights import MlpWeights, uniform_init
+from .weights import MlpWeights, ZeroRng, uniform_init
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,7 @@ class FlowHeadWeights:
 
     @classmethod
     def zeros(cls, channels):
-        return cls(
-            w1=np.zeros((3 * channels, channels)),
-            b1=np.zeros(channels),
-            w2=np.zeros((channels, 3)),
-            b2=np.zeros(3),
-        )
+        return cls.seeded(channels, ZeroRng())
 
     def apply(self, feats):
         hidden = np.maximum(feats @ self.w1 + self.b1, 0.0)

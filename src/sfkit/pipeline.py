@@ -14,16 +14,7 @@ from .decoder import DecoderConfig, DecoderWeights, FlowHeadWeights, decode
 from .errors import InvalidConfig, ShapeError
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
 from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, ZohMode
-from .stdcb import (
-    GAP1_DILATION,
-    BackboneWeights,
-    ConvKernel4D,
-    GateWeights,
-    SfsmWeights,
-    StdcbConfig,
-    StdcbWeights,
-    backbone_forward,
-)
+from .stdcb import GAP1_DILATION, BackboneWeights, StdcbConfig, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
     DEFAULT_CHANNELS,
@@ -35,7 +26,14 @@ from .voxelizer import (
     stack_temporal,
     voxelize,
 )
-from .weights import MlpWeights, load_weight_dict, save_weight_dict
+from .weights import (
+    MlpWeights,
+    ZeroRng,
+    flatten_tree,
+    load_weight_dict,
+    save_weight_dict,
+    unflatten_like,
+)
 
 
 _INT_FIELDS = ("channels", "decoder_layers", "state_size", "k_bins", "block_size", "threads")
@@ -145,7 +143,10 @@ class PipelineWeights:
 
 def init_pipeline_weights(config, seed):
     """Draw a full weight bundle from one seed (uniform on [-0.1, 0.1])."""
-    rng = np.random.default_rng(seed)
+    return _build_pipeline_weights(config, np.random.default_rng(seed))
+
+
+def _build_pipeline_weights(config, rng):
     c = config.channels
     point_encoder = MlpWeights.seeded(3, c, c, rng)
     backbone = BackboneWeights.seeded(config.stdcb_config(), rng)
@@ -167,104 +168,56 @@ def init_pipeline_weights(config, seed):
 # --- SFWT round trip ---------------------------------------------------------
 
 
+def _section_name(path):
+    """The SFWT section holding a weight-tree field path, or None if unstored.
+
+    Sections are the field paths except that scan layers are stored as
+    ``decoder.ssm.N``; the SFSM gates' ``bn_eps`` and ``leaky_slope`` are
+    fixed constants and are not stored.
+    """
+    if path.rpartition(".")[2] in ("bn_eps", "leaky_slope"):
+        return None
+    return path.replace("decoder.ssm_layers.", "decoder.ssm.", 1)
+
+
 def pipeline_weights_to_dict(weights):
-    flat = {}
-    for name in ("w1", "b1", "w2", "b2"):
-        flat[f"point_encoder.{name}"] = getattr(weights.point_encoder, name)
-        flat[f"decoder.offset_encoder.{name}"] = getattr(
-            weights.decoder.offset_encoder, name
-        )
-        flat[f"decoder.head.{name}"] = getattr(weights.decoder.head, name)
-    for i, params in enumerate(weights.decoder.ssm_layers):
-        for name in ("a_log", "d", "w_delta", "b_delta", "w_b", "w_c"):
-            flat[f"decoder.ssm.{i}.{name}"] = getattr(params, name)
-    for side, stacks in (("encoder", weights.backbone.encoder),
-                         ("decoder", weights.backbone.decoder)):
-        for li, stack in enumerate(stacks):
-            for bi, block in enumerate(stack):
-                base = f"backbone.{side}.{li}.{bi}"
-                for conv in ("conv_spatial", "conv_temporal", "conv_cross"):
-                    kernel = getattr(block, conv)
-                    flat[f"{base}.{conv}.weights"] = kernel.weights
-                    flat[f"{base}.{conv}.bias"] = kernel.bias
-                    flat[f"{base}.{conv}.dilation_t"] = np.array(
-                        float(kernel.dilation_t)
-                    )
-                for gate_name in ("sfsm_temporal", "sfsm_fuse"):
-                    gate = getattr(block, gate_name)
-                    for part in ("conv_w", "conv_b", "bn_scale", "bn_shift",
-                                 "bn_mean", "bn_var"):
-                        flat[f"{base}.{gate_name}.{part}"] = getattr(gate, part)
-                for part in ("w1", "b1", "w2", "b2"):
-                    flat[f"{base}.gate.{part}"] = getattr(block.gate, part)
-                flat[f"{base}.fuse_w"] = block.fuse_w
-                flat[f"{base}.fuse_b"] = block.fuse_b
-    return flat
+    return {
+        name: leaf
+        for path, leaf in flatten_tree(weights).items()
+        if (name := _section_name(path)) is not None
+    }
 
 
 def pipeline_weights_from_dict(flat, config):
-    """Rebuild the structured bundle; missing sections raise ShapeError."""
+    """Rebuild the bundle for ``config`` from {section: array}.
 
-    def pull(name):
+    The sections must be exactly the config's: a missing or extra section, a
+    shape unlike the config's, or a stored ``dilation_t`` unlike the config's
+    raises ShapeError naming the section.
+    """
+    template = _build_pipeline_weights(config, ZeroRng())
+    leaves = flatten_tree(template)
+    expected = set()
+    for path, leaf in leaves.items():
+        name = _section_name(path)
+        if name is None:
+            continue
+        expected.add(name)
         if name not in flat:
             raise ShapeError(f"weight file is missing section {name!r}")
-        return flat[name]
-
-    def mlp(prefix):
-        return MlpWeights(*(pull(f"{prefix}.{k}") for k in ("w1", "b1", "w2", "b2")))
-
-    def kernel(prefix):
-        return ConvKernel4D(
-            weights=pull(f"{prefix}.weights"),
-            bias=pull(f"{prefix}.bias"),
-            dilation_t=int(pull(f"{prefix}.dilation_t")),
-        )
-
-    def sfsm_w(prefix):
-        return SfsmWeights(
-            *(pull(f"{prefix}.{p}") for p in ("conv_w", "conv_b", "bn_scale",
-                                              "bn_shift", "bn_mean", "bn_var"))
-        )
-
-    def block(base):
-        return StdcbWeights(
-            conv_spatial=kernel(f"{base}.conv_spatial"),
-            conv_temporal=kernel(f"{base}.conv_temporal"),
-            conv_cross=kernel(f"{base}.conv_cross"),
-            sfsm_temporal=sfsm_w(f"{base}.sfsm_temporal"),
-            gate=GateWeights(*(pull(f"{base}.gate.{p}") for p in ("w1", "b1", "w2", "b2"))),
-            sfsm_fuse=sfsm_w(f"{base}.sfsm_fuse"),
-            fuse_w=pull(f"{base}.fuse_w"),
-            fuse_b=pull(f"{base}.fuse_b"),
-        )
-
-    stdcb_cfg = config.stdcb_config()
-    encoder = tuple(
-        tuple(block(f"backbone.encoder.{li}.{bi}") for bi in range(depth))
-        for li, depth in enumerate(stdcb_cfg.encoder_depths)
-    )
-    bdecoder = tuple(
-        tuple(block(f"backbone.decoder.{li}.{bi}") for bi in range(depth))
-        for li, depth in enumerate(stdcb_cfg.decoder_depths)
-    )
-    ssm_layers = tuple(
-        SsmParams(
-            *(pull(f"decoder.ssm.{i}.{k}")
-              for k in ("a_log", "d", "w_delta", "b_delta", "w_b", "w_c"))
-        )
-        for i in range(config.decoder_layers)
-    )
-    return PipelineWeights(
-        point_encoder=mlp("point_encoder"),
-        backbone=BackboneWeights(encoder=encoder, decoder=bdecoder),
-        decoder=DecoderWeights(
-            offset_encoder=mlp("decoder.offset_encoder"),
-            ssm_layers=ssm_layers,
-            head=FlowHeadWeights(
-                *(pull(f"decoder.head.{k}") for k in ("w1", "b1", "w2", "b2"))
-            ),
-        ),
-    )
+        value = flat[name]
+        if np.shape(value) != np.shape(leaf):
+            raise ShapeError(
+                f"section {name!r} is {np.shape(value)}, the config wants {np.shape(leaf)}"
+            )
+        if isinstance(leaf, np.ndarray):
+            leaves[path] = value
+        elif value != leaf:
+            raise ShapeError(f"section {name!r} holds {value}, the config wants {leaf}")
+    extra = sorted(set(flat) - expected)
+    if extra:
+        raise ShapeError(f"weight file has {len(extra)} extra section(s), e.g. {extra[0]!r}")
+    return unflatten_like(template, leaves)
 
 
 def save_pipeline_weights(weights, path):

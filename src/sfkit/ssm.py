@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericError, ShapeError, StateError
-from .weights import uniform_init
+from .weights import ZeroRng, uniform_init
 
 DEFAULT_BLOCK_SIZE = 64
 # Tokens per streamed scan chunk, rounded up to whole blocks.  Only one chunk
@@ -111,14 +111,7 @@ class SsmParams:
 
     @classmethod
     def zeros(cls, d_inner, state_size, n_offset_channels):
-        return cls(
-            a_log=np.zeros((d_inner, state_size)),
-            d=np.zeros(d_inner),
-            w_delta=np.zeros((n_offset_channels, d_inner)),
-            b_delta=np.zeros(d_inner),
-            w_b=np.zeros((n_offset_channels, state_size)),
-            w_c=np.zeros((n_offset_channels, state_size)),
-        )
+        return cls.seeded(d_inner, state_size, n_offset_channels, ZeroRng())
 
 
 @dataclass(frozen=True)

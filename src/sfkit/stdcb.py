@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AlignmentError, InvalidConfig, ShapeError
 from .ssm import sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides
-from .weights import uniform_init
+from .weights import flatten_tree, uniform_init
 
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
 GAP1_DILATION = 2
@@ -479,20 +479,6 @@ def backbone_forward(f_4d, config, weights):
 
 def count_parameters(weights):
     """Total scalar parameter count of a backbone weight set."""
-    total = 0
-    for stacks in (weights.encoder, weights.decoder):
-        for stack in stacks:
-            for block in stack:
-                for kernel in (block.conv_spatial, block.conv_temporal, block.conv_cross):
-                    total += kernel.weights.size + kernel.bias.size
-                for gate in (block.sfsm_temporal, block.sfsm_fuse):
-                    total += (
-                        gate.conv_w.size + gate.conv_b.size + gate.bn_scale.size
-                        + gate.bn_shift.size + gate.bn_mean.size + gate.bn_var.size
-                    )
-                total += (
-                    block.gate.w1.size + block.gate.b1.size
-                    + block.gate.w2.size + block.gate.b2.size
-                )
-                total += block.fuse_w.size + block.fuse_b.size
-    return total
+    return sum(
+        leaf.size for leaf in flatten_tree(weights).values() if isinstance(leaf, np.ndarray)
+    )

@@ -6,8 +6,9 @@ format serves every module: named sections, each a float64 little-endian
 payload with an explicit shape.
 """
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -21,6 +22,14 @@ INIT_SCALE = 0.1
 
 def uniform_init(rng, shape):
     return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+
+
+class ZeroRng:
+    """Generator stand-in whose draws are zeros: a ``seeded`` builder given
+    one yields the bundle's shapes without importing ``numpy.random``."""
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
 
 
 @dataclass(frozen=True)
@@ -59,12 +68,7 @@ class MlpWeights:
 
     @classmethod
     def zeros(cls, n_in, n_hidden, n_out):
-        return cls(
-            w1=np.zeros((n_in, n_hidden)),
-            b1=np.zeros(n_hidden),
-            w2=np.zeros((n_hidden, n_out)),
-            b2=np.zeros(n_out),
-        )
+        return cls.seeded(n_in, n_hidden, n_out, ZeroRng())
 
     def apply(self, x):
         """Row-wise forward pass over an (N, n_in) matrix."""
@@ -91,7 +95,11 @@ def save_weight_dict(weights, path):
 
 
 def load_weight_dict(path):
-    """Read an SFWT file back into {name: float64 array}."""
+    """Read an SFWT file back into {name: float64 array}.
+
+    Every defect, including an undecodable or repeated section name, raises
+    FormatError at the offset where it starts.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -111,32 +119,60 @@ def load_weight_dict(path):
         raise FormatError(f"unsupported weight format version {version}", 4)
     out = {}
     while pos < len(data):
+        start = pos
         name_len = struct.unpack("<H", take(2, "section name length"))[0]
-        name = take(name_len, "section name").decode("utf-8")
+        try:
+            name = take(name_len, "section name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("section name is not UTF-8", start + 2) from None
+        if name in out:
+            raise FormatError(f"duplicate section {name!r}", start)
         rank = struct.unpack("<B", take(1, f"{name} rank"))[0]
+        if rank > 64:  # numpy's limit
+            raise FormatError(f"{name} rank {rank} exceeds 64", pos - 1)
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name} dims"))
-        n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        payload = take(8 * n_items, f"{name} payload")
+        payload = take(8 * math.prod(dims), f"{name} payload")
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return out
 
 
+def _join(prefix, key):
+    return f"{prefix}.{key}" if prefix else str(key)
+
+
+def _children(node):
+    """(key, child) pairs of a tuple or dataclass; None for a leaf."""
+    if isinstance(node, tuple):
+        return list(enumerate(node))
+    if is_dataclass(node):
+        return [(f.name, getattr(node, f.name)) for f in fields(node)]
+    return None
+
+
 def flatten_tree(tree, prefix=""):
-    """Flatten a nested dict/dataclass/list structure of arrays to dotted names."""
+    """{dotted path: leaf} over nested dataclasses and tuples.
+
+    Leaves (arrays, and scalars such as a kernel's ``dilation_t``) are
+    returned as they are.
+    """
+    children = _children(tree)
+    if children is None:
+        return {prefix: tree}
     flat = {}
-    if isinstance(tree, np.ndarray):
-        flat[prefix] = tree
-        return flat
-    if isinstance(tree, dict):
-        items = tree.items()
-    elif isinstance(tree, (list, tuple)):
-        items = ((str(i), v) for i, v in enumerate(tree))
-    elif hasattr(tree, "__dataclass_fields__"):
-        items = ((k, getattr(tree, k)) for k in tree.__dataclass_fields__)
-    else:
-        flat[prefix] = np.asarray(tree, dtype=np.float64)
-        return flat
-    for key, value in items:
-        name = f"{prefix}.{key}" if prefix else key
-        flat.update(flatten_tree(value, name))
+    for key, child in children:
+        flat.update(flatten_tree(child, _join(prefix, key)))
     return flat
+
+
+def unflatten_like(template, flat, prefix=""):
+    """Inverse of flatten_tree: ``template``'s structure with ``flat``'s leaves.
+
+    Every dataclass is rebuilt through its constructor, so its validation runs.
+    """
+    children = _children(template)
+    if children is None:
+        return flat[prefix]
+    rebuilt = {key: unflatten_like(child, flat, _join(prefix, key)) for key, child in children}
+    if isinstance(template, tuple):
+        return tuple(rebuilt.values())
+    return type(template)(**rebuilt)

@@ -120,6 +120,21 @@ def test_corrupt_weight_file_exit_code(scene_path, tmp_path):
     assert run("infer", scene_path, "--weights", wpath) == 2
 
 
+def test_weight_file_for_another_dilation_exit_2(scene_path, tmp_path, capsys):
+    wpath = tmp_path / "gap1.sfwt"
+    assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",
+               "--save-weights", wpath) == 0
+    assert run("infer", scene_path, "--weights", wpath, "--dilation", "literal",
+               "--out", tmp_path / "g.sffl") == 2
+    assert "conv_cross.dilation_t" in capsys.readouterr().err
+
+
+def test_weight_file_section_name_not_utf8_exit_2(scene_path, tmp_path):
+    wpath = tmp_path / "w.sfwt"
+    wpath.write_bytes(b"SFWT\x01\x00\x01\x00\xff\x00" + bytes(8))
+    assert run("infer", scene_path, "--weights", wpath) == 2
+
+
 def test_bench_csv_rows(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--lengths", "0,32,64", "--min-time", "0.01", "--out", out) == 0

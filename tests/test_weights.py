@@ -1,5 +1,14 @@
+import hashlib
+import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import sfkit
 
 from sfkit.errors import FormatError, ShapeError
 from sfkit.pipeline import (
@@ -9,7 +18,13 @@ from sfkit.pipeline import (
     pipeline_weights_to_dict,
     save_pipeline_weights,
 )
-from sfkit.weights import MlpWeights, load_weight_dict, save_weight_dict
+from sfkit.weights import (
+    MlpWeights,
+    flatten_tree,
+    load_weight_dict,
+    save_weight_dict,
+    unflatten_like,
+)
 
 
 def test_weight_dict_roundtrip(tmp_path):
@@ -76,3 +91,121 @@ def test_mlp_shape_validation():
         MlpWeights(
             w1=np.zeros((3, 4)), b1=np.zeros(4), w2=np.zeros((5, 2)), b2=np.zeros(2)
         )
+
+
+PAPER5 = dict(encoder_depths=(2, 2, 2, 2, 2), decoder_depths=(1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "saved, loaded, section",
+    [
+        ({}, {"dilation": "literal"}, "backbone.encoder.0.0.conv_cross.dilation_t"),
+        ({"state_size": 4}, {}, "decoder.ssm.0.a_log"),
+        ({"decoder_layers": 2}, {}, "decoder.ssm.1.a_log"),
+        ({"channels": 8}, {}, "point_encoder.w1"),
+        (PAPER5, {}, "backbone.decoder.1.0.conv_cross.bias"),
+    ],
+    ids=["dilation", "state_size", "extra_layer", "channels", "extra_levels"],
+)
+def test_pipeline_weights_must_match_config(tmp_path, saved, loaded, section):
+    path = tmp_path / "w.sfwt"
+    save_pipeline_weights(init_pipeline_weights(RunConfig(**saved), 0), path)
+    with pytest.raises(ShapeError, match=re.escape(repr(section))):
+        load_pipeline_weights(path, RunConfig(**loaded))
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        ({}, "cc8e5692e8c13753499c7f6a2317ee6f4a1e5535289fb20b9cd4c8a73ac01ba2"),
+        (PAPER5, "a0130300b6a562b6d4af24751fe0611a6387d724c3023a464f7263aa5fba66df"),
+        ({"channels": 8, "state_size": 4, "decoder_layers": 2},
+         "ee75b505a1f2d3ea01ba2d88fe84603f8e4472d4f959c0e77b2eede69a38534b"),
+        ({"dilation": "literal"},
+         "42f0065d3d9c05d07e2324471c67319d140ab06d8ddccd90c7c95abdda55184b"),
+    ],
+    ids=["desk", "paper5", "small_two_layer", "literal"],
+)
+def test_pipeline_weights_bytes_pinned(tmp_path, config, digest):
+    config = RunConfig(**config)
+    path, again = tmp_path / "w.sfwt", tmp_path / "again.sfwt"
+    save_pipeline_weights(init_pipeline_weights(config, 0), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    save_pipeline_weights(load_pipeline_weights(path, config), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_unflatten_inverts_flatten():
+    weights = init_pipeline_weights(RunConfig(channels=4, decoder_layers=2), 2)
+    flat = flatten_tree(weights)
+    rebuilt = flatten_tree(unflatten_like(weights, flat))
+    assert list(rebuilt) == list(flat)
+    assert all(rebuilt[path] is leaf for path, leaf in flat.items())
+
+
+def test_unflatten_runs_post_init_checks():
+    weights = init_pipeline_weights(RunConfig(channels=4), 2)
+    flat = flatten_tree(weights)
+    flat["decoder.head.b2"] = np.zeros(4)  # the head must end in 3 outputs
+    with pytest.raises(ShapeError):
+        unflatten_like(weights, flat)
+
+
+def test_loading_weights_does_not_import_numpy_random(tmp_path):
+    path = tmp_path / "w.sfwt"
+    save_pipeline_weights(init_pipeline_weights(RunConfig(), 0), path)
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(sfkit.__file__).parents[1])!r})\n"
+        "from sfkit.pipeline import RunConfig, load_pipeline_weights\n"
+        f"load_pipeline_weights({str(path)!r}, RunConfig())\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _section(name, dims, payload=b"", rank=None):
+    encoded = name if isinstance(name, bytes) else name.encode()
+    rank = len(dims) if rank is None else rank
+    return (struct.pack("<H", len(encoded)) + encoded + struct.pack("<B", rank)
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+HEADER = b"SFWT" + struct.pack("<H", 1)
+
+
+@pytest.mark.parametrize(
+    "body, offset",
+    [
+        (_section(b"ok\xff", (1,), bytes(8)), 8),
+        (_section("x", (1,) * 65, bytes(8)), 9),
+        (_section("x", (2**16,) * 4), 26),  # 2**64 items wrap to 0 in int64
+        (_section("x", (1,), bytes(8)) * 2, 22),
+    ],
+    ids=["name_not_utf8", "rank_above_64", "dims_overflow_int64", "duplicate_section"],
+)
+def test_weight_file_defects_raise_format_error(tmp_path, body, offset):
+    path = tmp_path / "bad.sfwt"
+    path.write_bytes(HEADER + body)
+    with pytest.raises(FormatError) as err:
+        load_weight_dict(path)
+    assert err.value.offset == offset
+
+
+def test_weight_file_every_truncation_and_byte_flip(tmp_path):
+    path = tmp_path / "w.sfwt"
+    save_weight_dict(
+        {"a": np.arange(3.0), "bb": np.array(1.5), "c.d": np.ones((2, 1))}, path
+    )
+    blob = path.read_bytes()
+    variants = [blob[:n] for n in range(len(blob))]
+    variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+    broken = tmp_path / "broken.sfwt"
+    for variant in variants:
+        broken.write_bytes(variant)
+        try:
+            load_weight_dict(broken)
+        except FormatError:
+            pass
