@@ -45,7 +45,7 @@ def _common_flags(parser):
     parser.add_argument("--k-bins", type=int, default=None, help="histogram bin count")
     parser.add_argument("--decoder-layers", type=int, default=None,
                         help="refinement cascade length")
-    parser.add_argument("--zoh", choices=("exact", "simplified"), default=None)
+    parser.add_argument("--zoh", dest="zoh_mode", choices=("exact", "simplified"), default=None)
     parser.add_argument("--dilation", choices=("gap1", "literal"), default=None)
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -60,31 +60,24 @@ def _load_config(args):
             mapping = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise SceneFlowError(f"cannot read config {args.config}: {exc}") from exc
-    if args.threads is not None:
-        mapping["threads"] = args.threads
-    elif os.environ.get("SFKIT_THREADS"):
-        raw = os.environ["SFKIT_THREADS"]
+    overrides = {}
+    if args.threads is None and (raw := os.environ.get("SFKIT_THREADS")):
         try:
-            mapping["threads"] = int(raw)
+            overrides["threads"] = int(raw)
         except ValueError:
             raise InvalidConfig(f"SFKIT_THREADS must be an integer, got {raw!r}") from None
-    if args.k_bins is not None:
-        mapping["k_bins"] = args.k_bins
-    if args.decoder_layers is not None:
-        mapping["decoder_layers"] = args.decoder_layers
-    if args.zoh is not None:
-        mapping["zoh_mode"] = args.zoh
-    if args.dilation is not None:
-        mapping["dilation"] = args.dilation
+    for key in ("threads", "k_bins", "decoder_layers", "zoh_mode", "dilation"):  # flag dests
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     for item in args.overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise SceneFlowError(f"--set expects KEY=VALUE, got {item!r}")
         try:
-            mapping[key] = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            mapping[key] = raw  # bare strings like --set zoh_mode=exact
-    return RunConfig.from_mapping(mapping)
+            overrides[key] = raw  # bare strings like --set zoh_mode=exact
+    return RunConfig.from_mapping(mapping, overrides)
 
 
 def cmd_synth(args):
@@ -195,7 +188,8 @@ def _bench_lengths(text):
 def cmd_bench(args):
     config = _load_config(args)
     lengths = _bench_lengths(args.lengths)
-    for flag, value in (("--batch", args.batch), ("--d-inner", args.d_inner)):
+    for flag, value in (("--batch", args.batch), ("--d-inner", args.d_inner),
+                        ("--state", args.state)):
         if value < 1:
             raise InvalidConfig(f"{flag} must be >= 1, got {value}")
     rng = np.random.default_rng(args.seed)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NumericError, ShapeError
+from .errors import NumericError, ShapeError, check_config
 from .pointcloud import FlowField
 from .serialization import deserialize, serialize
 from .ssm import DEFAULT_BLOCK_SIZE, ZohMode, flow_ssm_layer
@@ -30,10 +30,7 @@ class DecoderConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise InvalidConfig("n_layers must be >= 1")
-        if self.channels < 1 or self.state_size < 1:
-            raise InvalidConfig("channels and state_size must be >= 1")
+        check_config(self, "channels", "state_size", "block_size", n_layers="decoder_layers")
 
 
 @dataclass(frozen=True)

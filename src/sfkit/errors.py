@@ -1,5 +1,8 @@
 """Exception types shared across the pipeline."""
 
+import math
+from numbers import Integral, Real
+
 
 class SceneFlowError(Exception):
     """Base class for every error raised by this package."""
@@ -56,3 +59,58 @@ class FormatError(SceneFlowError):
     def __init__(self, message, offset):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+def _finite(v):
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
+_COUNT = (Integral, lambda v: v >= 1, "an integer >= 1")
+_DEPTHS = ((Integral, None), _COUNT[1], "a list of integers >= 1")
+_POSITIVE = (Real, lambda v: _finite(v) and v > 0, "a finite number > 0")
+
+# The run-config rules, in this leaf module so every config class can use them.
+# field: (type, test, rule text).  A type ``(T, n)`` is a list or tuple of n
+# items of type T (any length when n is None); the test applies to each item.
+# Float fields accept ints; no field accepts a bool.
+CONFIG_RULES = {
+    "grid_origin": ((Real, 3), _finite, "3 finite numbers"),
+    "cell_size": _POSITIVE,
+    # 21 bits per axis keeps voxel coords Morton-encodable
+    "grid_extents": ((Integral, 3), lambda v: 1 <= v < 1 << 21, "3 integers in [1, 2**21)"),
+    "channels": _COUNT,
+    "encoder_depths": _DEPTHS,
+    "decoder_depths": _DEPTHS,
+    "decoder_layers": _COUNT,
+    "state_size": _COUNT,
+    "zoh_mode": (str, ("exact", "simplified").__contains__, "exact|simplified"),
+    "dilation": (str, ("gap1", "literal").__contains__, "gap1|literal"),
+    "dt": _POSITIVE,
+    # 2**20 bins bounds the loss histogram at 8 MB
+    "k_bins": (Integral, lambda v: 2 <= v <= 1 << 20, "an integer in [2, 2**20]"),
+    "dynamic_threshold": (Real, lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
+    "block_size": _COUNT,
+    "threads": _COUNT,
+    "decode_frame": (str, ("t", "t+1").__contains__, "t|t+1"),
+}
+
+
+def check_config(config, *names, **renamed):
+    """Check fields of the frozen dataclass ``config`` against CONFIG_RULES,
+    storing lists as tuples.  ``names`` are fields named as their rule;
+    ``renamed`` maps field to rule.  Raises ``InvalidConfig``."""
+    for name, key in [*zip(names, names), *renamed.items()]:
+        value = getattr(config, name)
+        kind, test, rule = CONFIG_RULES[key]
+        items = (value,)
+        if isinstance(kind, tuple):
+            kind, length = kind
+            shaped = isinstance(value, (list, tuple)) and length in (None, len(value))
+            items = value if shaped else (None,)  # None fails every type
+        if not all(isinstance(v, kind) and not isinstance(v, bool) and test(v) for v in items):
+            raise InvalidConfig(f"{key} must be {rule}, got {value!r}")
+        if isinstance(value, list):
+            object.__setattr__(config, name, tuple(value))

@@ -6,12 +6,12 @@ features, stack along time, run the sparse backbone, pull the prediction
 frame's voxel features back out, and decode them to per-point flow.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .decoder import DecoderConfig, DecoderWeights, FlowHeadWeights, decode
-from .errors import InvalidConfig, ShapeError
+from .errors import CONFIG_RULES, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
 from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, ZohMode
 from .stdcb import GAP1_DILATION, BackboneWeights, StdcbConfig, backbone_forward
@@ -36,9 +36,6 @@ from .weights import (
 )
 
 
-_INT_FIELDS = ("channels", "decoder_layers", "state_size", "k_bins", "block_size", "threads")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Every knob of the pipeline in one validated bundle."""
@@ -61,41 +58,17 @@ class RunConfig:
     decode_frame: str = "t"  # which frame's points receive flow: "t" | "t+1"
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
-        if self.zoh_mode not in ("exact", "simplified"):
-            raise InvalidConfig(f"zoh_mode must be exact|simplified, got {self.zoh_mode!r}")
-        if self.dilation not in ("gap1", "literal"):
-            raise InvalidConfig(f"dilation must be gap1|literal, got {self.dilation!r}")
-        if self.decode_frame not in ("t", "t+1"):
-            raise InvalidConfig(f"decode_frame must be t|t+1, got {self.decode_frame!r}")
-        if self.decoder_layers < 1:
-            raise InvalidConfig("decoder_layers must be >= 1")
-        if self.k_bins < 2:
-            raise InvalidConfig("k_bins must be >= 2")
-        if self.block_size < 1:
-            raise InvalidConfig("block_size must be >= 1")
-        if not self.dynamic_threshold >= 0:
-            raise InvalidConfig("dynamic_threshold must be >= 0")
-        if self.dt <= 0:
-            raise InvalidConfig("dt must be positive")
-        if self.threads < 1:
-            raise InvalidConfig("threads must be >= 1")
-        VoxelGrid(self.grid_origin, self.cell_size, self.grid_extents)
-        self.stdcb_config()  # validates depths/channels
+        check_config(self, *CONFIG_RULES)
+        self.stdcb_config()  # one decoder stack per level transition
 
     def grid(self):
-        return VoxelGrid(
-            tuple(self.grid_origin), self.cell_size, tuple(self.grid_extents)
-        )
+        return VoxelGrid(self.grid_origin, self.cell_size, self.grid_extents)
 
     def stdcb_config(self):
         return StdcbConfig(
             channels=self.channels,
-            encoder_depths=tuple(self.encoder_depths),
-            decoder_depths=tuple(self.decoder_depths),
+            encoder_depths=self.encoder_depths,
+            decoder_depths=self.decoder_depths,
             cross_dilation=GAP1_DILATION if self.dilation == "gap1" else 1,
         )
 
@@ -109,27 +82,20 @@ class RunConfig:
         )
 
     @classmethod
-    def from_mapping(cls, mapping):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(mapping) - known
+    def from_mapping(cls, *mappings):
+        """Build from JSON objects; a key in a later one overrides earlier ones."""
+        merged = {}
+        for mapping in mappings:
+            if not isinstance(mapping, dict):
+                raise InvalidConfig(f"a run config must be a JSON object, got {mapping!r}")
+            merged.update(mapping)
+        unknown = set(merged) - set(cls.__dataclass_fields__)
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        coerced = {}
-        for key, value in mapping.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            coerced[key] = value
-        try:
-            return cls(**coerced)
-        except TypeError as exc:
-            raise InvalidConfig(str(exc)) from exc
+        return cls(**merged)
 
     def to_mapping(self):
-        out = {}
-        for key in self.__dataclass_fields__:
-            value = getattr(self, key)
-            out[key] = list(value) if isinstance(value, tuple) else value
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -193,7 +159,8 @@ def pipeline_weights_from_dict(flat, config):
 
     The sections must be exactly the config's: a missing or extra section, a
     shape unlike the config's, or a stored ``dilation_t`` unlike the config's
-    raises ShapeError naming the section.
+    raises ShapeError naming the section.  A section holding a non-finite
+    value raises InvalidInput naming it.
     """
     template = _build_pipeline_weights(config, ZeroRng())
     leaves = flatten_tree(template)
@@ -211,6 +178,8 @@ def pipeline_weights_from_dict(flat, config):
                 f"section {name!r} is {np.shape(value)}, the config wants {np.shape(leaf)}"
             )
         if isinstance(leaf, np.ndarray):
+            if not np.all(np.isfinite(value)):
+                raise InvalidInput(f"section {name!r} holds a non-finite value")
             leaves[path] = value
         elif value != leaf:
             raise ShapeError(f"section {name!r} holds {value}, the config wants {leaf}")

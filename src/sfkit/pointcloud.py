@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfig, InvalidInput, NumericError, RangeError
+from .errors import FormatError, InvalidConfig, InvalidInput, NumericError, RangeError, check_config
 
 N_FRAMES = 5
 # Frame slots 0..4 cover five consecutive sweeps; slot 3 is the prediction
@@ -227,8 +227,7 @@ class SceneConfig:
             raise InvalidConfig(
                 f"scene must have exactly {N_FRAMES} frames, got {self.n_frames}"
             )
-        if self.dt <= 0.0:
-            raise InvalidConfig(f"dt must be positive, got {self.dt}")
+        check_config(self, "dt", "dynamic_threshold")
         if self.n_background < 0:
             raise InvalidConfig("n_background must be >= 0")
         if self.jitter_sigma < 0.0:

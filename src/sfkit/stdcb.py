@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidConfig, ShapeError
+from .errors import AlignmentError, InvalidConfig, ShapeError, check_config
 from .ssm import sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides
 from .weights import flatten_tree, uniform_init
@@ -355,17 +355,12 @@ class StdcbConfig:
     cross_dilation: int = GAP1_DILATION
 
     def __post_init__(self):
-        if self.channels < 1:
-            raise InvalidConfig("channels must be >= 1")
-        if not self.encoder_depths or any(d < 1 for d in self.encoder_depths):
-            raise InvalidConfig("encoder depths must be non-empty and positive")
+        check_config(self, "channels", "encoder_depths", "decoder_depths")
         if len(self.decoder_depths) != len(self.encoder_depths) - 1:
             raise InvalidConfig(
                 "need one decoder stack per level transition "
                 f"({len(self.encoder_depths) - 1}), got {len(self.decoder_depths)}"
             )
-        if any(d < 1 for d in self.decoder_depths):
-            raise InvalidConfig("decoder depths must be positive")
         if self.cross_dilation < 1:
             raise InvalidConfig("cross_dilation must be >= 1")
 

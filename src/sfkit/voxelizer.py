@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NumericError, RangeError, ShapeError
+from .errors import NumericError, RangeError, ShapeError, check_config
 from .weights import MlpWeights
 
 OUT_OF_BOUNDS = -1
@@ -21,8 +21,6 @@ DEFAULT_EXTENTS = (102, 102, 32)
 DEFAULT_ORIGIN = (-10.2, -10.2, -3.2)
 DEFAULT_CHANNELS = 16
 
-_AXIS_LIMIT = 1 << 21  # keeps voxel coords Morton-encodable
-
 
 @dataclass(frozen=True)
 class VoxelGrid:
@@ -31,13 +29,7 @@ class VoxelGrid:
     extents: tuple = DEFAULT_EXTENTS
 
     def __post_init__(self):
-        if self.cell_size <= 0.0:
-            raise InvalidConfig(f"cell_size must be positive, got {self.cell_size}")
-        ext = np.asarray(self.extents)
-        if ext.shape != (3,) or np.any(ext < 1):
-            raise InvalidConfig(f"extents must be three integers >= 1, got {self.extents}")
-        if np.any(ext >= _AXIS_LIMIT) or int(np.prod(ext.astype(object))) >= 1 << 63:
-            raise InvalidConfig("grid too large: extents must fit 21 bits per axis")
+        check_config(self, "cell_size", origin="grid_origin", extents="grid_extents")
 
     @property
     def shape(self):
@@ -276,11 +268,6 @@ class SparseTensor4D:
 
     def same_active_set(self, other):
         return np.array_equal(self.coords, other.coords)
-
-    def slice_time(self, t):
-        """Coords (without the time column) and features of one time step."""
-        sel = self.coords[:, 0] == t
-        return self.coords[sel, 1:], self.features[sel]
 
     def to_dense(self, shape):
         """(nx, ny, nz, T, C) dense array with zeros at inactive sites."""

@@ -129,6 +129,28 @@ def test_weight_file_for_another_dilation_exit_2(scene_path, tmp_path, capsys):
     assert "conv_cross.dilation_t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", [
+    "point_encoder.w1",
+    "backbone.encoder.0.0.conv_spatial.weights",
+    "backbone.decoder.0.0.sfsm_fuse.bn_var",
+    "decoder.ssm.0.a_log",
+    "decoder.head.b2",
+])
+def test_weight_file_non_finite_section_exit_2(scene_path, tmp_path, section, capsys):
+    from sfkit.weights import load_weight_dict, save_weight_dict
+
+    wpath = tmp_path / "w.sfwt"
+    assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",
+               "--save-weights", wpath) == 0
+    flat = load_weight_dict(wpath)
+    flat[section].flat[0] = np.nan
+    save_weight_dict(flat, wpath)
+    flow = tmp_path / "g.sffl"
+    assert run("infer", scene_path, "--weights", wpath, "--out", flow) == 2
+    assert f"section {section!r} holds a non-finite value" in capsys.readouterr().err
+    assert not flow.exists()
+
+
 def test_weight_file_section_name_not_utf8_exit_2(scene_path, tmp_path):
     wpath = tmp_path / "w.sfwt"
     wpath.write_bytes(b"SFWT\x01\x00\x01\x00\xff\x00" + bytes(8))
@@ -201,7 +223,7 @@ def test_threads_env_not_an_integer_exit_2(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [
     ("--lengths", "-5"), ("--lengths", "abc"), ("--lengths", "8,x"),
-    ("--batch", "0"), ("--d-inner", "0"),
+    ("--batch", "0"), ("--d-inner", "0"), ("--state", "0"), ("--state", "-2"),
 ])
 def test_bench_malformed_arguments_exit_2(tmp_path, flag, value, capsys):
     out = tmp_path / "bench.csv"
@@ -223,7 +245,7 @@ def test_grid_too_wide_to_pack_keys_exit_2(scene_path, tmp_path, capsys):
 
 
 def test_run_config_validation():
-    from sfkit.errors import InvalidConfig
+    from sfkit.errors import CONFIG_RULES, InvalidConfig
 
     with pytest.raises(InvalidConfig):
         RunConfig(zoh_mode="banana")
@@ -231,6 +253,7 @@ def test_run_config_validation():
         RunConfig(decoder_layers=0)
     with pytest.raises(InvalidConfig):
         RunConfig.from_mapping({"nope": 3})
+    assert CONFIG_RULES.keys() == RunConfig.__dataclass_fields__.keys()
 
 
 def test_ply_export_flag(tmp_path):
@@ -307,10 +330,32 @@ def test_dump_features_runs_inference_once(scene_path, tmp_path, monkeypatch):
     ("eval", "k_bins=2.5"),
     ("infer", "threads=true"),
     ("infer", "dynamic_threshold=-1"),
+    ("infer", "state_size=-3"),
+    ("infer", "grid_origin=[0,0]"),
+    ("infer", 'grid_origin=["a",0,0]'),
+    ("infer", "encoder_depths=[1.5,1]"),
+    ("infer", "--config=3"),
+    ("infer", "--config=null"),
+    ("eval", "k_bins=1000000000000"),
+    ("infer", "cell_size=NaN"),
+    ("infer", "cell_size=true"),
+    ("infer", "dt=NaN"),
+    ("infer", "dt=Infinity"),
+    ("infer", "grid_origin=[NaN,0,0]"),
+    ("infer", "grid_extents=[1.5,2,2]"),
+    ("infer", "grid_extents=[true,2,2]"),
+    ("infer", "decoder_depths=[true]"),
+    ("infer", "dynamic_threshold=Infinity"),
+    ("infer", "cell_size=Infinity"),
 ])
 def test_bad_config_values_exit_2(scene_path, tmp_path, command, override, capsys):
     flow = tmp_path / "f.sffl"
     assert run("infer", scene_path, "--out", flow) == 0
     args = (scene_path, flow) if command == "eval" else (scene_path, "--out", flow)
-    assert run(command, *args, "--set", override) == 2
+    if override.startswith("--config="):  # a config file that is not a JSON object
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(override.removeprefix("--config="))
+        assert run(command, *args, "--config", cfg_path) == 2
+    else:
+        assert run(command, *args, "--set", override) == 2
     assert "must be" in capsys.readouterr().err
