@@ -6,6 +6,7 @@ Exit codes are stable: 0 success, 2 input/config error, 3 numeric error.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -192,6 +193,8 @@ def cmd_bench(args):
                         ("--state", args.state)):
         if value < 1:
             raise InvalidConfig(f"{flag} must be >= 1, got {value}")
+    if not (math.isfinite(args.min_time) and args.min_time > 0):
+        raise InvalidConfig(f"--min-time must be a finite number > 0, got {args.min_time}")
     rng = np.random.default_rng(args.seed)
     d_inner, state, batch = args.d_inner, args.state, args.batch
     rows = ["impl,L,D_inner,S,tokens_per_second"]

@@ -230,7 +230,11 @@ def infer_flow(scene, weights, config, trace=None):
     if trace is not None:
         trace.voxel_features = voxel_feats
     del voxel_feats  # the stacked tensor holds copies of these rows
-    refined = backbone_forward(stacked, config.stdcb_config(), weights.backbone)
+    # In canonical order the prediction frame's rows are one range, and the
+    # decoder reads nothing else; a trace keeps the whole backbone output.
+    lo = sum(res.n_voxels for res in results[:slot])
+    rows = None if trace is not None else (lo, lo + results[slot].n_voxels)
+    refined = backbone_forward(stacked, config.stdcb_config(), weights.backbone, rows)
 
     res_t = results[slot]
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)

@@ -230,8 +230,10 @@ class SceneConfig:
         check_config(self, "dt", "dynamic_threshold")
         if self.n_background < 0:
             raise InvalidConfig("n_background must be >= 0")
-        if self.jitter_sigma < 0.0:
-            raise InvalidConfig("jitter_sigma must be >= 0")
+        if not (np.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
+            raise InvalidConfig(
+                f"jitter_sigma must be a finite number >= 0, got {self.jitter_sigma!r}"
+            )
         if np.any(np.asarray(self.bounds_hi) <= np.asarray(self.bounds_lo)):
             raise InvalidConfig("bounds_hi must exceed bounds_lo per axis")
         for m in self.movers:
@@ -335,6 +337,8 @@ def synth_scene(config, seed):
 def sample_mover_specs(n_movers, seed, bounds_lo=(-8.0, -8.0, -1.0),
                        bounds_hi=(8.0, 8.0, 1.0), n_points=200):
     """Deterministically draw mover boxes and velocities for a scene seed."""
+    if n_movers < 0:
+        raise InvalidConfig(f"n_movers must be >= 0, got {n_movers}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 77]))
     lo, hi = np.asarray(bounds_lo), np.asarray(bounds_hi)
     movers = []

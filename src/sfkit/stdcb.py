@@ -22,6 +22,11 @@ from .weights import flatten_tree, uniform_init
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
 GAP1_DILATION = 2
 
+# Output rows per tile of a coupling block.  A tile's scratch, about seven
+# (tile, C) arrays, stays cache-sized while the per-tile Python overhead
+# stays small against the tile's work.
+BLOCK_TILE = 4096
+
 
 @dataclass(frozen=True)
 class ConvKernel4D:
@@ -95,13 +100,33 @@ def _scratch(buf, shape):
     return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def sparse_conv(tensor, kernel, *, kmap=None):
+def _computed_rows(n, rows):
+    """(lo, hi, a, b): the row range [lo, hi) asked of n rows (all of them
+    when ``rows`` is None) and the range [a, b) to compute for it.
+
+    numpy multiplies a one-row matrix through another BLAS path than a
+    longer one, and the two round differently.  So that a row's bytes never
+    depend on the range it is computed in, one row of a larger set is
+    computed together with a neighbour.
+    """
+    lo, hi = (0, n) if rows is None else (int(rows[0]), int(rows[1]))
+    if not 0 <= lo <= hi <= n:
+        raise ShapeError(f"row range {rows} is outside the {n} rows")
+    if hi - lo == 1 < n:
+        a = min(lo, n - 2)
+        return lo, hi, a, a + 2
+    return lo, hi, lo, hi
+
+
+def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
     """Submanifold convolution: evaluate only at the input's active sites.
 
     Absent neighbors contribute zero, so the active set is preserved exactly.
     The tap order is fixed, keeping floating-point sums deterministic.
     ``kmap`` is a KernelMap of the tensor's active set, shared by convs over
     that set; without one the neighbour rows are built for this call only.
+    ``rows=(lo, hi)`` evaluates output rows lo..hi-1 only and returns a
+    tensor over those rows, byte for byte the same rows of the full output.
     """
     if kernel.c_in != tensor.n_channels:
         raise ShapeError(
@@ -111,27 +136,38 @@ def sparse_conv(tensor, kernel, *, kmap=None):
         kmap = KernelMap(tensor.coords)
     elif not kmap.matches(tensor):
         raise AlignmentError("kernel map was built for a different active set")
+    lo, hi, a, b = _computed_rows(tensor.n_active, rows)
     c_in, c_out = kernel.c_in, kernel.c_out
     flat_w = kernel.weights.reshape(-1, c_in, c_out)
-    out = np.broadcast_to(kernel.bias, (tensor.n_active, c_out)).copy()
+    out = np.broadcast_to(kernel.bias, (b - a, c_out)).copy()
     # Every tap reuses these two buffers: fresh per-tap temporaries cost
     # more in page faults than the gather and the matmul themselves.
     # ``scratch`` holds a tap's gathered input rows, then the output rows
     # that tap adds to.
-    scratch = np.empty(tensor.n_active * max(c_in, c_out))
+    scratch = np.empty((b - a) * max(c_in, c_out))
     prod = np.empty_like(out)
     for pair, w in zip(kmap.pairs(kernel.offsets()), flat_w):
         if pair is None:  # centre tap: every row is its own neighbour
-            out += np.matmul(tensor.features, w, out=prod)
+            out += np.matmul(tensor.features[a:b], w, out=prod)
             continue
+        # ``dst`` ascends, so the tap's pairs that write rows [a, b) are one
+        # run; one pair of several is multiplied along with a neighbour.
         dst, src = pair
-        n = len(src)
+        # Bounds in ``dst``'s own dtype, so the search does not cast ``dst``.
+        first, stop = dst.searchsorted(np.array((a, b), dtype=dst.dtype))
+        _, _, p, q = _computed_rows(len(dst), (first, stop))
+        if p == q:
+            continue
         # The map's rows are in range; "clip" lets take skip buffering ``out``.
-        rows = np.take(tensor.features, src, axis=0, out=_scratch(scratch, (n, c_in)), mode="clip")
-        np.matmul(rows, w, out=prod[:n])
-        acc = np.take(out, dst, axis=0, out=_scratch(scratch, (n, c_out)), mode="clip")
-        out[dst] = np.add(acc, prod[:n], out=acc)  # ``out[dst] += prod`` minus its temporary
-    return tensor.with_features(out)
+        gathered = tensor.features.take(
+            src[p:q], axis=0, out=_scratch(scratch, (q - p, c_in)), mode="clip"
+        )
+        np.matmul(gathered, w, out=prod[: q - p])
+        hit = dst[first:stop] - a
+        acc = out.take(hit, axis=0, out=_scratch(scratch, (stop - first, c_out)), mode="clip")
+        # ``out[hit] += prod`` minus its temporary
+        out[hit] = np.add(acc, prod[first - p : stop - p], out=acc)
+    return tensor.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
 def pointwise(tensor, weight, bias):
@@ -313,36 +349,46 @@ class StdcbWeights:
         )
 
 
-def stdcb_forward(f_sparse, w, *, kmap=None):
+def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
     """One coupling block; the active set is preserved end to end.
 
-    The three convs share one KernelMap (``kmap`` if given, else one built
-    for this block).  Above its input the block holds at most six (N, C)
-    arrays at once, whatever the depth of the stack it sits in: every step
-    after a matmul runs in place, and one (N, 2C) buffer serves the
-    concatenations of both SFSM gates and of the fuse step.
+    The block runs in tiles of ``BLOCK_TILE`` output rows.  For each tile
+    it runs the three convs, which share one KernelMap (``kmap`` if given,
+    else one built for this block), the temporal gate, the fuse gate and
+    the fuse matmul on that tile alone, and writes the tile into the
+    block's one output array.  Above its input the block therefore holds
+    its output and O(BLOCK_TILE · C) scratch: one (tile, 2C) buffer serves
+    the concatenations of every tile.  ``rows=(lo, hi)`` computes output
+    rows lo..hi-1 only and returns a tensor over them; the full call is the
+    range (0, N).  A row's bytes do not depend on the tile size or range.
     """
-    if f_sparse.n_active == 0:
-        return f_sparse
+    lo, hi, a, b = _computed_rows(f_sparse.n_active, rows)
     if kmap is None:
         kmap = KernelMap(f_sparse.coords)
-    # The conv outputs are passed inline, so the gate frees each as soon as
-    # it is consumed; ``buf`` is allocated after all three convs.
-    f_spatial_mod, f_temporal_fused = temporal_gated_block(
-        sparse_conv(f_sparse, w.conv_spatial, kmap=kmap),
-        sparse_conv(f_sparse, w.conv_temporal, kmap=kmap),
-        sparse_conv(f_sparse, w.conv_cross, kmap=kmap),
-        w.sfsm_temporal,
-        w.gate,
-        buf=(buf := np.empty((f_sparse.n_active, 2 * f_sparse.n_channels))),
-    )
-    f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse, buf=buf)
-    del f_spatial_mod, f_temporal_fused
-    stacked = np.concatenate([f_fused.features, f_sparse.features], axis=1, out=buf)
-    del f_fused
-    out = stacked @ w.fuse_w
-    out += w.fuse_b
-    return f_sparse.with_features(out)
+    out = np.empty((b - a, w.fuse_w.shape[1]))
+    bounds = [*range(a, b, BLOCK_TILE), b]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a one-row tail tile joins the one before it
+    buf = np.empty((min(b - a, BLOCK_TILE + 1), 2 * f_sparse.n_channels))
+    for t0, t1 in zip(bounds, bounds[1:]):
+        tile, tile_buf = (t0, t1), buf[: t1 - t0]
+        # The conv outputs are passed inline, so the gate frees each as soon
+        # as it is consumed.
+        f_spatial_mod, f_temporal_fused = temporal_gated_block(
+            sparse_conv(f_sparse, w.conv_spatial, kmap=kmap, rows=tile),
+            sparse_conv(f_sparse, w.conv_temporal, kmap=kmap, rows=tile),
+            sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=tile),
+            w.sfsm_temporal,
+            w.gate,
+            buf=tile_buf,
+        )
+        f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse, buf=tile_buf)
+        del f_spatial_mod, f_temporal_fused
+        stacked = np.concatenate([f_fused.features, f_sparse.features[t0:t1]], axis=1, out=tile_buf)
+        del f_fused
+        fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
+        fused += w.fuse_b
+    return f_sparse.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
 @dataclass(frozen=True)
@@ -436,7 +482,15 @@ def upsample_into(coarse, fine_coords):
     return coarse.features[idx]
 
 
-def backbone_forward(f_4d, config, weights):
+def _cut_last(blocks, kmap, rows):
+    """(block, keyword arguments) per block of a stack, with ``rows`` passed
+    to the last block only, and only when a range is given."""
+    for i, block in enumerate(blocks):
+        cut = rows is not None and i == len(blocks) - 1
+        yield block, {"kmap": kmap, "rows": rows} if cut else {"kmap": kmap}
+
+
+def backbone_forward(f_4d, config, weights, rows=None):
     """U-shaped encoder/decoder over coupling-block stacks.
 
     Spatial resolution halves between levels; skip connections add by active
@@ -444,6 +498,11 @@ def backbone_forward(f_4d, config, weights):
     input (active sets coincide by the submanifold property).  A single-level
     config is a plain block stack: no skips and no outer residual, so depth-1
     reduces exactly to one block.
+
+    ``rows=(lo, hi)`` returns a tensor over those output rows only.  Just
+    the last block run at level 0 and the outer residual are cut to the
+    range: every earlier block feeds a temporal conv or ``downsample2``, and
+    both mix rows.
     """
     if len(weights.encoder) != config.n_levels or len(weights.decoder) != config.n_levels - 1:
         raise ShapeError("weights do not match the configured level count")
@@ -454,8 +513,9 @@ def backbone_forward(f_4d, config, weights):
     skips = []
     for level in range(config.n_levels):
         kmap = KernelMap(x.coords)
-        for block in weights.encoder[level]:
-            x = stdcb_forward(x, block, kmap=kmap)
+        cut = rows if config.n_levels == 1 else None
+        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
+            x = stdcb_forward(x, block, **kwargs)
         if level < config.n_levels - 1:
             skips.append((x, kmap))
             x = downsample2(x)
@@ -467,9 +527,10 @@ def backbone_forward(f_4d, config, weights):
         up += skip.features
         x = skip.with_features(up)
         del skip, up  # the skip's rows are summed in; nothing else reads them
-        for block in weights.decoder[level]:
-            x = stdcb_forward(x, block, kmap=kmap)
-    return f_4d.with_features(f_4d.features + x.features)
+        for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
+            x = stdcb_forward(x, block, **kwargs)
+    base = f_4d if rows is None else f_4d.rows(*rows)
+    return base.with_features(base.features + x.features)
 
 
 def count_parameters(weights):

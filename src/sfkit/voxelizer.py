@@ -266,6 +266,19 @@ class SparseTensor4D:
         out._span = self._span
         return out
 
+    def rows(self, lo, hi):
+        """Rows lo..hi-1 as a tensor of views; the full range is the tensor
+        itself.  A range of canonical rows is canonical; its packed keys are
+        rebuilt on first lookup."""
+        if (lo, hi) == (0, self.n_active):
+            return self
+        out = SparseTensor4D.__new__(SparseTensor4D)
+        out.coords = self.coords[lo:hi]
+        out.features = self.features[lo:hi]
+        out._packed = None
+        out._span = None
+        return out
+
     def same_active_set(self, other):
         return np.array_equal(self.coords, other.coords)
 
@@ -304,7 +317,7 @@ class KernelMap:
         return self.coords is tensor.coords or np.array_equal(self.coords, tensor.coords)
 
     def pairs(self, taps):
-        taps = [tuple(int(v) for v in tap) for tap in taps]
+        taps = [tuple(tap) for tap in np.asarray(taps).tolist()]
         missing = [tap for tap in taps if any(tap) and tap not in self._pairs]
         if missing:
             self._pairs.update(zip(missing, _neighbour_pairs(self.coords, missing)))

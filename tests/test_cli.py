@@ -232,6 +232,25 @@ def test_bench_malformed_arguments_exit_2(tmp_path, flag, value, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+def test_bench_min_time_must_be_finite_and_positive_exit_2(tmp_path, value, capsys):
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--lengths", "8", "--min-time", value, "--out", out) == 2
+    assert "--min-time must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,rule", [
+    ("--jitter", "nan", "jitter_sigma must be"), ("--jitter", "inf", "jitter_sigma must be"),
+    ("--jitter", "-0.1", "jitter_sigma must be"), ("--movers", "-1", "n_movers must be"),
+])
+def test_synth_malformed_arguments_exit_2(tmp_path, flag, value, rule, capsys):
+    out = tmp_path / "s.sfsc"
+    assert run("synth", "--points", 10, flag, value, "--out", out) == 2
+    assert rule in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_too_wide_to_pack_keys_exit_2(scene_path, tmp_path, capsys):
     # Each axis fits the grid, but five frames of this grid hold more than
     # 2**63 cells, so the backbone cannot pack its keys into int64.

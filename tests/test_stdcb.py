@@ -134,7 +134,10 @@ def test_desk_backbone_bytes_match_lookup_formulation(monkeypatch):
     config = RunConfig()
     weights = init_pipeline_weights(config, 5)
     outputs = []
-    for conv in (stdcb.sparse_conv, lambda tensor, kernel, kmap=None: lookup_conv(tensor, kernel)):
+    def sliced_lookup_conv(tensor, kernel, kmap=None, rows=None):
+        return lookup_conv(tensor, kernel).rows(*(rows or (0, tensor.n_active)))
+
+    for conv in (stdcb.sparse_conv, sliced_lookup_conv):
         monkeypatch.setattr(stdcb, "sparse_conv", conv)
         trace = InferenceTrace()
         infer_flow(scene, weights, config, trace=trace)
@@ -522,6 +525,136 @@ def test_stdcb_forward_peak_memory_bound():
             tracemalloc.stop()
     assert out.n_active == n
     assert peak <= 7.5 * n * c * 8
+
+
+# --- row tiles and row ranges -------------------------------------------------------
+
+
+def tiled_tensor(rng, n=449, channels=4):
+    """n sparse sites: 449 rows leave a one-row tail tile at tile sizes 7 and 64."""
+    cells = rng.choice(5 * 8 * 8 * 8, size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, (5, 8, 8, 8)), axis=1)
+    return SparseTensor4D(coords, rng.normal(size=(n, channels)))
+
+
+def taps_with_one_pair_in_a_tile(kmap, kernels, n, tile):
+    starts = range(0, n, tile)
+    return sum(
+        int(np.count_nonzero(np.diff(np.searchsorted(pair[0], [*starts, n])) == 1))
+        for kernel in kernels
+        for pair in kmap.pairs(kernel.offsets())
+        if pair is not None
+    )
+
+
+@pytest.mark.parametrize("tile", [7, 64])
+def test_tiled_block_bytes_match_expression_form(monkeypatch, tile):
+    rng = np.random.default_rng(63)
+    tensor = tiled_tensor(rng)
+    assert tensor.n_active % tile == 1  # the tail tile has one row
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    kernels = (w.conv_spatial, w.conv_temporal, w.conv_cross)
+    assert taps_with_one_pair_in_a_tile(kmap, kernels, tensor.n_active, tile) > 0
+    expect = pinned_block(tensor, w, kmap)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", tile)
+    got = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+    assert got.features.tobytes() == expect.tobytes()
+    assert got.same_active_set(tensor)
+
+
+@pytest.mark.parametrize("rows", [(0, 449), (0, 1), (200, 201), (448, 449), (5, 5),
+                                  (449, 449), (3, 170), (100, 449)])
+def test_row_range_bytes_match_full_output(monkeypatch, rows):
+    rng = np.random.default_rng(64)
+    tensor = tiled_tensor(rng)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    lo, hi = rows
+    full_conv = stdcb.sparse_conv(tensor, w.conv_spatial, kmap=kmap)
+    cut_conv = stdcb.sparse_conv(tensor, w.conv_spatial, kmap=kmap, rows=rows)
+    assert cut_conv.features.tobytes() == full_conv.features[lo:hi].tobytes()
+    assert np.array_equal(cut_conv.coords, tensor.coords[lo:hi])
+    expect = pinned_block(tensor, w, kmap)[lo:hi]
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    cut = stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=rows)
+    assert cut.features.tobytes() == expect.tobytes()
+    assert np.array_equal(cut.coords, tensor.coords[lo:hi])
+
+
+@pytest.mark.parametrize("rows", [(-1, 3), (4, 2), (0, 450)])
+def test_row_range_outside_the_tensor_rejected(rows):
+    rng = np.random.default_rng(65)
+    tensor = tiled_tensor(rng)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    with pytest.raises(ShapeError, match="row range"):
+        stdcb.stdcb_forward(tensor, w, rows=rows)
+    with pytest.raises(ShapeError, match="row range"):
+        stdcb.sparse_conv(tensor, w.conv_spatial, rows=rows)
+
+
+def test_stdcb_forward_tiled_peak_memory_bound(monkeypatch):
+    # With 512-row tiles a block holds its output and a few tiles of scratch
+    # above its input, about 1.6 (N, C) arrays at N = 6000.
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 512)
+    rng = np.random.default_rng(60)
+    n, c = 6000, 16
+    cells = rng.choice(5 * 40 * 40 * 20, size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
+    tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
+    w = stdcb.StdcbWeights.seeded(c, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    stdcb.stdcb_forward(tensor, w, kmap=kmap)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert out.n_active == n
+    assert peak <= 2.0 * n * c * 8
+
+
+def with_prediction_frame(scene, slot, points):
+    """``scene`` with frame ``slot`` replaced by ``points``."""
+    frames = list(scene.frames)
+    frames[slot] = pc.PointCloud(points, frame_index=slot)
+    n = len(frames[pc.FRAME_T])
+    return pc.SceneSequence(frames, pc.FlowField(np.zeros((n, 3))), np.zeros(n, np.uint8),
+                            scene.seed)
+
+
+LAYOUTS = {
+    "desk": {},
+    "three-level": {"encoder_depths": (2, 1, 1), "decoder_depths": (1, 2)},
+    "single-level": {"encoder_depths": (2,), "decoder_depths": ()},
+    "t+1": {"decode_frame": "t+1"},
+}
+
+
+@pytest.mark.parametrize("frame", ["synth", "empty", "one-voxel"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, frame):
+    config = RunConfig(**LAYOUTS[layout])
+    slot = pc.FRAME_T if config.decode_frame == "t" else pc.FRAME_T1
+    scene = pc.synth_scene(pc.SceneConfig(n_background=300, movers=()), 8)
+    if frame == "empty":  # every point of the prediction frame is outside the grid
+        scene = with_prediction_frame(scene, slot, np.full((20, 3), 500.0))
+    elif frame == "one-voxel":
+        scene = with_prediction_frame(scene, slot, np.tile([[0.31, -1.07, 0.45]], (20, 1)))
+    weights = init_pipeline_weights(config, 8)
+    traced = infer_flow(scene, weights, config, trace=InferenceTrace())
+    untraced = infer_flow(scene, weights, config)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    small_tiles = infer_flow(scene, weights, config)
+    assert len(traced) == len(scene.frames[slot])
+    assert untraced.vectors.tobytes() == traced.vectors.tobytes()
+    assert small_tiles.vectors.tobytes() == traced.vectors.tobytes()
 
 
 # --- backbone -------------------------------------------------------------------
