@@ -286,6 +286,25 @@ def _check_streamed_scan():
     assert np.abs(h - h_ref).max() <= 1e-10 * max(np.abs(h_ref).max(), 1.0)
 
 
+def _check_chunk_bytes():
+    # At the decoder's widths the streamed layer projects each chunk on its
+    # own; that matches the full-length projection byte for byte only if
+    # this BLAS rounds a row range like the whole matrix.
+    rng = np.random.default_rng(17)
+    length = 2 * ssm.SCAN_CHUNK + 5
+    params = ssm.SsmParams.seeded(32, 16, 16, rng)
+    x = rng.normal(size=(1, length, 32))
+    f_off = rng.normal(size=(1, length, 16))
+    h0 = rng.normal(size=(1, 32, 16))
+    run = ssm.flow_ssm_forward(x, f_off, params, h0, keep_intermediates=True)
+    refined, h = ssm.flow_ssm_layer(x, f_off, params, h0)
+    assert np.array_equal(refined, run.refined), "streamed output differs from recorded run"
+    assert np.array_equal(h, run.h_final), "streamed state differs from recorded run"
+    full = f_off @ params.w_delta + params.b_delta, f_off @ params.w_b, f_off @ params.w_c
+    for name, expect in zip(("z_delta", "b_tokens", "c_tokens"), full):
+        assert np.array_equal(getattr(run, name), expect), f"per-chunk {name} differs"
+
+
 def _check_ssm_gradients():
     rng = np.random.default_rng(3)
     params = ssm.SsmParams.seeded(4, 6, 3, rng)
@@ -390,6 +409,7 @@ SELFTEST_CHECKS = (
     ("serialization.roundtrip", _check_serialization_roundtrip),
     ("ssm.scan_equivalence", _check_scan_equivalence),
     ("ssm.stream", _check_streamed_scan),
+    ("ssm.chunk_bytes", _check_chunk_bytes),
     ("ssm.gradients", _check_ssm_gradients),
     ("loss.construction", _check_loss_construction),
     ("pointcloud.roundtrip", _check_scene_roundtrip),

@@ -116,7 +116,10 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
     f_coarse = assemble_coarse(voxel_features, point_features, assignment)
     f_offset = encode_offsets(p_offset, weights.offset_encoder)
 
+    # The scan sets the peak memory: each array is dropped once its last
+    # reader has run.
     seq = serialize(f_coarse, assignment.clamped_coords())
+    del f_coarse
     tokens = seq.rows[None]  # batch of one scene
     offset_tokens = f_offset[seq.order][None]
     hidden = None
@@ -125,9 +128,12 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
             tokens, offset_tokens, params, hidden,
             mode=config.zoh_mode, block_size=config.block_size,
         )
+        seq = seq.with_rows(tokens[0])
+    del offset_tokens, tokens
 
-    refined = deserialize(seq.with_rows(tokens[0]))
-    flow = weights.head.apply(np.concatenate([refined, f_offset], axis=1))
+    head_in = np.concatenate([deserialize(seq), f_offset], axis=1)
+    del seq, f_offset
+    flow = weights.head.apply(head_in)
     bad = ~np.isfinite(flow).all(axis=1)
     if np.any(bad):
         raise NumericError("non-finite flow from head", index=int(np.flatnonzero(bad)[0]))

@@ -8,9 +8,12 @@ as log-negatives so the decay stays strictly inside the unit interval).
 One scan engine streams the sequence in chunks of whole blocks and, within a
 chunk, exploits the associative composition
 (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks; the
-hidden state is carried from chunk to chunk.  A plain left-to-right loop with
-the same contract is the oracle.  An adjoint pass provides exact gradients
-for finite-difference verification.
+hidden state is carried from chunk to chunk.  The layer does all of one
+chunk's work (projection, discretization, scan, readout) in buffers it
+allocates once per call, so its memory above its input and output is
+O(chunk * D * S).  A plain left-to-right loop with the same contract is the
+oracle.  An adjoint pass provides exact gradients for finite-difference
+verification.
 """
 
 from dataclasses import dataclass
@@ -126,31 +129,38 @@ class Discretized:
     b_bar: np.ndarray
 
 
-def zoh_discretize(a, b, delta, mode=ZohMode.EXACT):
+def zoh_discretize(a, b, delta, mode=ZohMode.EXACT, out=None):
     """Discretize diagonal-per-channel dynamics via zero-order hold.
 
     a: (D, S) strictly the continuous decay; b: (..., S) per-token input
     projection; delta: (..., D) positive step sizes.  EXACT uses
     a_bar = exp(delta a), b_bar = (exp(delta a) - 1)/a * b with the series
     limit delta*b at a = 0; SIMPLIFIED replaces b_bar by delta * b.
+
+    ``out`` is an optional Discretized of writable (..., D, S) arrays that
+    receive the result, which is then ``out`` itself; the values are the
+    same as without it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
-    da = delta[..., :, None] * a  # (..., D, S)
-    a_bar = np.exp(da)
+    shape = delta.shape + a.shape[-1:]
+    if out is None:
+        out = Discretized(a_bar=np.empty(shape), b_bar=np.empty(shape))
+    elif out.a_bar.shape != shape or out.b_bar.shape != shape:
+        raise ShapeError(f"out terms must be {shape}, got {out.a_bar.shape} / {out.b_bar.shape}")
+    a_bar, b_bar = out.a_bar, out.b_bar
+    da = np.multiply(delta[..., :, None], a, out=a_bar)  # (..., D, S)
     if ZohMode(mode) is ZohMode.SIMPLIFIED:
-        b_bar = delta[..., :, None] * b[..., None, :]
+        np.multiply(delta[..., :, None], b[..., None, :], out=b_bar)
     else:
         safe_a = np.where(a == 0.0, 1.0, a)
-        factor = np.expm1(da) / safe_a  # -> delta as a -> 0
-        factor = np.where(
-            np.broadcast_to(a == 0.0, factor.shape),
-            np.broadcast_to(delta[..., :, None], factor.shape),
-            factor,
-        )
-        b_bar = factor * b[..., None, :]
-    return Discretized(a_bar=a_bar, b_bar=b_bar)
+        np.expm1(da, out=b_bar)
+        np.divide(b_bar, safe_a, out=b_bar)  # -> delta as a -> 0
+        np.copyto(b_bar, delta[..., :, None], where=a == 0.0)
+        np.multiply(b_bar, b[..., None, :], out=b_bar)
+    np.exp(da, out=a_bar)
+    return out
 
 
 def _check_scan_shapes(disc, c, d, x, h0):
@@ -194,7 +204,7 @@ def scan_sequential(disc, c, d, x, h0, states=None):
     return y, h
 
 
-def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
+def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, work=None):
     """Blocked scan with identical contract to scan_sequential.
 
     Streams the sequence in chunks of whole blocks, carrying the hidden state
@@ -204,6 +214,11 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
     block boundaries, then reconstructs every per-token state.  Degenerates to
     the sequential path when one block covers the whole sequence.  ``states``
     is filled as in scan_sequential.
+
+    ``work`` is scratch for the chunks' block composition, as made by
+    scan_workspace for at least the longest chunk; without it, one is
+    allocated for this call.  The readout, ``states`` and the carried state
+    read it through views.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -215,21 +230,34 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
         return scan_sequential(disc, c, d, x, h0, states)
+    longest = max(stop - start for start, stop in chunks)
+    if work is None:
+        work = scan_workspace(batch, longest, d_inner, state, block_size)
+    elif work.shape[:3] != (2, batch, block_size) or work.shape[4:] != (d_inner, state) \
+            or work.shape[3] * block_size < longest:
+        raise ShapeError(f"work {work.shape} does not fit chunks of {longest} tokens")
 
     y = np.empty((batch, length, d_inner))
     h_last = h0
     for start, stop in chunks:
         part = slice(start, stop)
+        n_tokens = stop - start
         h = _blocked_states(disc.a_bar[:, part], disc.b_bar[:, part], x[:, part],
-                            h_last, block_size)
+                            h_last, block_size, work)
         if not np.all(np.isfinite(h)):
-            finite = np.isfinite(h).reshape(batch, stop - start, -1).all(axis=(0, 2))
+            finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:n_tokens]
             raise NumericError("non-finite hidden state",
                                index=start + int(np.flatnonzero(~finite)[0]))
-        y[:, part] = np.einsum("blds,bls->bld", h, c[:, part]) + d * x[:, part]
+        for h_tok, c_tok, y_tok in zip(_token_blocks(h, n_tokens),
+                                       _blocks(c[:, part], block_size),
+                                       _blocks(y[:, part], block_size)):
+            np.einsum("...ds,...s->...d", h_tok, c_tok, out=y_tok)
+        y[:, part] += d * x[:, part]
         if states is not None:
-            states[:, part] = h
-        h_last = h[:, -1].copy()
+            for h_tok, s_tok in zip(_token_blocks(h, n_tokens),
+                                    _blocks(states[:, part], block_size)):
+                s_tok[...] = h_tok
+        h_last = h[:, (n_tokens - 1) % block_size, -1].copy()
     return y, h_last
 
 
@@ -250,33 +278,71 @@ def _chunk_bounds(length, block_size):
     return list(zip(starts, starts[1:] + [length]))
 
 
-def _blocked_states(a, b, x, h0, block_size):
-    """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition."""
-    batch, length, d_inner, state = a.shape
+def scan_workspace(batch, n_tokens, d_inner, state, block_size):
+    """Scratch for _blocked_states over chunks of up to ``n_tokens`` tokens.
+
+    A pair of (batch, block, n_blocks, D, S) arrays, stacked on a leading
+    axis of 2.  They are block-position major: token i * block + k of a chunk
+    sits at [:, k, i], so each prefix step reads and writes one contiguous
+    (n_blocks, D, S) slice per batch entry.
+    """
+    n_blocks = max(1, -(-n_tokens // block_size))
+    return np.empty((2, batch, block_size, n_blocks, d_inner, state))
+
+
+def _blocks(tokens, block_size):
+    """Views of a (batch, L, ...) token array by block: the whole blocks as
+    (batch, L // block, block, ...), then any rest as (batch, 1, rest, ...)."""
+    whole = tokens.shape[1] // block_size * block_size
+    head = tokens[:, :whole]
+    views = [head.reshape(head.shape[0], -1, block_size, *head.shape[2:])]
+    if whole < tokens.shape[1]:
+        views.append(tokens[:, None, whole:])
+    return views
+
+
+def _token_blocks(blocked, n_tokens):
+    """The first ``n_tokens`` tokens of a block-major (batch, block, n_blocks,
+    ...) array, as the views _blocks gives of a token array."""
+    whole, rest = divmod(n_tokens, blocked.shape[1])
+    by_token = blocked.swapaxes(1, 2)
+    return [by_token[:, :whole]] + ([by_token[:, whole:whole + 1, :rest]] if rest else [])
+
+
+def _blocked_states(a, b, x, h0, block_size, work):
+    """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition.
+
+    Works in ``work`` (see scan_workspace) and returns the states there, as a
+    block-major (batch, block, n_blocks, D, S) view.
+    """
+    length = a.shape[1]
     n_blocks = -(-length // block_size)
-    padded = (batch, n_blocks * block_size, d_inner, state)
-    a_pref = np.empty(padded)
-    u_pref = np.empty(padded)
-    a_pref[:, :length] = a
-    np.multiply(b, x[..., None], out=u_pref[:, :length])
+    a_pref, u_pref = work[:, :, :, :n_blocks]
+    # Transposing copies from token order, by whole blocks and then the
+    # last block's tokens.
+    for a_dst, u_dst, a_src, b_src, x_src in zip(
+        _token_blocks(a_pref, length), _token_blocks(u_pref, length),
+        _blocks(a, block_size), _blocks(b, block_size), _blocks(x, block_size),
+    ):
+        a_dst[...] = a_src
+        np.multiply(b_src, x_src[..., None], out=u_dst)
     # Identity elements extend the last block without changing any state.
-    a_pref[:, length:] = 1.0
-    u_pref[:, length:] = 0.0
-    a_pref = a_pref.reshape(batch, n_blocks, block_size, d_inner, state)
-    u_pref = u_pref.reshape(batch, n_blocks, block_size, d_inner, state)
+    tail = length - (n_blocks - 1) * block_size
+    a_pref[:, tail:, -1] = 1.0
+    u_pref[:, tail:, -1] = 0.0
 
     for k in range(1, block_size):
-        u_pref[:, :, k] += a_pref[:, :, k] * u_pref[:, :, k - 1]
-        a_pref[:, :, k] *= a_pref[:, :, k - 1]
+        u_pref[:, k] += a_pref[:, k] * u_pref[:, k - 1]
+        a_pref[:, k] *= a_pref[:, k - 1]
 
-    h_enter = np.empty((batch, n_blocks, d_inner, state))
+    h_enter = np.empty((a.shape[0], n_blocks) + a.shape[2:])
     h_enter[:, 0] = h0
     for i in range(1, n_blocks):
-        h_enter[:, i] = a_pref[:, i - 1, -1] * h_enter[:, i - 1] + u_pref[:, i - 1, -1]
+        h_enter[:, i] = a_pref[:, -1, i - 1] * h_enter[:, i - 1] + u_pref[:, -1, i - 1]
 
-    h = np.multiply(a_pref, h_enter[:, :, None], out=a_pref)
+    h = np.multiply(a_pref, h_enter[:, None], out=a_pref)
     h += u_pref
-    return h.reshape(padded)[:, :length]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +380,11 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
     L, C_off) offset features that parameterize (Delta, B, C) per token.
+
+    Each chunk of _chunk_bounds is projected, discretized and scanned on its
+    own, in one discretized pair and one scan workspace allocated here for
+    the longest chunk.  With ``keep_intermediates`` the same loop also writes
+    each chunk's projections, transitions and states into full-length arrays.
     """
     f_coarse = np.asarray(f_coarse, dtype=np.float64)
     f_offset = np.asarray(f_offset, dtype=np.float64)
@@ -338,33 +409,38 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     if h0.shape != (batch, d_inner, state):
         raise ShapeError(f"h0 must be {(batch, d_inner, state)}, got {h0.shape}")
 
-    z_delta, delta, b_tokens, c_tokens = _project_token_params(f_offset, params)
+    a = params.a
+    chunks = _chunk_bounds(length, block_size)
+    longest = max((stop - start for start, stop in chunks), default=0)
+    terms = np.empty((2, batch, longest, d_inner, state))  # a_bar and b_bar
+    work = scan_workspace(batch, longest, d_inner, state, block_size)
     refined = np.empty((batch, length, d_inner))
-    a_bar = h_states = None
+    recorded = {}
     if keep_intermediates:
-        a_bar = np.empty((batch, length, d_inner, state))
-        h_states = np.empty((batch, length, d_inner, state))
+        widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),
+                  "c_tokens": (state,), "a_bar": (d_inner, state), "h_states": (d_inner, state)}
+        recorded = {name: np.empty((batch, length) + w) for name, w in widths.items()}
     h = h0
-    for start, stop in _chunk_bounds(length, block_size):
-        part = slice(start, stop)
-        disc = zoh_discretize(params.a, b_tokens[:, part], delta[:, part], mode=mode)
+    for start, stop in chunks:
+        part, n_tokens = slice(start, stop), stop - start
+        projected = _project_token_params(f_offset[:, part], params)
+        _, delta, b_tokens, c_tokens = projected
+        disc = zoh_discretize(a, b_tokens, delta, mode,
+                              out=Discretized(*terms[:, :, :n_tokens]))
         try:
             refined[:, part], h = scan_blocked(
-                disc, c_tokens[:, part], params.d, f_coarse[:, part], h, block_size,
-                states=None if h_states is None else h_states[:, part],
+                disc, c_tokens, params.d, f_coarse[:, part], h, block_size,
+                states=recorded["h_states"][:, part] if recorded else None, work=work,
             )
         except NumericError as err:
             raise NumericError("non-finite hidden state", index=start + err.index) from err
-        if keep_intermediates:
-            a_bar[:, part] = disc.a_bar
-    if not keep_intermediates:
-        return FlowSsmRun(refined=refined, h_final=h.copy(), mode=ZohMode(mode))
-    return FlowSsmRun(
-        refined=refined, h_final=h.copy(), mode=ZohMode(mode),
-        inputs=(f_coarse, f_offset, params, h0),
-        z_delta=z_delta, delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
-        a_bar=a_bar, h_states=h_states,
-    )
+        if recorded:
+            for name, value in zip(("z_delta", "delta", "b_tokens", "c_tokens", "a_bar"),
+                                   (*projected, disc.a_bar)):
+                recorded[name][:, part] = value
+    inputs = (f_coarse, f_offset, params, h0) if keep_intermediates else None
+    return FlowSsmRun(refined=refined, h_final=h.copy(), mode=ZohMode(mode), inputs=inputs,
+                      **recorded)
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,

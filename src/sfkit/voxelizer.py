@@ -365,7 +365,10 @@ def stack_temporal(results, voxel_features):
     """Concatenate per-frame voxel features along a leading time key.
 
     Every frame must share the grid and the channel count.  The output holds
-    key (tau, v) exactly for the voxels occupied at frame tau.
+    key (tau, v) exactly for the voxels occupied at frame tau.  Frames are
+    stacked in time order and each frame's voxel coords are lexicographic,
+    so the stack is already canonical: one pass checks that its keys
+    strictly ascend (which also rules out duplicates) instead of sorting them.
     """
     if len(results) != len(voxel_features):
         raise ShapeError("one feature matrix per voxelization result required")
@@ -373,7 +376,8 @@ def stack_temporal(results, voxel_features):
         raise ShapeError("need at least one frame")
     grid = results[0].grid
     channels = None
-    coords_parts, feat_parts = [], []
+    coords = np.empty((sum(res.n_voxels for res in results), 4), dtype=np.int64)
+    row, feat_parts = 0, []
     for tau, (res, feats) in enumerate(zip(results, voxel_features)):
         if res.grid != grid:
             raise ShapeError(f"frame {tau} uses a different voxel grid")
@@ -388,9 +392,14 @@ def stack_temporal(results, voxel_features):
             raise ShapeError(
                 f"frame {tau}: channel count {feats.shape[1]} != {channels}"
             )
-        keys = np.empty((res.n_voxels, 4), dtype=np.int64)
-        keys[:, 0] = tau
-        keys[:, 1:] = res.voxel_coords
-        coords_parts.append(keys)
+        coords[row : row + res.n_voxels, 0] = tau
+        coords[row : row + res.n_voxels, 1:] = res.voxel_coords
+        row += res.n_voxels
         feat_parts.append(feats)
-    return SparseTensor4D(np.vstack(coords_parts), np.vstack(feat_parts))
+    # Each key must exceed the one before it at the first column where they
+    # differ; the weights let that column's sign outvote all later ones.
+    steps = coords[1:] - coords[:-1]
+    if not np.all(np.sign(steps, out=steps) @ np.array([8, 4, 2, 1]) > 0):
+        raise ShapeError("stacked (t, ix, iy, iz) keys must strictly ascend")
+    del steps
+    return SparseTensor4D(coords, np.vstack(feat_parts), _canonical=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,21 @@ def test_decode_serializes_once_byte_identical(n_layers, monkeypatch):
     flow = dec.decode(vf, pf, res.offsets, res, w, config(n_layers=n_layers))
     assert np.array_equal(flow.vectors, expect)
     assert len(calls) == 1
+
+
+def test_decode_peak_memory_bound_on_dense_scene():
+    # 32.4k points over 4096 cells (~7.9 per voxel) at the pipeline widths:
+    # the serialized sequence, not the voxels, sets the decoder's memory.
+    rng = np.random.default_rng(13)
+    channels, n_points = 16, 32_400
+    vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (n_points, 3)), channels)
+    w = seeded_weights(np.random.default_rng(14), channels, state=16)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        dec.decode(vf, pf, res.offsets, res, w, config(channels, state=16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sequence = n_points * 2 * channels * 8  # one (L, 2C) float64 array
+    assert peak - entry <= 7 * sequence, f"{(peak - entry) / sequence:.2f} x L*2C*8"

@@ -98,6 +98,46 @@ def test_zoh_gap_shrinks_quadratically():
         assert 4.0 * 0.9 <= ratio <= 4.0 * 1.1
 
 
+def expression_zoh(a, b, delta, mode):
+    """zoh_discretize written as one expression per term, allocating each."""
+    da = delta[..., :, None] * a
+    if mode is ssm.ZohMode.SIMPLIFIED:
+        return np.exp(da), delta[..., :, None] * b[..., None, :]
+    factor = np.expm1(da) / np.where(a == 0.0, 1.0, a)
+    factor = np.where(a == 0.0, delta[..., :, None], factor)
+    return np.exp(da), factor * b[..., None, :]
+
+
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_zoh_out_bytes_match_allocating_call(mode):
+    rng = np.random.default_rng(4)
+    a = -np.exp(rng.normal(size=(5, 6)))
+    a[1, 2] = 0.0  # takes the exact mode's series limit
+    b = rng.normal(size=(2, 37, 6))
+    delta = ssm.softplus(rng.normal(size=(2, 37, 5)))
+    expect = ssm.zoh_discretize(a, b, delta, mode)
+    for term, reference in zip((expect.a_bar, expect.b_bar), expression_zoh(a, b, delta, mode)):
+        assert term.tobytes() == reference.tobytes()
+    # Prefix views of a longer batch-2 buffer, as the layer passes them, and
+    # every other token of a buffer twice as long: neither is contiguous.
+    for view in (lambda buf: buf[:, :37], lambda buf: buf[:, ::2]):
+        pair = [np.full((2, 74, 5, 6), np.nan) for _ in range(2)]
+        out = ssm.Discretized(*(view(buf) for buf in pair))
+        assert not out.a_bar.flags.c_contiguous
+        got = ssm.zoh_discretize(a, b, delta, mode, out=out)
+        assert got is out
+        assert np.array_equal(got.a_bar, expect.a_bar)
+        assert np.array_equal(got.b_bar, expect.b_bar)
+
+
+def test_zoh_out_shape_mismatch_rejected():
+    rng = np.random.default_rng(5)
+    out = ssm.Discretized(np.empty((1, 4, 2, 3)), np.empty((1, 5, 2, 3)))
+    with pytest.raises(ShapeError):
+        ssm.zoh_discretize(-np.ones((2, 3)), rng.normal(size=(1, 4, 3)),
+                           np.ones((1, 4, 2)), out=out)
+
+
 # --- sequential scan -------------------------------------------------------------
 
 
@@ -569,3 +609,62 @@ def test_streamed_layer_memory_is_bounded():
         tracemalloc.stop()
     # One full-length (L, D, S) float64 term alone is 133 MB here.
     assert peak < 150e6, f"peak {peak / 1e6:.0f} MB"
+
+
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_streamed_layer_bytes_at_pipeline_widths(mode):
+    # D = 32, S = 16, C_off = 16 as in the decoder: BLAS takes other kernels
+    # here than at the small widths above.  Per-chunk projections must round
+    # like full-length ones, and the recorded run must match the streamed one.
+    block_size = 64
+    length = 3 * chunk_tokens(block_size) + 5
+    rng = np.random.default_rng(33)
+    params, x, f_off = make_inputs(rng, 1, length, 32, 16, 16)
+    h0 = rng.normal(size=(1, 32, 16))
+    run = ssm.flow_ssm_forward(x, f_off, params, h0, mode, keep_intermediates=True)
+    streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode)
+    assert np.array_equal(run.refined, streamed.refined)
+    assert np.array_equal(run.h_final, streamed.h_final)
+    delta, b_tok, c_tok = token_terms(params, f_off)
+    for got, expect in ((run.delta, delta), (run.b_tokens, b_tok), (run.c_tokens, c_tok)):
+        assert np.array_equal(got, expect)
+    y_ref, h_ref, _ = one_shot_layer(x, f_off, params, h0, mode, block_size)
+    assert np.array_equal(streamed.refined, y_ref)
+    assert np.array_equal(streamed.h_final, h_ref)
+
+
+def test_scan_blocked_bytes_do_not_depend_on_workspace():
+    rng = np.random.default_rng(34)
+    length = chunk_tokens(48) + 30
+    params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
+    delta, b_tok, c_tok = token_terms(params, f_off)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta)
+    h0 = rng.normal(size=(2, 3, 4))
+    expect = ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48)
+    # A workspace sized for a longer sequence, filled with garbage.
+    work = np.full(ssm.scan_workspace(2, 5000, 3, 4, 48).shape, np.nan)
+    for _ in range(2):
+        got = ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48, work=work)
+        assert np.array_equal(got[0], expect[0])
+        assert np.array_equal(got[1], expect[1])
+    with pytest.raises(ShapeError):
+        ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48, work=work[:, :, :, :2])
+
+
+def test_streamed_layer_memory_is_bounded_by_one_chunk():
+    rng = np.random.default_rng(32)
+    length, d_inner, state, c_off = 32_400, 32, 16, 16
+    params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
+    x = rng.normal(size=(1, length, d_inner))
+    f_off = rng.normal(size=(1, length, c_off))
+    tracemalloc.start()
+    try:
+        ssm.flow_ssm_layer(x, f_off, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The output, plus a few (D, S) terms of the longest chunk (a chunk and
+    # a tail of at most one block); no full-length projection is alive.
+    longest = ssm.SCAN_CHUNK + ssm.DEFAULT_BLOCK_SIZE
+    bound = length * d_inner * 8 + 5 * longest * d_inner * state * 8
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"

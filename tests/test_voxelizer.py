@@ -266,6 +266,39 @@ def test_stack_rejects_mismatched_channels_and_grids():
         )
 
 
+def test_stack_bytes_match_sorting_constructor():
+    rng = np.random.default_rng(13)
+    results, feats = _frame_results(rng, small_grid(), [60, 0, 90, 30, 45])
+    tensor = vx.stack_temporal(results, feats)
+    keys = [np.column_stack([np.full(r.n_voxels, tau), r.voxel_coords])
+            for tau, r in enumerate(results)]
+    sorted_tensor = vx.SparseTensor4D(np.vstack(keys)[::-1], np.vstack(feats)[::-1])
+    assert tensor.coords.tobytes() == sorted_tensor.coords.tobytes()
+    assert tensor.features.tobytes() == sorted_tensor.features.tobytes()
+
+
+def _result_with_voxels(grid, voxel_coords):
+    voxel_coords = np.asarray(voxel_coords, dtype=np.int64)
+    n = len(voxel_coords)
+    return vx.VoxelizationResult(grid, np.arange(n), np.zeros((n, 3)),
+                                 voxel_coords.copy(), voxel_coords)
+
+
+@pytest.mark.parametrize("voxel_coords", [
+    [[0, 0, 1], [0, 1, 0], [0, 0, 2]],  # out of order in the second axis
+    [[1, 0, 0], [0, 9, 9]],  # out of order in the first axis
+    [[2, 3, 4], [2, 3, 4]],  # a duplicate key
+])
+def test_stack_rejects_keys_that_do_not_ascend(voxel_coords):
+    grid = small_grid()
+    good = _result_with_voxels(grid, [[0, 0, 0], [5, 5, 5]])
+    bad = _result_with_voxels(grid, voxel_coords)
+    feats = [np.zeros((good.n_voxels, 2)), np.zeros((bad.n_voxels, 2))]
+    assert vx.stack_temporal([good, good], [feats[0], feats[0]]).n_active == 4
+    with pytest.raises(ShapeError):
+        vx.stack_temporal([good, bad], feats)
+
+
 # --- sparse tensor container ------------------------------------------------------
 
 
