@@ -388,7 +388,8 @@ def _check_kernel_map():
         assert np.array_equal(pair[1], idx[found]), f"tap {tap}: neighbours differ"
 
 
-def _check_downsample():
+def _seeded_pooling():
+    """A seeded fine tensor, its parent rows, and each fine row's parent."""
     rng = np.random.default_rng(10)
     extent = (5, 12, 12, 12)
     cells = rng.choice(int(np.prod(extent)), size=800, replace=False)
@@ -397,12 +398,26 @@ def _check_downsample():
     parents = tensor.coords.copy()
     parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
     uniq, inverse = np.unique(parents, axis=0, return_inverse=True)
+    return tensor, uniq, inverse
+
+
+def _check_downsample():
+    tensor, uniq, inverse = _seeded_pooling()
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, tensor.features)
     down = stdcb.downsample2(tensor)
     assert np.array_equal(down.coords, uniq), "parents differ"
     means = sums / np.bincount(inverse)[:, None]
     assert down.features.tobytes() == means.tobytes(), "means differ"
+
+
+def _check_upsample():
+    tensor, uniq, inverse = _seeded_pooling()
+    down = stdcb.downsample2(tensor)
+    assert np.array_equal(down.coords, uniq), "parents differ"
+    expect = down.features[inverse] + tensor.features
+    up = stdcb.upsample_into(down, tensor.with_features(tensor.features.copy()))
+    assert up.features.tobytes() == expect.tobytes(), "upsampled rows differ"
 
 
 SELFTEST_CHECKS = (
@@ -416,6 +431,7 @@ SELFTEST_CHECKS = (
     ("weights.roundtrip", _check_weights_roundtrip),
     ("stdcb.kmap", _check_kernel_map),
     ("stdcb.downsample", _check_downsample),
+    ("stdcb.upsample", _check_upsample),
 )
 
 

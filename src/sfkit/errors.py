@@ -1,6 +1,7 @@
 """Exception types shared across the pipeline."""
 
 import math
+import sys
 from numbers import Integral, Real
 
 
@@ -68,22 +69,25 @@ def _finite(v):
         return False
 
 
+_ANY_LENGTH = range(sys.maxsize)
 _COUNT = (Integral, lambda v: v >= 1, "an integer >= 1")
-_DEPTHS = ((Integral, None), _COUNT[1], "a list of integers >= 1")
 _POSITIVE = (Real, lambda v: _finite(v) and v > 0, "a finite number > 0")
 
 # The run-config rules, in this leaf module so every config class can use them.
-# field: (type, test, rule text).  A type ``(T, n)`` is a list or tuple of n
-# items of type T (any length when n is None); the test applies to each item.
-# Float fields accept ints; no field accepts a bool.
+# field: (type, test, rule text).  A type ``(T, lengths)`` is a list or tuple
+# of items of type T whose length is in ``lengths``; the test applies to each
+# item.  Float fields accept ints; no field accepts a bool.
 CONFIG_RULES = {
-    "grid_origin": ((Real, 3), _finite, "3 finite numbers"),
+    "grid_origin": ((Real, (3,)), _finite, "3 finite numbers"),
     "cell_size": _POSITIVE,
     # 21 bits per axis keeps voxel coords Morton-encodable
-    "grid_extents": ((Integral, 3), lambda v: 1 <= v < 1 << 21, "3 integers in [1, 2**21)"),
+    "grid_extents": ((Integral, (3,)), lambda v: 1 <= v < 1 << 21, "3 integers in [1, 2**21)"),
     "channels": _COUNT,
-    "encoder_depths": _DEPTHS,
-    "decoder_depths": _DEPTHS,
+    # one encoder stack per level, and at least one level
+    "encoder_depths": (
+        (Integral, _ANY_LENGTH[1:]), _COUNT[1], "a non-empty list of integers >= 1"
+    ),
+    "decoder_depths": ((Integral, _ANY_LENGTH), _COUNT[1], "a list of integers >= 1"),
     "decoder_layers": _COUNT,
     "state_size": _COUNT,
     "zoh_mode": (str, ("exact", "simplified").__contains__, "exact|simplified"),
@@ -107,8 +111,8 @@ def check_config(config, *names, **renamed):
         kind, test, rule = CONFIG_RULES[key]
         items = (value,)
         if isinstance(kind, tuple):
-            kind, length = kind
-            shaped = isinstance(value, (list, tuple)) and length in (None, len(value))
+            kind, lengths = kind
+            shaped = isinstance(value, (list, tuple)) and len(value) in lengths
             items = value if shaped else (None,)  # None fails every type
         if not all(isinstance(v, kind) and not isinstance(v, bool) and test(v) for v in items):
             raise InvalidConfig(f"{key} must be {rule}, got {value!r}")

@@ -213,7 +213,12 @@ class InferenceTrace:
 
 
 def infer_flow(scene, weights, config, trace=None):
-    """Predict per-point flow for the scene's prediction frame."""
+    """Predict per-point flow for the scene's prediction frame.
+
+    Untraced, every array is dropped once its last reader has run: from the
+    backbone on, only the prediction frame's voxelization result and point
+    features are kept of the per-frame state.  A trace keeps the rest.
+    """
     grid = config.grid()
     slot = FRAME_T if config.decode_frame == "t" else FRAME_T1
     results, voxel_feats = [], []
@@ -226,17 +231,22 @@ def infer_flow(scene, weights, config, trace=None):
         if frame.frame_index == slot:
             point_feats_t = pf
 
-    stacked = stack_temporal(results, voxel_feats)
-    if trace is not None:
-        trace.voxel_features = voxel_feats
-    del voxel_feats  # the stacked tensor holds copies of these rows
-    # In canonical order the prediction frame's rows are one range, and the
-    # decoder reads nothing else; a trace keeps the whole backbone output.
-    lo = sum(res.n_voxels for res in results[:slot])
-    rows = None if trace is not None else (lo, lo + results[slot].n_voxels)
-    refined = backbone_forward(stacked, config.stdcb_config(), weights.backbone, rows)
-
+    # Handed over by ``pop`` so that the backbone call holds the only
+    # reference and can free the stacked input after its last reader.
+    stacked = [stack_temporal(results, voxel_feats)]
     res_t = results[slot]
+    if trace is not None:
+        trace.results, trace.voxel_features, trace.stacked = results, voxel_feats, stacked[0]
+        rows = None  # a trace keeps the whole backbone output
+    else:
+        # In canonical order the prediction frame's rows are one range, and
+        # the decoder reads nothing else.
+        lo = sum(res.n_voxels for res in results[:slot])
+        rows = (lo, lo + res_t.n_voxels)
+        del results, res, pf
+    del voxel_feats  # the stacked tensor holds copies of these rows
+    refined = backbone_forward(stacked.pop(), config.stdcb_config(), weights.backbone, rows)
+
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
     keys[:, 0] = slot
     keys[:, 1:] = res_t.voxel_coords
@@ -245,13 +255,11 @@ def infer_flow(scene, weights, config, trace=None):
         raise ShapeError("backbone dropped prediction-frame voxels")
     f3d_t = refined.features[idx]
     if trace is not None:
-        trace.results = results
-        trace.stacked = stacked
         trace.backbone_out = refined
         trace.frame_t_voxel_features = f3d_t
         trace.coarse_point_features = point_feats_t
     # The decoder sets the peak memory: keep alive only what it reads.
-    del results, stacked, refined
+    del refined
     return decode(
         f3d_t, point_feats_t, res_t.offsets, res_t, weights.decoder,
         config.decoder_config(),

@@ -469,17 +469,32 @@ def downsample2(tensor):
     sums = np.zeros((len(first), tensor.n_channels))
     np.add.at(sums, inverse, tensor.features)
     counts = np.bincount(inverse, minlength=len(first))
-    return SparseTensor4D(parents[first], sums / counts[:, None], _canonical=True)
+    np.divide(sums, counts[:, None], out=sums)
+    return SparseTensor4D(parents[first], sums, _canonical=True)
 
 
-def upsample_into(coarse, fine_coords):
-    """Copy each parent feature to its child active sites (nearest unpooling)."""
-    parents = np.asarray(fine_coords, dtype=np.int64).copy()
-    parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
-    idx, found = coarse.lookup(parents)
-    if not np.all(found):
-        raise AlignmentError("fine active site without a coarse parent")
-    return coarse.features[idx]
+def upsample_into(coarse, fine):
+    """Add each parent's features into its child rows of ``fine`` in place
+    (nearest unpooling onto a skip) and return ``fine``.
+
+    ``fine``'s features must be an array nothing else reads, such as a
+    fresh block output.  Parents are looked up one ``BLOCK_TILE`` of rows
+    at a time into one (N,) index, so no other array of length N is
+    allocated; a fine site without a parent raises AlignmentError before
+    any row is written.  ``skip + parent`` rounds as ``parent + skip``.
+    """
+    n = fine.n_active
+    idx = np.empty(n, dtype=np.int64)
+    for t0 in range(0, n, BLOCK_TILE):
+        parents = fine.coords[t0 : t0 + BLOCK_TILE].copy()
+        parents[:, 1:] //= 2
+        idx[t0 : t0 + BLOCK_TILE], found = coarse.lookup(parents)
+        if not np.all(found):
+            raise AlignmentError("fine active site without a coarse parent")
+    for t0 in range(0, n, BLOCK_TILE):
+        tile = slice(t0, t0 + BLOCK_TILE)
+        fine.features[tile] += coarse.features.take(idx[tile], axis=0)
+    return fine
 
 
 def _cut_last(blocks, kmap, rows):
@@ -503,34 +518,44 @@ def backbone_forward(f_4d, config, weights, rows=None):
     the last block run at level 0 and the outer residual are cut to the
     range: every earlier block feeds a temporal conv or ``downsample2``, and
     both mix rows.
+
+    Every array is dropped once its last reader has run.  The input is read
+    by level 0's encoder stack and then only by the outer residual: with a
+    range, only its rows are kept past that stack, and a single level, which
+    has no residual, keeps none of it past the first block.  This frees the
+    input only if the caller holds no reference to it.  Each decoder level
+    adds the upsampled coarse features into its skip's rows in place.
     """
     if len(weights.encoder) != config.n_levels or len(weights.decoder) != config.n_levels - 1:
         raise ShapeError("weights do not match the configured level count")
     # One KernelMap per level serves that level's encoder and decoder blocks.
     # Maps live only in these locals, so each is dropped once its level's
     # decoder stack has run and none survives the return.
-    x = f_4d
-    skips = []
+    x, skips = f_4d, []
+    if config.n_levels == 1:
+        del f_4d
     for level in range(config.n_levels):
         kmap = KernelMap(x.coords)
         cut = rows if config.n_levels == 1 else None
         for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
             x = stdcb_forward(x, block, **kwargs)
         if level < config.n_levels - 1:
+            if level == 0 and rows is not None:
+                # Only the outer residual reads the input from here on, and
+                # only these rows; a view of them would keep it all alive.
+                f_4d = f_4d.rows(*rows)
+                f_4d = f_4d.with_features(f_4d.features.copy())
             skips.append((x, kmap))
             x = downsample2(x)
     if config.n_levels == 1:
         return x
     for level in range(config.n_levels - 2, -1, -1):
         skip, kmap = skips.pop()
-        up = upsample_into(x, skip.coords)
-        up += skip.features
-        x = skip.with_features(up)
-        del skip, up  # the skip's rows are summed in; nothing else reads them
+        x = upsample_into(x, skip)
+        del skip  # x is the skip now; only the first decoder block reads it
         for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
             x = stdcb_forward(x, block, **kwargs)
-    base = f_4d if rows is None else f_4d.rows(*rows)
-    return base.with_features(base.features + x.features)
+    return f_4d.with_features(f_4d.features + x.features)
 
 
 def count_parameters(weights):

@@ -8,6 +8,7 @@ Out-of-bounds points are flagged with a sentinel, never dropped.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +55,7 @@ class VoxelizationResult:
         self.offsets = offsets
         self.point_coords = point_coords  # raw floor coords, may be out of range
         self.voxel_coords = voxel_coords  # (V, 3), occupied, lexicographic order
-        in_bounds = assignment != OUT_OF_BOUNDS
-        self.in_bounds = in_bounds
-        order = np.argsort(assignment[in_bounds], kind="stable")
-        members = np.flatnonzero(in_bounds)[order]
-        counts = np.bincount(assignment[in_bounds], minlength=len(voxel_coords))
-        self._indptr = np.concatenate(([0], np.cumsum(counts)))
-        self._members = members
+        self.in_bounds = assignment != OUT_OF_BOUNDS
 
     @property
     def n_points(self):
@@ -70,9 +65,20 @@ class VoxelizationResult:
     def n_voxels(self):
         return len(self.voxel_coords)
 
+    @cached_property
+    def _membership(self):
+        """(indptr, members): the points of voxel v, ascending, are
+        members[indptr[v]:indptr[v + 1]].  Built on first use, since
+        inference never reads it."""
+        assigned = self.assignment[self.in_bounds]
+        members = np.flatnonzero(self.in_bounds)[np.argsort(assigned, kind="stable")]
+        counts = np.bincount(assigned, minlength=self.n_voxels)
+        return np.concatenate(([0], np.cumsum(counts))), members
+
     def points_in_voxel(self, v):
         """Original indices of the points assigned to occupied voxel v."""
-        return self._members[self._indptr[v] : self._indptr[v + 1]]
+        indptr, members = self._membership
+        return members[indptr[v] : indptr[v + 1]]
 
     def clamped_coords(self):
         """Per-point voxel coords clipped into the grid (for serialization of

@@ -184,6 +184,11 @@ def test_selftest_passes_and_filter(capsys):
     assert capsys.readouterr().out.splitlines() == ["stdcb.downsample: ok"]
 
 
+def test_selftest_checks_upsample(capsys):
+    assert run("selftest", "--filter", "upsample") == 0
+    assert capsys.readouterr().out.splitlines() == ["stdcb.upsample: ok"]
+
+
 def test_config_file_and_flag_overrides(scene_path, tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"decoder_layers": 2, "k_bins": 50}))
@@ -273,6 +278,21 @@ def test_run_config_validation():
     with pytest.raises(InvalidConfig):
         RunConfig.from_mapping({"nope": 3})
     assert CONFIG_RULES.keys() == RunConfig.__dataclass_fields__.keys()
+
+
+def test_empty_encoder_depths_gets_the_rule_message(scene_path, tmp_path, capsys):
+    from sfkit.errors import InvalidConfig
+
+    message = "encoder_depths must be a non-empty list of integers >= 1, got []"
+    with pytest.raises(InvalidConfig) as err:
+        RunConfig.from_mapping({"encoder_depths": []})
+    assert str(err.value) == message
+    assert run("infer", scene_path, "--out", tmp_path / "f.sffl",
+               "--set", "encoder_depths=[]") == 2
+    assert message in capsys.readouterr().err
+    # A single level has no transition, so it takes no decoder stack.
+    config = RunConfig.from_mapping({"encoder_depths": [2], "decoder_depths": []})
+    assert config.stdcb_config().n_levels == 1
 
 
 def test_ply_export_flag(tmp_path):

@@ -721,12 +721,15 @@ def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
     config = stdcb.StdcbConfig(channels=4, encoder_depths=(1, 1, 1), decoder_depths=(1, 1))
     weights = stdcb.BackboneWeights.seeded(config, rng)
     decoder_blocks = {id(block) for stack in weights.decoder for block in stack}
-    encoder_rows, alive = [], []
+    encoder_rows, alive, in_place = [], [], []
     real_block = stdcb.stdcb_forward
 
     def block(x, w, *, kmap=None):
         if id(w) in decoder_blocks:
-            alive.append(sum(ref() is not None for ref in encoder_rows))
+            live = [ref() for ref in encoder_rows if ref() is not None]
+            alive.append(len(live))
+            in_place.append(any(rows is x.features for rows in live))
+            del live
         out = real_block(x, w, kmap=kmap)
         if id(w) not in decoder_blocks:
             encoder_rows.append(weakref.ref(out.features))
@@ -735,8 +738,11 @@ def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
     monkeypatch.setattr(stdcb, "stdcb_forward", block)
     stdcb.backbone_forward(tensor, config, weights)
     # Entering the level-1 decoder, only the level-0 skip is still needed;
-    # entering the level-0 decoder, no encoder output is.
-    assert alive == [1, 0]
+    # entering the level-0 decoder, no encoder output is.  Besides those,
+    # the one live encoder output is the skip the decoder block reads,
+    # which the upsampled features were added into.
+    assert alive == [2, 1]
+    assert in_place == [True, True]
 
 
 def test_infer_flow_drops_backbone_tensors_before_decode(monkeypatch):
@@ -789,6 +795,77 @@ def test_infer_flow_drops_voxel_features_before_backbone(monkeypatch, traced):
     infer_flow(scene, init_pipeline_weights(config, 7), config, trace=trace)
     # Five frames; a trace keeps them, otherwise the stacked tensor's copy is all.
     assert alive == [traced] * 5
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_infer_flow_frees_stacked_input_and_frame_state_before_level_1(monkeypatch, traced):
+    import sfkit.pipeline as pipeline
+
+    refs, level, alive = [], [0], []
+
+    def keeping(fn, pick):
+        def wrapper(*args):
+            out = fn(*args)
+            held = pick(args, out)
+            if held is not None:
+                refs.append(weakref.ref(held))
+            return out
+        return wrapper
+
+    def stepping(fn, step):
+        def wrapper(*args):
+            level[0] += step
+            return fn(*args)
+        return wrapper
+
+    def block(x, w, **kwargs):
+        if level[0] == 1:
+            alive.append([ref() is not None for ref in refs])
+        return real_block(x, w, **kwargs)
+
+    real_block = stdcb.stdcb_forward
+    # Every result but the prediction frame's, frame t+1's point features
+    # and the stacked input's features.
+    monkeypatch.setattr(pipeline, "voxelize", keeping(
+        pipeline.voxelize, lambda args, out: out if args[0].frame_index != pc.FRAME_T else None))
+    monkeypatch.setattr(pipeline, "encode_point_features", keeping(
+        pipeline.encode_point_features,
+        lambda args, out: out if args[0].frame_index == pc.FRAME_T1 else None))
+    monkeypatch.setattr(pipeline, "stack_temporal", keeping(
+        pipeline.stack_temporal, lambda args, out: out.features))
+    monkeypatch.setattr(stdcb, "downsample2", stepping(stdcb.downsample2, 1))
+    monkeypatch.setattr(stdcb, "upsample_into", stepping(stdcb.upsample_into, -1))
+    monkeypatch.setattr(stdcb, "stdcb_forward", block)
+    scene = pc.synth_scene(pc.SceneConfig(n_background=200, movers=()), 9)
+    config = RunConfig()
+    trace = InferenceTrace() if traced else None
+    infer_flow(scene, init_pipeline_weights(config, 9), config, trace=trace)
+    assert len(refs) == 6
+    assert alive == [[traced] * 6]  # desk: one level-1 encoder block
+
+
+def test_infer_flow_peak_memory_bound():
+    # N stacked rows of C channels: at its peak, the level-1 block, the
+    # untraced inference holds about five (N, C) arrays above its entry.
+    scene = pc.synth_scene(pc.SceneConfig(n_background=16000, movers=()), 67)
+    config = RunConfig()
+    weights = init_pipeline_weights(config, 67)
+    trace = InferenceTrace()
+    infer_flow(scene, weights, config, trace=trace)
+    n, c = trace.stacked.features.shape
+    del trace
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        infer_flow(scene, weights, config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 6 * n * c * 8
 
 
 def test_backbone_parameter_count_matches_formula():
@@ -858,6 +935,51 @@ def test_downsample_matches_row_unique_form(case):
 def test_upsample_copies_parent_feature():
     coords = np.array([[0, 0, 0, 0], [0, 2, 2, 2]])
     coarse = SparseTensor4D(coords, np.array([[1.0], [5.0]]))
-    fine = np.array([[0, 0, 1, 0], [0, 1, 1, 1], [0, 4, 4, 5], [0, 5, 5, 4]])
+    fine = SparseTensor4D(
+        np.array([[0, 0, 1, 0], [0, 1, 1, 1], [0, 4, 4, 5], [0, 5, 5, 4]]), np.zeros((4, 1))
+    )
     up = stdcb.upsample_into(coarse, fine)
-    assert np.allclose(up[:, 0], [1.0, 1.0, 5.0, 5.0])
+    assert up is fine
+    assert np.allclose(up.features[:, 0], [1.0, 1.0, 5.0, 5.0])
+    rng = np.random.default_rng(66)
+    fine = fine.with_features(rng.normal(size=(4, 1)))
+    lookup = [0, 0, 1, 1]
+    expect = coarse.features[lookup] + fine.features
+    assert stdcb.upsample_into(coarse, fine).features.tobytes() == expect.tobytes()
+
+
+def parent_rows(coarse, fine):
+    parents = fine.coords.copy()
+    parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
+    return coarse.lookup(parents)
+
+
+def test_tiled_upsample_bytes_match_lookup_and_add(monkeypatch):
+    rng = np.random.default_rng(67)
+    fine = tiled_tensor(rng)
+    assert fine.n_active % 7 == 1  # the tail tile has one row
+    coarse = stdcb.downsample2(fine)
+    coarse = coarse.with_features(rng.normal(size=coarse.features.shape))
+    lookup, found = parent_rows(coarse, fine)
+    assert found.all()
+    expect = coarse.features[lookup] + fine.features
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 7)
+    assert stdcb.upsample_into(coarse, fine) is fine
+    assert fine.features.tobytes() == expect.tobytes()
+
+
+def test_upsample_orphan_in_a_later_tile_writes_no_row(monkeypatch):
+    rng = np.random.default_rng(68)
+    fine = tiled_tensor(rng)
+    coarse = stdcb.downsample2(fine)
+    # Drop the last fine row's parent; its children all lie past the first tile.
+    last, _ = parent_rows(coarse, fine.rows(fine.n_active - 1, fine.n_active))
+    keep = np.arange(coarse.n_active) != last[0]
+    coarse = SparseTensor4D(coarse.coords[keep], coarse.features[keep], _canonical=True)
+    _, found = parent_rows(coarse, fine)
+    assert np.flatnonzero(~found).min() >= 7
+    before = fine.features.copy()
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 7)
+    with pytest.raises(AlignmentError, match="without a coarse parent"):
+        stdcb.upsample_into(coarse, fine)
+    assert fine.features.tobytes() == before.tobytes()

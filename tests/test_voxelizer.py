@@ -72,6 +72,20 @@ def test_every_in_bounds_point_in_exactly_one_voxel():
     assert sorted(seen) == sorted(np.flatnonzero(res.in_bounds))
 
 
+def test_lazy_membership_matches_eager_form():
+    rng = np.random.default_rng(3)
+    res = vx.voxelize(random_cloud(rng, 800, lo=-3.0, hi=13.0), small_grid())
+    assert not res.in_bounds.all()
+    assert "_membership" not in vars(res)  # nothing is built until asked for
+    # The eager form: a stable argsort of the in-grid assignments.
+    order = np.argsort(res.assignment[res.in_bounds], kind="stable")
+    members = np.flatnonzero(res.in_bounds)[order]
+    counts = np.bincount(res.assignment[res.in_bounds], minlength=res.n_voxels)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    for v in range(res.n_voxels):
+        assert np.array_equal(res.points_in_voxel(v), members[indptr[v] : indptr[v + 1]])
+
+
 def test_translation_consistency():
     rng = np.random.default_rng(2)
     pts = rng.uniform(0.0, 10.0, (300, 3))
