@@ -18,54 +18,19 @@ from .pointcloud import FlowField
 from .serialization import deserialize, serialize
 from .ssm import DEFAULT_BLOCK_SIZE, ZohMode, flow_ssm_layer
 from .voxelizer import devoxelize_coarse
-from .weights import MlpWeights, ZeroRng, uniform_init
+from .weights import MlpWeights
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
+    """Scan settings; the feature widths come from the weights."""
+
     n_layers: int = 1  # one refinement pass balances accuracy and speed
-    channels: int = 16
-    state_size: int = 16
     zoh_mode: ZohMode = ZohMode.SIMPLIFIED
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        check_config(self, "channels", "state_size", "block_size", n_layers="decoder_layers")
-
-
-@dataclass(frozen=True)
-class FlowHeadWeights:
-    """Perceptron (2C + C) -> C -> 3 producing per-point flow."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def __post_init__(self):
-        if self.w1.shape[1] != self.w2.shape[0] or self.w2.shape[1] != 3:
-            raise ShapeError(
-                f"head must end in 3 outputs, got {self.w1.shape} -> {self.w2.shape}"
-            )
-        if self.b1.shape != (self.w1.shape[1],) or self.b2.shape != (3,):
-            raise ShapeError("head bias shapes inconsistent")
-
-    @classmethod
-    def seeded(cls, channels, rng):
-        return cls(
-            w1=uniform_init(rng, (3 * channels, channels)),
-            b1=uniform_init(rng, (channels,)),
-            w2=uniform_init(rng, (channels, 3)),
-            b2=uniform_init(rng, (3,)),
-        )
-
-    @classmethod
-    def zeros(cls, channels):
-        return cls.seeded(channels, ZeroRng())
-
-    def apply(self, feats):
-        hidden = np.maximum(feats @ self.w1 + self.b1, 0.0)
-        return hidden @ self.w2 + self.b2
+        check_config(self, "block_size", n_layers="decoder_layers")
 
 
 def encode_offsets(p_offset, w):
@@ -100,7 +65,7 @@ def assemble_coarse(voxel_features, point_features, assignment):
 class DecoderWeights:
     offset_encoder: MlpWeights  # 3 -> C -> C
     ssm_layers: tuple  # one SsmParams per cascade layer
-    head: FlowHeadWeights
+    head: MlpWeights  # flow head, 2C + C -> C -> 3
 
 
 def decode(voxel_features, point_features, p_offset, assignment, weights, config):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, ShapeError
+from .errors import EmptyInput, InvalidConfig
+from .metrics import epe, magnitudes
 
 DEFAULT_K = 100
 # Speed thresholds splitting the three-bucket baseline loss, in m/s.
@@ -67,24 +68,11 @@ class LossBreakdown:
     fallback: bool
 
 
-def _magnitudes(flow):
-    vectors = flow.vectors if hasattr(flow, "vectors") else np.asarray(flow, float)
-    return np.linalg.norm(vectors, axis=1)
-
-
-def _residual_norms(pred, gt):
-    p = pred.vectors if hasattr(pred, "vectors") else np.asarray(pred, float)
-    g = gt.vectors if hasattr(gt, "vectors") else np.asarray(gt, float)
-    if p.shape != g.shape:
-        raise ShapeError(f"pred {p.shape} vs gt {g.shape}")
-    return np.linalg.norm(p - g, axis=1)
-
-
 def build_histogram(gt_flow, k=DEFAULT_K):
     """Bin ground-truth displacement magnitudes into k equal-width bins."""
     if k < 2:
         raise InvalidConfig(f"need at least 2 bins, got {k}")
-    r = _magnitudes(gt_flow)
+    r = magnitudes(gt_flow)
     n = len(r)
     if n == 0:
         raise EmptyInput("cannot histogram an empty flow field")
@@ -110,7 +98,7 @@ def select_threshold(hist):
 
 def partition(gt_flow, threshold):
     """Index sets (static, dynamic): static iff displacement <= r_alpha."""
-    r = _magnitudes(gt_flow)
+    r = magnitudes(gt_flow)
     static = np.flatnonzero(r <= threshold.r_alpha)
     dynamic = np.flatnonzero(r > threshold.r_alpha)
     return static, dynamic
@@ -121,7 +109,7 @@ def scene_adaptive_loss(pred, gt, k=DEFAULT_K):
 
     An empty side contributes zero rather than 0/0.
     """
-    err = _residual_norms(pred, gt)
+    err = epe(pred, gt)
     hist = build_histogram(gt, k)
     thr = select_threshold(hist)
     static, dynamic = partition(gt, thr)
@@ -143,8 +131,8 @@ def three_bucket_loss(pred, gt, dt):
     """Speed-bucketed baseline: sum of mean EPE over [0,0.4), [0.4,1), [1,inf) m/s."""
     if dt <= 0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    err = _residual_norms(pred, gt)
-    speed = _magnitudes(gt) / dt
+    err = epe(pred, gt)
+    speed = magnitudes(gt) / dt
     lo, hi = BUCKET_SPEEDS
     total = 0.0
     for sel in (speed < lo, (speed >= lo) & (speed < hi), speed >= hi):

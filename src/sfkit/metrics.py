@@ -34,6 +34,11 @@ def _vectors(flow):
     return flow.vectors if hasattr(flow, "vectors") else np.asarray(flow, dtype=float)
 
 
+def magnitudes(flow):
+    """Per-point L2 norm of a flow field or an (N, 3) array."""
+    return np.linalg.norm(_vectors(flow), axis=1)
+
+
 def _aligned(pred, gt):
     p, g = _vectors(pred), _vectors(gt)
     if p.shape != g.shape:
@@ -126,7 +131,7 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
     if object_classes.shape != mask.shape:
         raise ShapeError("object class array must align with the mask")
 
-    gt_mag = np.linalg.norm(_vectors(gt), axis=1)
+    gt_mag = magnitudes(gt)
     with np.errstate(over="ignore"):  # infinite bucket positions are refused below
         bucket_pos = gt_mag / dt / bucket_width
     dynamic = mask == MotionClass.FOREGROUND_DYNAMIC

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decoder import DecoderConfig, DecoderWeights, FlowHeadWeights, decode
+from .decoder import DecoderConfig, DecoderWeights, decode
 from .errors import CONFIG_RULES, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
 from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, ZohMode
@@ -75,8 +75,6 @@ class RunConfig:
     def decoder_config(self):
         return DecoderConfig(
             n_layers=self.decoder_layers,
-            channels=self.channels,
-            state_size=self.state_size,
             zoh_mode=ZohMode(self.zoh_mode),
             block_size=self.block_size,
         )
@@ -121,7 +119,7 @@ def _build_pipeline_weights(config, rng):
         SsmParams.seeded(2 * c, config.state_size, c, rng)
         for _ in range(config.decoder_layers)
     )
-    head = FlowHeadWeights.seeded(c, rng)
+    head = MlpWeights.seeded(3 * c, c, 3, rng)
     return PipelineWeights(
         point_encoder=point_encoder,
         backbone=backbone,

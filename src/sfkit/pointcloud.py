@@ -364,25 +364,31 @@ def sample_mover_specs(n_movers, seed, bounds_lo=(-8.0, -8.0, -1.0),
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    """Byte cursor that raises FormatError with the failing offset."""
+class ByteReader:
+    """Byte cursor over a whole file that raises FormatError with the offset
+    of the failing read; ``kind`` names the file in the message.  It reads
+    SFSC, SFFL and SFWT files."""
 
-    def __init__(self, data):
+    def __init__(self, data, kind="file"):
         self.data = data
+        self.kind = kind
         self.pos = 0
 
     def take(self, n, what):
         if self.pos + n > len(self.data):
-            raise FormatError(f"truncated file while reading {what}", self.pos)
+            raise FormatError(f"truncated {self.kind} while reading {what}", self.pos)
         out = self.data[self.pos : self.pos + n]
         self.pos += n
         return out
 
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
     def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
+        return self.unpack("<H", what)[0]
 
     def u64(self, what):
-        return struct.unpack("<Q", self.take(8, what))[0]
+        return self.unpack("<Q", what)[0]
 
     def f32_triplets(self, count, what):
         raw = self.take(12 * count, what)
@@ -427,7 +433,7 @@ def load_scene(path):
     """Read an SFSC scene file; inverse of save_scene for f32-quantized data."""
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data)
+    r = ByteReader(data)
     if r.take(4, "magic") != SCENE_MAGIC:
         raise FormatError("bad magic, not an SFSC scene file", 0)
     version = r.u16("version")
@@ -478,7 +484,7 @@ def save_flow(flow, path):
 def load_flow(path):
     with open(path, "rb") as fh:
         data = fh.read()
-    r = _Reader(data)
+    r = ByteReader(data)
     if r.take(4, "magic") != FLOW_MAGIC:
         raise FormatError("bad magic, not an SFFL flow file", 0)
     version = r.u16("version")

@@ -4,7 +4,10 @@ Each block runs three decomposed submanifold convolutions (spatial 3x3x3x1,
 temporal 1x1x1x3, and a temporally dilated 1x1x1x3 for cross-timestep
 reach), fuses the temporal branches through a sigmoid-gated soft selection,
 modulates the spatial branch with a (1 + beta) gate, and fuses everything
-back onto the input through a point-wise convolution.  All convolutions are
+back onto the input through a point-wise convolution.  beta is the sigmoid
+of two point-wise convolutions with a ReLU between them: a two-layer
+perceptron, held as the ``weights.MlpWeights`` that also serves the point
+encoder, the offset encoder and the flow head.  All convolutions are
 submanifold: outputs exist exactly at the input's active sites, so residual
 connections are always well defined.
 """
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import AlignmentError, InvalidConfig, ShapeError, check_config
 from .ssm import sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides
-from .weights import flatten_tree, uniform_init
+from .weights import MlpWeights, flatten_tree, uniform_init
 
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
 GAP1_DILATION = 2
@@ -170,17 +173,6 @@ def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
     return tensor.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
-def pointwise(tensor, weight, bias):
-    """1x1x1x1 convolution: a per-site linear map."""
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape[0] != tensor.n_channels:
-        raise ShapeError(
-            f"pointwise weight expects {weight.shape[0]} channels, tensor has "
-            f"{tensor.n_channels}"
-        )
-    return tensor.with_features(tensor.features @ weight + bias)
-
-
 def _require_aligned(a, b, what):
     if a.n_channels != b.n_channels:
         raise ShapeError(f"{what}: channel counts differ ({a.n_channels} vs {b.n_channels})")
@@ -268,41 +260,6 @@ def sfsm(f_main, f_aux, w, *, buf=None):
     return f_main.with_features(out)
 
 
-@dataclass(frozen=True)
-class GateWeights:
-    """Two point-wise convolutions producing the temporal attention beta."""
-
-    w1: np.ndarray  # (C, C)
-    b1: np.ndarray
-    w2: np.ndarray  # (C, C)
-    b2: np.ndarray
-
-    def __post_init__(self):
-        c = self.w1.shape[0]
-        if self.w1.shape != (c, c) or self.w2.shape != (c, c):
-            raise ShapeError("gate convolutions must be square (C, C)")
-        if self.b1.shape != (c,) or self.b2.shape != (c,):
-            raise ShapeError("gate biases must be (C,)")
-
-    @classmethod
-    def seeded(cls, channels, rng):
-        return cls(
-            w1=uniform_init(rng, (channels, channels)),
-            b1=uniform_init(rng, (channels,)),
-            w2=uniform_init(rng, (channels, channels)),
-            b2=uniform_init(rng, (channels,)),
-        )
-
-    def beta(self, feats):
-        hidden = feats @ self.w1
-        hidden += self.b1
-        np.maximum(hidden, 0.0, out=hidden)
-        z = hidden @ self.w2
-        del hidden
-        z += self.b2
-        return sigmoid(z, out=z)
-
-
 def temporal_gated_block(f_spatial, f_temporal, f_temporal_ct, sfsm_w, gate_w, *, buf=None):
     """Fuse the temporal branches, then scale the spatial branch by (1 + beta).
 
@@ -314,7 +271,8 @@ def temporal_gated_block(f_spatial, f_temporal, f_temporal_ct, sfsm_w, gate_w, *
     # Consumed: a caller that passed the branches inline frees them here.
     del f_temporal, f_temporal_ct
     _require_aligned(f_spatial, f_temporal_fused, "temporal gate")
-    mod = gate_w.beta(f_temporal_fused.features)
+    mod = gate_w.apply(f_temporal_fused.features)
+    sigmoid(mod, out=mod)  # beta
     mod += 1.0
     mod *= f_spatial.features
     return f_spatial.with_features(mod), f_temporal_fused
@@ -328,7 +286,7 @@ class StdcbWeights:
     conv_temporal: ConvKernel4D  # 1x1x1x3
     conv_cross: ConvKernel4D  # 1x1x1x3, temporally dilated
     sfsm_temporal: SfsmWeights
-    gate: GateWeights
+    gate: MlpWeights  # C -> C -> C, then a sigmoid: the temporal attention beta
     sfsm_fuse: SfsmWeights
     fuse_w: np.ndarray  # (2C, C)
     fuse_b: np.ndarray
@@ -342,7 +300,7 @@ class StdcbWeights:
                 (1, 1, 1, 3), channels, channels, rng, dilation_t=cross_dilation
             ),
             sfsm_temporal=SfsmWeights.seeded(channels, rng),
-            gate=GateWeights.seeded(channels, rng),
+            gate=MlpWeights.seeded(channels, channels, channels, rng),
             sfsm_fuse=SfsmWeights.seeded(channels, rng),
             fuse_w=uniform_init(rng, (2 * channels, channels)),
             fuse_b=uniform_init(rng, (channels,)),

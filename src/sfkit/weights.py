@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import FormatError, ShapeError
+from .pointcloud import ByteReader
 
 WEIGHTS_MAGIC = b"SFWT"
 WEIGHTS_VERSION = 1
@@ -71,12 +72,20 @@ class MlpWeights:
         return cls.seeded(n_in, n_hidden, n_out, ZeroRng())
 
     def apply(self, x):
-        """Row-wise forward pass over an (N, n_in) matrix."""
+        """Row-wise forward pass over an (N, n_in) matrix.
+
+        The two matmuls allocate; the bias adds and the ReLU run in place,
+        bit for bit ``np.maximum(x @ w1 + b1, 0.0) @ w2 + b2``.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeError(f"expected (N, {self.n_in}) input, got {x.shape}")
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return hidden @ self.w2 + self.b2
+        hidden = x @ self.w1
+        hidden += self.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ self.w2
+        out += self.b2
+        return out
 
 
 def save_weight_dict(weights, path):
@@ -101,37 +110,27 @@ def load_weight_dict(path):
     FormatError at the offset where it starts.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(data):
-            raise FormatError(f"truncated weight file while reading {what}", pos)
-        out = data[pos : pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != WEIGHTS_MAGIC:
+        r = ByteReader(fh.read(), "weight file")
+    if r.take(4, "magic") != WEIGHTS_MAGIC:
         raise FormatError("bad magic, not an SFWT weight file", 0)
-    version = struct.unpack("<H", take(2, "version"))[0]
+    version = r.u16("version")
     if version != WEIGHTS_VERSION:
         raise FormatError(f"unsupported weight format version {version}", 4)
     out = {}
-    while pos < len(data):
-        start = pos
-        name_len = struct.unpack("<H", take(2, "section name length"))[0]
+    while r.pos < len(r.data):
+        start = r.pos
+        name_len = r.u16("section name length")
         try:
-            name = take(name_len, "section name").decode("utf-8")
+            name = r.take(name_len, "section name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("section name is not UTF-8", start + 2) from None
         if name in out:
             raise FormatError(f"duplicate section {name!r}", start)
-        rank = struct.unpack("<B", take(1, f"{name} rank"))[0]
+        rank = r.unpack("<B", f"{name} rank")[0]
         if rank > 64:  # numpy's limit
-            raise FormatError(f"{name} rank {rank} exceeds 64", pos - 1)
-        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"{name} dims"))
-        payload = take(8 * math.prod(dims), f"{name} payload")
+            raise FormatError(f"{name} rank {rank} exceeds 64", r.pos - 1)
+        dims = r.unpack(f"<{rank}I", f"{name} dims")
+        payload = r.take(8 * math.prod(dims), f"{name} payload")
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
     return out
 

@@ -14,7 +14,7 @@ from sfkit import loss as loss_mod
 from sfkit import metrics, ssm, stdcb
 from sfkit import pointcloud as pc
 from sfkit.cli import main as cli_main
-from sfkit.decoder import DecoderConfig, DecoderWeights, FlowHeadWeights, decode
+from sfkit.decoder import DecoderConfig, DecoderWeights, decode
 from sfkit.pipeline import RunConfig, init_pipeline_weights
 from sfkit.serialization import deserialize, morton_codes, morton_decode, serialize
 from sfkit.ssm import SsmParams, ZohMode
@@ -228,11 +228,12 @@ def test_criterion_07_temporal_gate_bound():
     cross = tensor.with_features(rng.normal(size=(tensor.n_active, channels)))
     out, _ = stdcb.temporal_gated_block(
         ones, temporal, cross,
-        stdcb.SfsmWeights.seeded(channels, rng), stdcb.GateWeights.seeded(channels, rng),
+        stdcb.SfsmWeights.seeded(channels, rng),
+        MlpWeights.seeded(channels, channels, channels, rng),
     )
     assert np.all(out.features > 1.0) and np.all(out.features < 2.0)
 
-    zero_gate = stdcb.GateWeights(
+    zero_gate = MlpWeights(
         w1=np.zeros((channels, channels)), b1=np.zeros(channels),
         w2=np.zeros((channels, channels)), b2=np.zeros(channels),
     )
@@ -364,11 +365,11 @@ def test_criterion_11_devoxelization_refinement():
     weights = DecoderWeights(
         offset_encoder=MlpWeights.seeded(3, channels, channels, rng),
         ssm_layers=(SsmParams.seeded(2 * channels, 8, channels, rng),),
-        head=FlowHeadWeights.seeded(channels, rng),
+        head=MlpWeights.seeded(3 * channels, channels, 3, rng),
     )
     flow = decode(
         voxel_features, point_features, res.offsets, res, weights,
-        DecoderConfig(n_layers=1, channels=channels, state_size=8),
+        DecoderConfig(n_layers=1),
     )
     separation = np.linalg.norm(flow.vectors[0] - flow.vectors[1])
     assert separation > 1e-9, f"co-voxel outputs separated by only {separation:.2e}"

@@ -23,12 +23,12 @@ def seeded_weights(rng, channels=4, state=4, n_layers=1):
         ssm_layers=tuple(
             SsmParams.seeded(2 * channels, state, channels, rng) for _ in range(n_layers)
         ),
-        head=dec.FlowHeadWeights.seeded(channels, rng),
+        head=MlpWeights.seeded(3 * channels, channels, 3, rng),
     )
 
 
-def config(channels=4, state=4, n_layers=1):
-    return dec.DecoderConfig(n_layers=n_layers, channels=channels, state_size=state)
+def config(n_layers=1):
+    return dec.DecoderConfig(n_layers=n_layers)
 
 
 # --- offset encoder -----------------------------------------------------------
@@ -133,7 +133,7 @@ def test_all_zero_weights_give_zero_flow():
     w = dec.DecoderWeights(
         offset_encoder=MlpWeights.zeros(3, 4, 4),
         ssm_layers=(SsmParams.zeros(8, 4, 4),),
-        head=dec.FlowHeadWeights.zeros(4),
+        head=MlpWeights.zeros(12, 4, 3),
     )
     flow = dec.decode(vf, pf, res.offsets, res, w, config())
     assert np.array_equal(flow.vectors, np.zeros((20, 3)))
@@ -196,7 +196,7 @@ def test_decoder_config_validation():
     with pytest.raises(InvalidConfig):
         dec.DecoderConfig(n_layers=0)
     with pytest.raises(InvalidConfig):
-        dec.DecoderConfig(channels=0)
+        dec.DecoderConfig(block_size=0)
 
 
 def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights,
@@ -240,7 +240,7 @@ def test_decode_peak_memory_bound_on_dense_scene():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        dec.decode(vf, pf, res.offsets, res, w, config(channels, state=16))
+        dec.decode(vf, pf, res.offsets, res, w, config())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

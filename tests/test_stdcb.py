@@ -11,6 +11,7 @@ from sfkit import voxelizer as vx
 from sfkit.errors import AlignmentError, InvalidConfig, ShapeError
 from sfkit.pipeline import InferenceTrace, RunConfig, infer_flow, init_pipeline_weights
 from sfkit.voxelizer import SparseTensor4D
+from sfkit.weights import MlpWeights
 
 GRID = (8, 8, 8, 5)  # (nx, ny, nz, T)
 
@@ -244,7 +245,7 @@ def test_gate_zero_weights_scale_by_one_point_five():
     temporal = spatial.with_features(rng.normal(size=spatial.features.shape))
     cross = spatial.with_features(rng.normal(size=spatial.features.shape))
     sfsm_w = stdcb.SfsmWeights.seeded(3, rng)
-    gate_w = stdcb.GateWeights(
+    gate_w = MlpWeights(
         w1=np.zeros((3, 3)), b1=np.zeros(3), w2=np.zeros((3, 3)), b2=np.zeros(3)
     )
     out_spatial, _ = stdcb.temporal_gated_block(spatial, temporal, cross, sfsm_w, gate_w)
@@ -258,7 +259,7 @@ def test_gate_zero_spatial_stays_zero():
     cross = temporal.with_features(rng.normal(size=temporal.features.shape))
     out_spatial, _ = stdcb.temporal_gated_block(
         spatial, temporal, cross, stdcb.SfsmWeights.seeded(3, rng),
-        stdcb.GateWeights.seeded(3, rng),
+        MlpWeights.seeded(3, 3, 3, rng),
     )
     assert np.array_equal(out_spatial.features, np.zeros_like(spatial.features))
 
@@ -271,7 +272,7 @@ def test_gate_multiplier_strictly_between_one_and_two():
     cross = spatial.with_features(rng.normal(size=spatial.features.shape))
     out, _ = stdcb.temporal_gated_block(
         ones, temporal, cross, stdcb.SfsmWeights.seeded(4, rng),
-        stdcb.GateWeights.seeded(4, rng),
+        MlpWeights.seeded(4, 4, 4, rng),
     )
     # features were all one, so the output is the multiplier itself
     assert np.all(out.features > 1.0)
@@ -284,7 +285,7 @@ def test_gate_matches_dense_reference():
     temporal = spatial.with_features(rng.normal(size=spatial.features.shape))
     cross = spatial.with_features(rng.normal(size=spatial.features.shape))
     sfsm_w = stdcb.SfsmWeights.seeded(4, rng)
-    gate_w = stdcb.GateWeights.seeded(4, rng)
+    gate_w = MlpWeights.seeded(4, 4, 4, rng)
     out_spatial, out_temporal = stdcb.temporal_gated_block(
         spatial, temporal, cross, sfsm_w, gate_w
     )
@@ -343,8 +344,8 @@ def test_stdcb_zero_branches_identity_fusion_passes_residual():
         conv_temporal=zero_kernel(w.conv_temporal),
         conv_cross=zero_kernel(w.conv_cross),
         sfsm_temporal=neutral_sfsm,
-        gate=stdcb.GateWeights(w1=np.zeros((3, 3)), b1=np.zeros(3),
-                               w2=np.zeros((3, 3)), b2=np.zeros(3)),
+        gate=MlpWeights(w1=np.zeros((3, 3)), b1=np.zeros(3),
+                        w2=np.zeros((3, 3)), b2=np.zeros(3)),
         sfsm_fuse=neutral_sfsm,
         fuse_w=fuse_w,
         fuse_b=np.zeros(3),
@@ -417,11 +418,11 @@ def signed_zero_sfsm(channels, rng, leaky_slope=0.01):
 
 def signed_zero_gate(channels, rng):
     """Seeded beta gate whose first hidden and last output columns are zero."""
-    g = stdcb.GateWeights.seeded(channels, rng)
+    g = MlpWeights.seeded(channels, channels, channels, rng)
     w1, b1, w2, b2 = g.w1.copy(), g.b1.copy(), g.w2.copy(), g.b2.copy()
     w1[:, 0], b1[0] = 0.0, -0.0
     w2[:, -1], b2[-1] = 0.0, -0.0
-    return stdcb.GateWeights(w1, b1, w2, b2)
+    return MlpWeights(w1, b1, w2, b2)
 
 
 @pytest.mark.parametrize("leaky_slope", [-0.01, 1.5, float("nan")])
@@ -463,7 +464,7 @@ def test_temporal_gate_bytes_match_expression_form(seed):
     spatial = random_tensor(rng, channels=4)
     temporal, cross = (spatial.with_features(rng.normal(size=spatial.features.shape))
                        for _ in range(2))
-    for sfsm_w, gate_w in ((stdcb.SfsmWeights.seeded(4, rng), stdcb.GateWeights.seeded(4, rng)),
+    for sfsm_w, gate_w in ((stdcb.SfsmWeights.seeded(4, rng), MlpWeights.seeded(4, 4, 4, rng)),
                            (signed_zero_sfsm(4, rng), signed_zero_gate(4, rng))):
         out_spatial, out_temporal = stdcb.temporal_gated_block(
             spatial, temporal, cross, sfsm_w, gate_w

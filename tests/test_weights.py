@@ -3,6 +3,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +92,41 @@ def test_mlp_shape_validation():
         MlpWeights(
             w1=np.zeros((3, 4)), b1=np.zeros(4), w2=np.zeros((5, 2)), b2=np.zeros(2)
         )
+
+
+def signed_zero_mlp(n_in, n_hidden, n_out, rng):
+    """Seeded perceptron whose first hidden and last output columns are
+    zero, with -0.0 biases."""
+    w = MlpWeights.seeded(n_in, n_hidden, n_out, rng)
+    w1, b1, w2, b2 = w.w1.copy(), w.b1.copy(), w.w2.copy(), w.b2.copy()
+    w1[:, 0], b1[0] = 0.0, -0.0
+    w2[:, -1], b2[-1] = 0.0, -0.0
+    return MlpWeights(w1, b1, w2, b2)
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 8), (4, 4, 4), (12, 4, 3)],
+                         ids=["encoder", "gate", "head"])
+def test_mlp_apply_bytes_match_expression_form(shape):
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=(257, shape[0]))
+    for w in (MlpWeights.seeded(*shape, rng), signed_zero_mlp(*shape, rng)):
+        expect = np.maximum(x @ w.w1 + w.b1, 0.0) @ w.w2 + w.b2
+        assert w.apply(x).tobytes() == expect.tobytes()
+
+
+def test_mlp_apply_allocates_only_the_two_matmuls():
+    t, c = 4096, 16
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(t, c))
+    w = MlpWeights.seeded(c, c, c, rng)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        w.apply(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 2.5 * t * c * 8, f"{(peak - entry) / (t * c * 8):.2f} x T*C*8"
 
 
 PAPER5 = dict(encoder_depths=(2, 2, 2, 2, 2), decoder_depths=(1, 1, 1, 1))
