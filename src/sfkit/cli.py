@@ -405,7 +405,9 @@ def _check_downsample():
     tensor, uniq, inverse = _seeded_pooling()
     sums = np.zeros((len(uniq), 3))
     np.add.at(sums, inverse, tensor.features)
-    down = stdcb.downsample2(tensor)
+    pooling = stdcb.pool2(tensor.coords)
+    assert np.array_equal(pooling[1], inverse), "parent rows differ"
+    down = stdcb.downsample2(tensor, pooling)
     assert np.array_equal(down.coords, uniq), "parents differ"
     means = sums / np.bincount(inverse)[:, None]
     assert down.features.tobytes() == means.tobytes(), "means differ"
@@ -413,10 +415,11 @@ def _check_downsample():
 
 def _check_upsample():
     tensor, uniq, inverse = _seeded_pooling()
-    down = stdcb.downsample2(tensor)
+    pooling = stdcb.pool2(tensor.coords)
+    down = stdcb.downsample2(tensor, pooling)
     assert np.array_equal(down.coords, uniq), "parents differ"
     expect = down.features[inverse] + tensor.features
-    up = stdcb.upsample_into(down, tensor.with_features(tensor.features.copy()))
+    up = stdcb.upsample_into(down, tensor.with_features(tensor.features.copy()), pooling)
     assert up.features.tobytes() == expect.tobytes(), "upsampled rows differ"
 
 

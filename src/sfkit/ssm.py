@@ -5,13 +5,13 @@ y_t = C_t . h_t + D * x_t, where the per-token parameters (Delta, B, C) are
 linear projections of offset features and A is diagonal per channel (stored
 as log-negatives so the decay stays strictly inside the unit interval).
 
-One scan engine streams the sequence in chunks of whole blocks and, within a
-chunk, exploits the associative composition
-(a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks; the
-hidden state is carried from chunk to chunk.  The layer does all of one
-chunk's work (projection, discretization, scan, readout) in buffers it
-allocates once per call, so its memory above its input and output is
-O(chunk * D * S).  A plain left-to-right loop with the same contract is the
+One scan engine exploits the associative composition
+(a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks, in one
+pass over the tokens it is given.  The layer streams the sequence through it
+in chunks of whole blocks, carrying the hidden state from chunk to chunk, and
+does all of one chunk's work (projection, discretization, scan, readout) in
+buffers it allocates once per call, so its memory above its input and output
+is O(chunk * D * S).  A plain left-to-right loop with the same contract is the
 oracle.  An adjoint pass provides exact gradients for finite-difference
 verification.
 """
@@ -207,58 +207,47 @@ def scan_sequential(disc, c, d, x, h0, states=None):
 def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, work=None):
     """Blocked scan with identical contract to scan_sequential.
 
-    Streams the sequence in chunks of whole blocks, carrying the hidden state
-    from one chunk to the next, so only one chunk's (D, S) terms are alive at
-    a time.  Within a chunk it forms within-block prefix composites of the
-    transition pairs (vectorized across blocks), carries the state across
-    block boundaries, then reconstructs every per-token state.  Degenerates to
-    the sequential path when one block covers the whole sequence.  ``states``
-    is filled as in scan_sequential.
+    Scans what it is given in one pass: it forms within-block prefix
+    composites of the transition pairs (vectorized across blocks), carries
+    the state across block boundaries, then reconstructs every per-token
+    state.  Degenerates to the sequential path when one block covers the
+    whole sequence.  ``states`` is filled as in scan_sequential.  Callers
+    that bound memory scan one chunk at a time, as flow_ssm_forward does.
 
-    ``work`` is scratch for the chunks' block composition, as made by
-    scan_workspace for at least the longest chunk; without it, one is
-    allocated for this call.  The readout, ``states`` and the carried state
-    read it through views.
+    ``work`` is scratch for the block composition, as made by scan_workspace
+    for at least L tokens; without it, one is allocated for this call.  The
+    readout, ``states`` and the returned state read it through views.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     h0 = np.asarray(h0, dtype=np.float64)
     batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0)
-    chunks = _chunk_bounds(length, block_size)
+    if block_size < 1:
+        raise ShapeError(f"block_size must be >= 1, got {block_size}")
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
         return scan_sequential(disc, c, d, x, h0, states)
-    longest = max(stop - start for start, stop in chunks)
     if work is None:
-        work = scan_workspace(batch, longest, d_inner, state, block_size)
+        work = scan_workspace(batch, length, d_inner, state, block_size)
     elif work.shape[:3] != (2, batch, block_size) or work.shape[4:] != (d_inner, state) \
-            or work.shape[3] * block_size < longest:
-        raise ShapeError(f"work {work.shape} does not fit chunks of {longest} tokens")
+            or work.shape[3] * block_size < length:
+        raise ShapeError(f"work {work.shape} does not fit {length} tokens")
 
+    h = _blocked_states(disc.a_bar, disc.b_bar, x, h0, block_size, work)
+    if not np.all(np.isfinite(h)):
+        finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:length]
+        raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
     y = np.empty((batch, length, d_inner))
-    h_last = h0
-    for start, stop in chunks:
-        part = slice(start, stop)
-        n_tokens = stop - start
-        h = _blocked_states(disc.a_bar[:, part], disc.b_bar[:, part], x[:, part],
-                            h_last, block_size, work)
-        if not np.all(np.isfinite(h)):
-            finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:n_tokens]
-            raise NumericError("non-finite hidden state",
-                               index=start + int(np.flatnonzero(~finite)[0]))
-        for h_tok, c_tok, y_tok in zip(_token_blocks(h, n_tokens),
-                                       _blocks(c[:, part], block_size),
-                                       _blocks(y[:, part], block_size)):
-            np.einsum("...ds,...s->...d", h_tok, c_tok, out=y_tok)
-        y[:, part] += d * x[:, part]
-        if states is not None:
-            for h_tok, s_tok in zip(_token_blocks(h, n_tokens),
-                                    _blocks(states[:, part], block_size)):
-                s_tok[...] = h_tok
-        h_last = h[:, (n_tokens - 1) % block_size, -1].copy()
-    return y, h_last
+    for h_tok, c_tok, y_tok in zip(_token_blocks(h, length), _blocks(c, block_size),
+                                   _blocks(y, block_size)):
+        np.einsum("...ds,...s->...d", h_tok, c_tok, out=y_tok)
+    y += d * x
+    if states is not None:
+        for h_tok, s_tok in zip(_token_blocks(h, length), _blocks(states, block_size)):
+            s_tok[...] = h_tok
+    return y, h[:, (length - 1) % block_size, -1].copy()
 
 
 def _chunk_bounds(length, block_size):
@@ -279,10 +268,10 @@ def _chunk_bounds(length, block_size):
 
 
 def scan_workspace(batch, n_tokens, d_inner, state, block_size):
-    """Scratch for _blocked_states over chunks of up to ``n_tokens`` tokens.
+    """Scratch for _blocked_states over up to ``n_tokens`` tokens.
 
     A pair of (batch, block, n_blocks, D, S) arrays, stacked on a leading
-    axis of 2.  They are block-position major: token i * block + k of a chunk
+    axis of 2.  They are block-position major: token i * block + k of a scan
     sits at [:, k, i], so each prefix step reads and writes one contiguous
     (n_blocks, D, S) slice per batch entry.
     """

@@ -407,51 +407,55 @@ class BackboneWeights:
         return cls(encoder=enc, decoder=dec)
 
 
-def downsample2(tensor):
-    """Stride-2 spatial pooling: children sharing a parent cell are averaged.
+def pool2(coords):
+    """Stride-2 spatial pooling of an active set: (parent coords, parent).
 
-    The time axis is untouched.  Parent order is canonical, so the result is
-    deterministic.
+    ``parent_coords`` are the distinct (t, x // 2, y // 2, z // 2) keys in
+    canonical order, and ``parent[i]`` is the row of fine row i's parent
+    among them.  The time axis is untouched.  ``downsample2`` averages over
+    this index and ``upsample_into`` gathers through it.
     """
-    if tensor.n_active == 0:
-        return tensor
-    parents = tensor.coords.copy()
+    if len(coords) == 0:
+        return np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
+    parents = coords.copy()
     parents[:, 1:] = np.floor_divide(parents[:, 1:], 2)
     lo = parents.min(axis=0)
     strides, _ = packing_strides(lo, parents.max(axis=0))
     # Packed keys sort like the parent rows, so a 1-D unique yields the
     # canonical parents and the inverse without sorting rows.
-    _, first, inverse = np.unique(
+    _, first, parent = np.unique(
         (parents - lo) @ strides, return_index=True, return_inverse=True
     )
-    sums = np.zeros((len(first), tensor.n_channels))
-    np.add.at(sums, inverse, tensor.features)
-    counts = np.bincount(inverse, minlength=len(first))
+    return parents[first], parent
+
+
+def downsample2(tensor, pooling):
+    """Average the children that share a parent cell, over ``pooling``
+    (``pool2`` of the tensor's coords).  Parent order is canonical, so the
+    result is deterministic.
+    """
+    parent_coords, parent = pooling
+    sums = np.zeros((len(parent_coords), tensor.n_channels))
+    np.add.at(sums, parent, tensor.features)
+    counts = np.bincount(parent, minlength=len(parent_coords))
     np.divide(sums, counts[:, None], out=sums)
-    return SparseTensor4D(parents[first], sums, _canonical=True)
+    return SparseTensor4D(parent_coords, sums, _canonical=True)
 
 
-def upsample_into(coarse, fine):
+def upsample_into(coarse, fine, pooling):
     """Add each parent's features into its child rows of ``fine`` in place
     (nearest unpooling onto a skip) and return ``fine``.
 
-    ``fine``'s features must be an array nothing else reads, such as a
-    fresh block output.  Parents are looked up one ``BLOCK_TILE`` of rows
-    at a time into one (N,) index, so no other array of length N is
-    allocated; a fine site without a parent raises AlignmentError before
-    any row is written.  ``skip + parent`` rounds as ``parent + skip``.
+    ``pooling`` is ``pool2`` of ``fine``'s coords and ``coarse`` holds its
+    parents' rows.  ``fine``'s features must be an array nothing else
+    reads, such as a fresh block output.  Parent rows are gathered one
+    ``BLOCK_TILE`` of rows at a time, so no array of length N is allocated.
+    ``skip + parent`` rounds as ``parent + skip``.
     """
-    n = fine.n_active
-    idx = np.empty(n, dtype=np.int64)
-    for t0 in range(0, n, BLOCK_TILE):
-        parents = fine.coords[t0 : t0 + BLOCK_TILE].copy()
-        parents[:, 1:] //= 2
-        idx[t0 : t0 + BLOCK_TILE], found = coarse.lookup(parents)
-        if not np.all(found):
-            raise AlignmentError("fine active site without a coarse parent")
-    for t0 in range(0, n, BLOCK_TILE):
+    _, parent = pooling
+    for t0 in range(0, fine.n_active, BLOCK_TILE):
         tile = slice(t0, t0 + BLOCK_TILE)
-        fine.features[tile] += coarse.features.take(idx[tile], axis=0)
+        fine.features[tile] += coarse.features.take(parent[tile], axis=0)
     return fine
 
 
@@ -486,9 +490,10 @@ def backbone_forward(f_4d, config, weights, rows=None):
     """
     if len(weights.encoder) != config.n_levels or len(weights.decoder) != config.n_levels - 1:
         raise ShapeError("weights do not match the configured level count")
-    # One KernelMap per level serves that level's encoder and decoder blocks.
-    # Maps live only in these locals, so each is dropped once its level's
-    # decoder stack has run and none survives the return.
+    # One KernelMap per level serves that level's encoder and decoder blocks,
+    # and one pool2 index per transition serves its downsample and upsample.
+    # Both live only in these locals, so each is dropped once its level's
+    # decoder stack or upsample has run and none survives the return.
     x, skips = f_4d, []
     if config.n_levels == 1:
         del f_4d
@@ -503,14 +508,15 @@ def backbone_forward(f_4d, config, weights, rows=None):
                 # only these rows; a view of them would keep it all alive.
                 f_4d = f_4d.rows(*rows)
                 f_4d = f_4d.with_features(f_4d.features.copy())
-            skips.append((x, kmap))
-            x = downsample2(x)
+            pooling = pool2(x.coords)
+            skips.append((x, kmap, pooling))
+            x = downsample2(x, pooling)
     if config.n_levels == 1:
         return x
     for level in range(config.n_levels - 2, -1, -1):
-        skip, kmap = skips.pop()
-        x = upsample_into(x, skip)
-        del skip  # x is the skip now; only the first decoder block reads it
+        skip, kmap, pooling = skips.pop()
+        x = upsample_into(x, skip, pooling)
+        del skip, pooling  # x is the skip now; only the first decoder block reads it
         for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
             x = stdcb_forward(x, block, **kwargs)
     return f_4d.with_features(f_4d.features + x.features)

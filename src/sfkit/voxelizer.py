@@ -205,8 +205,6 @@ class SparseTensor4D:
                 raise ShapeError("duplicate (t, ix, iy, iz) keys")
         self.coords = coords
         self.features = features
-        self._packed = None
-        self._span = None
 
     @property
     def n_active(self):
@@ -216,38 +214,22 @@ class SparseTensor4D:
     def n_channels(self):
         return self.features.shape[1]
 
-    def _packing(self):
-        if self._packed is None:
-            if self.n_active == 0:
-                self._span = (np.zeros(4, np.int64), np.ones(4, np.int64), None)
-                self._packed = np.empty(0, dtype=np.int64)
-            else:
-                lo = self.coords.min(axis=0)
-                hi = self.coords.max(axis=0)
-                strides, _ = packing_strides(lo, hi)
-                self._span = (lo, hi - lo + 1, strides)
-                self._packed = self._pack(self.coords)
-        return self._packed
-
-    def _pack(self, coords):
-        lo, _, strides = self._span
-        return (coords - lo) @ strides
-
     def lookup(self, coords):
         """Row indices for (M, 4) query keys plus a found mask."""
         coords = np.asarray(coords, dtype=np.int64)
-        packed = self._packing()
         if self.n_active == 0:
             return np.zeros(len(coords), np.int64), np.zeros(len(coords), bool)
-        lo, size, _ = self._span
+        lo = self.coords.min(axis=0)
+        hi = self.coords.max(axis=0)
+        strides, _ = packing_strides(lo, hi)
+        packed = (self.coords - lo) @ strides
         rel = coords - lo
-        inside = np.all((rel >= 0) & (rel < size), axis=1)
+        inside = np.all((rel >= 0) & (rel <= hi - lo), axis=1)
         q = np.zeros(len(coords), dtype=np.int64)
-        q[inside] = self._pack(coords[inside])
-        idx = np.searchsorted(packed, q)
-        idx_c = np.minimum(idx, len(packed) - 1)
-        found = inside & (packed[idx_c] == q)
-        return np.where(found, idx_c, 0), found
+        q[inside] = rel[inside] @ strides
+        idx = np.minimum(np.searchsorted(packed, q), len(packed) - 1)
+        found = inside & (packed[idx] == q)
+        return np.where(found, idx, 0), found
 
     def feature_at(self, key):
         idx, found = self.lookup(np.asarray(key, dtype=np.int64).reshape(1, 4))
@@ -268,21 +250,16 @@ class SparseTensor4D:
         out = SparseTensor4D.__new__(SparseTensor4D)
         out.coords = self.coords
         out.features = features
-        out._packed = self._packed
-        out._span = self._span
         return out
 
     def rows(self, lo, hi):
         """Rows lo..hi-1 as a tensor of views; the full range is the tensor
-        itself.  A range of canonical rows is canonical; its packed keys are
-        rebuilt on first lookup."""
+        itself.  A range of canonical rows is canonical."""
         if (lo, hi) == (0, self.n_active):
             return self
         out = SparseTensor4D.__new__(SparseTensor4D)
         out.coords = self.coords[lo:hi]
         out.features = self.features[lo:hi]
-        out._packed = None
-        out._span = None
         return out
 
     def same_active_set(self, other):

@@ -111,6 +111,28 @@ def test_corrupt_scene_exit_code(tmp_path):
     assert run("infer", bad) == 2
 
 
+def every_truncation_and_byte_flip(blob):
+    yield from (blob[:n] for n in range(len(blob)))
+    yield from (blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob)))
+
+
+def test_scene_and_flow_every_truncation_and_byte_flip_exit_0_2_or_3(tmp_path):
+    scene = tmp_path / "scene.sfsc"
+    flow = tmp_path / "flow.sffl"
+    assert run("synth", "--points", 9, "--movers", 0, "--seed", 3, "--out", scene) == 0
+    assert run("infer", scene, "--out", flow) == 0
+    broken = tmp_path / "broken"
+    # (intact file, command that reads its broken variant)
+    table = (
+        (scene, ("infer", broken, "--out", tmp_path / "out.sffl")),
+        (flow, ("eval", scene, broken)),
+    )
+    for intact, command in table:
+        for i, variant in enumerate(every_truncation_and_byte_flip(intact.read_bytes())):
+            broken.write_bytes(variant)
+            assert run(*command) in (0, 2, 3), (intact.name, i)
+
+
 def test_corrupt_weight_file_exit_code(scene_path, tmp_path):
     wpath = tmp_path / "w.sfwt"
     assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",

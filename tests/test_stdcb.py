@@ -890,7 +890,8 @@ def test_backbone_parameter_count_matches_formula():
 def test_downsample_merges_children_by_mean():
     coords = np.array([[0, 0, 0, 0], [0, 1, 0, 0], [0, 4, 4, 4]])
     feats = np.array([[2.0], [4.0], [10.0]])
-    down = stdcb.downsample2(SparseTensor4D(coords, feats))
+    tensor = SparseTensor4D(coords, feats)
+    down = stdcb.downsample2(tensor, stdcb.pool2(tensor.coords))
     assert down.n_active == 2
     assert np.allclose(down.feature_at((0, 0, 0, 0)), [3.0])
     assert np.allclose(down.feature_at((0, 2, 2, 2)), [10.0])
@@ -923,8 +924,13 @@ def test_downsample_matches_row_unique_form(case):
         if case == "negative":
             coords = coords - (0, 9, 8, 11)
     tensor = SparseTensor4D(coords, rng.normal(size=(len(coords), 3)))
-    down = stdcb.downsample2(tensor)
+    pooling = stdcb.pool2(tensor.coords)
+    down = stdcb.downsample2(tensor, pooling)
     uniq, means = row_unique_downsample(tensor)
+    _, inverse = np.unique(tensor.coords // (1, 2, 2, 2), axis=0, return_inverse=True)
+    assert np.array_equal(pooling[0], uniq)
+    assert np.array_equal(pooling[1], inverse)
+    assert pooling[0].dtype == pooling[1].dtype == np.int64
     assert np.array_equal(down.coords, uniq)
     assert down.coords.dtype == np.int64
     assert down.features.shape == means.shape
@@ -939,14 +945,15 @@ def test_upsample_copies_parent_feature():
     fine = SparseTensor4D(
         np.array([[0, 0, 1, 0], [0, 1, 1, 1], [0, 4, 4, 5], [0, 5, 5, 4]]), np.zeros((4, 1))
     )
-    up = stdcb.upsample_into(coarse, fine)
+    pooling = stdcb.pool2(fine.coords)
+    up = stdcb.upsample_into(coarse, fine, pooling)
     assert up is fine
     assert np.allclose(up.features[:, 0], [1.0, 1.0, 5.0, 5.0])
     rng = np.random.default_rng(66)
     fine = fine.with_features(rng.normal(size=(4, 1)))
     lookup = [0, 0, 1, 1]
     expect = coarse.features[lookup] + fine.features
-    assert stdcb.upsample_into(coarse, fine).features.tobytes() == expect.tobytes()
+    assert stdcb.upsample_into(coarse, fine, pooling).features.tobytes() == expect.tobytes()
 
 
 def parent_rows(coarse, fine):
@@ -959,28 +966,27 @@ def test_tiled_upsample_bytes_match_lookup_and_add(monkeypatch):
     rng = np.random.default_rng(67)
     fine = tiled_tensor(rng)
     assert fine.n_active % 7 == 1  # the tail tile has one row
-    coarse = stdcb.downsample2(fine)
+    pooling = stdcb.pool2(fine.coords)
+    coarse = stdcb.downsample2(fine, pooling)
     coarse = coarse.with_features(rng.normal(size=coarse.features.shape))
     lookup, found = parent_rows(coarse, fine)
     assert found.all()
     expect = coarse.features[lookup] + fine.features
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 7)
-    assert stdcb.upsample_into(coarse, fine) is fine
+    assert stdcb.upsample_into(coarse, fine, pooling) is fine
     assert fine.features.tobytes() == expect.tobytes()
 
 
-def test_upsample_orphan_in_a_later_tile_writes_no_row(monkeypatch):
-    rng = np.random.default_rng(68)
-    fine = tiled_tensor(rng)
-    coarse = stdcb.downsample2(fine)
-    # Drop the last fine row's parent; its children all lie past the first tile.
-    last, _ = parent_rows(coarse, fine.rows(fine.n_active - 1, fine.n_active))
-    keep = np.arange(coarse.n_active) != last[0]
-    coarse = SparseTensor4D(coarse.coords[keep], coarse.features[keep], _canonical=True)
-    _, found = parent_rows(coarse, fine)
-    assert np.flatnonzero(~found).min() >= 7
-    before = fine.features.copy()
-    monkeypatch.setattr(stdcb, "BLOCK_TILE", 7)
-    with pytest.raises(AlignmentError, match="without a coarse parent"):
-        stdcb.upsample_into(coarse, fine)
-    assert fine.features.tobytes() == before.tobytes()
+def test_backbone_makes_no_key_lookups(monkeypatch):
+    # Each transition's pool2 index serves both its downsample and its
+    # upsample, so no parent is searched for by key.
+    calls = []
+    real_lookup = SparseTensor4D.lookup
+    monkeypatch.setattr(SparseTensor4D, "lookup",
+                        lambda self, coords: calls.append(len(coords)) or real_lookup(self, coords))
+    rng = np.random.default_rng(69)
+    tensor = tiled_tensor(rng, n=600)
+    config = stdcb.StdcbConfig(channels=4, encoder_depths=(1, 1, 1), decoder_depths=(1, 1))
+    out = stdcb.backbone_forward(tensor, config, stdcb.BackboneWeights.seeded(config, rng))
+    assert out.same_active_set(tensor)
+    assert calls == []
