@@ -289,7 +289,8 @@ def _check_streamed_scan():
 def _check_chunk_bytes():
     # At the decoder's widths the streamed layer projects each chunk on its
     # own; that matches the full-length projection byte for byte only if
-    # this BLAS rounds a row range like the whole matrix.
+    # this BLAS rounds a row range like the whole matrix.  The decoder runs
+    # the layer in place, so that run must match the recorded one too.
     rng = np.random.default_rng(17)
     length = 2 * ssm.SCAN_CHUNK + 5
     params = ssm.SsmParams.seeded(32, 16, 16, rng)
@@ -300,6 +301,10 @@ def _check_chunk_bytes():
     refined, h = ssm.flow_ssm_layer(x, f_off, params, h0)
     assert np.array_equal(refined, run.refined), "streamed output differs from recorded run"
     assert np.array_equal(h, run.h_final), "streamed state differs from recorded run"
+    in_place = x.copy()
+    _, h = ssm.flow_ssm_layer(in_place, f_off, params, h0, out=in_place)
+    assert np.array_equal(in_place, run.refined), "in-place output differs from recorded run"
+    assert np.array_equal(h, run.h_final), "in-place state differs from recorded run"
     full = f_off @ params.w_delta + params.b_delta, f_off @ params.w_b, f_off @ params.w_c
     for name, expect in zip(("z_delta", "b_tokens", "c_tokens"), full):
         assert np.array_equal(getattr(run, name), expect), f"per-chunk {name} differs"

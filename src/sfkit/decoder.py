@@ -72,32 +72,38 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
     """Run the full decoder for one scene's prediction frame.
 
     Output row i is the flow of input point i regardless of the serialized
-    processing order.
+    processing order.  The scan layers refine the serialized sequence in
+    place, and each per-point array exists in one copy at a time: the
+    offset features are kept only in sequence order, and the head reads
+    them back through the inverse permutation.  So that the decoder's
+    inputs can be freed here, the caller should hold no other reference.
     """
     if len(weights.ssm_layers) != config.n_layers:
         raise ShapeError(
             f"{len(weights.ssm_layers)} scan layers provided, config wants {config.n_layers}"
         )
+    # Each array is dropped once its last reader has run; the head's input,
+    # built while its two parts are alive, sets the peak memory.
     f_coarse = assemble_coarse(voxel_features, point_features, assignment)
-    f_offset = encode_offsets(p_offset, weights.offset_encoder)
-
-    # The scan sets the peak memory: each array is dropped once its last
-    # reader has run.
+    del voxel_features, point_features
     seq = serialize(f_coarse, assignment.clamped_coords())
     del f_coarse
+    offset_tokens = encode_offsets(p_offset, weights.offset_encoder)[seq.order][None]
     tokens = seq.rows[None]  # batch of one scene
-    offset_tokens = f_offset[seq.order][None]
     hidden = None
     for params in weights.ssm_layers:
-        tokens, hidden = flow_ssm_layer(
+        hidden = flow_ssm_layer(
             tokens, offset_tokens, params, hidden,
-            mode=config.zoh_mode, block_size=config.block_size,
-        )
-        seq = seq.with_rows(tokens[0])
-    del offset_tokens, tokens
+            mode=config.zoh_mode, block_size=config.block_size, out=tokens,
+        )[1]
+    del tokens
 
-    head_in = np.concatenate([deserialize(seq), f_offset], axis=1)
-    del seq, f_offset
+    refined, rank = deserialize(seq), seq.rank
+    del seq
+    f_offset = offset_tokens[0][rank]  # input order, equal byte for byte
+    del offset_tokens
+    head_in = np.concatenate([refined, f_offset], axis=1)
+    del refined, f_offset
     flow = weights.head.apply(head_in)
     bad = ~np.isfinite(flow).all(axis=1)
     if np.any(bad):

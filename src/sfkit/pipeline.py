@@ -256,9 +256,12 @@ def infer_flow(scene, weights, config, trace=None):
         trace.backbone_out = refined
         trace.frame_t_voxel_features = f3d_t
         trace.coarse_point_features = point_feats_t
-    # The decoder sets the peak memory: keep alive only what it reads.
+    # The decoder sets the peak memory: keep alive only what it reads, and
+    # hand its feature inputs over by ``pop`` so that it can free them.
     del refined
+    features = [f3d_t, point_feats_t]
+    del f3d_t, point_feats_t
     return decode(
-        f3d_t, point_feats_t, res_t.offsets, res_t, weights.decoder,
+        features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
         config.decoder_config(),
     )

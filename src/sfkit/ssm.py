@@ -8,12 +8,12 @@ as log-negatives so the decay stays strictly inside the unit interval).
 One scan engine exploits the associative composition
 (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks, in one
 pass over the tokens it is given.  The layer streams the sequence through it
-in chunks of whole blocks, carrying the hidden state from chunk to chunk, and
-does all of one chunk's work (projection, discretization, scan, readout) in
-buffers it allocates once per call, so its memory above its input and output
-is O(chunk * D * S).  A plain left-to-right loop with the same contract is the
-oracle.  An adjoint pass provides exact gradients for finite-difference
-verification.
+in chunks of whole blocks, carrying the hidden state from chunk to chunk.  It
+discretizes each chunk straight into the scan's block-major workspace, which
+it allocates once per call, and scans the terms there, so its memory above
+its input and output is O(chunk * D * S); the output may be the input itself.
+A plain left-to-right loop with the same contract is the oracle.  An
+adjoint pass provides exact gradients for finite-difference verification.
 """
 
 from dataclasses import dataclass
@@ -163,15 +163,20 @@ def zoh_discretize(a, b, delta, mode=ZohMode.EXACT, out=None):
     return out
 
 
-def _check_scan_shapes(disc, c, d, x, h0):
-    a_bar, b_bar = disc.a_bar, disc.b_bar
-    if a_bar.shape != b_bar.shape or a_bar.ndim != 4:
+def _check_scan_shapes(disc, c, d, x, h0, block_size=None):
+    """(batch, L, D, S), with L taken from ``x``.  The terms are token-order
+    (batch, L, D, S), or block-major (batch, block, n_blocks, D, S) when a
+    ``block_size`` is given and they are 5-D."""
+    if x.ndim != 3 or h0.ndim != 3:
+        raise ShapeError(f"x and h0 must be 3-D, got {x.shape} / {h0.shape}")
+    (batch, length, d_inner), state = x.shape, h0.shape[2]
+    terms = (batch, length, d_inner, state)
+    if block_size is not None and disc.a_bar.ndim == 5:
+        terms = (batch, block_size, -(-length // block_size), d_inner, state)
+    if disc.a_bar.shape != terms or disc.b_bar.shape != terms:
         raise ShapeError(
-            f"discretized terms must be (batch, L, D, S); got {a_bar.shape} / {b_bar.shape}"
+            f"discretized terms must be {terms}; got {disc.a_bar.shape} / {disc.b_bar.shape}"
         )
-    batch, length, d_inner, state = a_bar.shape
-    if x.shape != (batch, length, d_inner):
-        raise ShapeError(f"x must be {(batch, length, d_inner)}, got {x.shape}")
     if c.shape != (batch, length, state):
         raise ShapeError(f"C must be {(batch, length, state)}, got {c.shape}")
     if d.shape != (d_inner,):
@@ -214,28 +219,35 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, 
     whole sequence.  ``states`` is filled as in scan_sequential.  Callers
     that bound memory scan one chunk at a time, as flow_ssm_forward does.
 
-    ``work`` is scratch for the block composition, as made by scan_workspace
-    for at least L tokens; without it, one is allocated for this call.  The
-    readout, ``states`` and the returned state read it through views.
+    The terms are token-order (batch, L, D, S), or block-major (batch, block,
+    n_blocks, D, S) with token i * block + k at [:, k, i], as scan_workspace
+    lays them out.  Block-major terms are composed where they lie, and the
+    scan overwrites them.  Token-order terms are copied into ``work``, scratch
+    as made by scan_workspace for at least L tokens; without it, one is
+    allocated for this call.  The readout, ``states`` and the returned state
+    read the composed pairs through views.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     h0 = np.asarray(h0, dtype=np.float64)
-    batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0)
     if block_size < 1:
         raise ShapeError(f"block_size must be >= 1, got {block_size}")
+    batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0, block_size)
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
+        if disc.a_bar.ndim == 5:
+            disc = Discretized(disc.a_bar[:, :length, 0], disc.b_bar[:, :length, 0])
         return scan_sequential(disc, c, d, x, h0, states)
-    if work is None:
-        work = scan_workspace(batch, length, d_inner, state, block_size)
-    elif work.shape[:3] != (2, batch, block_size) or work.shape[4:] != (d_inner, state) \
-            or work.shape[3] * block_size < length:
-        raise ShapeError(f"work {work.shape} does not fit {length} tokens")
+    if disc.a_bar.ndim == 4:  # token order, copied into the workspace
+        if work is None:
+            work = scan_workspace(batch, length, d_inner, state, block_size)
+        elif work.shape[:3] != (2, batch, block_size) or work.shape[4:] != (d_inner, state) \
+                or work.shape[3] * block_size < length:
+            raise ShapeError(f"work {work.shape} does not fit {length} tokens")
 
-    h = _blocked_states(disc.a_bar, disc.b_bar, x, h0, block_size, work)
+    h = _blocked_states(disc, x, h0, block_size, work)
     if not np.all(np.isfinite(h)):
         finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:length]
         raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
@@ -298,23 +310,42 @@ def _token_blocks(blocked, n_tokens):
     return [by_token[:, :whole]] + ([by_token[:, whole:whole + 1, :rest]] if rest else [])
 
 
-def _blocked_states(a, b, x, h0, block_size, work):
+def _by_block(tokens, block_size):
+    """The block-major (batch, block, n_blocks, ...) view of a (batch, L, ...)
+    token array; a partial last block is first zero-padded in a copy."""
+    batch, length = tokens.shape[:2]
+    n_blocks = -(-length // block_size)
+    if length % block_size:
+        padded = np.zeros((batch, n_blocks * block_size) + tokens.shape[2:])
+        padded[:, :length] = tokens
+        tokens = padded
+    return tokens.reshape(batch, n_blocks, block_size, *tokens.shape[2:]).swapaxes(1, 2)
+
+
+def _blocked_states(disc, x, h0, block_size, work):
     """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition.
 
-    Works in ``work`` (see scan_workspace) and returns the states there, as a
-    block-major (batch, block, n_blocks, D, S) view.
+    Composes block-major terms where they lie, and token-order ones in
+    ``work`` (see scan_workspace).  Returns the states as a block-major
+    (batch, block, n_blocks, D, S) view of the one or the other.
     """
-    length = a.shape[1]
+    length = x.shape[1]
     n_blocks = -(-length // block_size)
-    a_pref, u_pref = work[:, :, :, :n_blocks]
-    # Transposing copies from token order, by whole blocks and then the
-    # last block's tokens.
-    for a_dst, u_dst, a_src, b_src, x_src in zip(
-        _token_blocks(a_pref, length), _token_blocks(u_pref, length),
-        _blocks(a, block_size), _blocks(b, block_size), _blocks(x, block_size),
-    ):
-        a_dst[...] = a_src
-        np.multiply(b_src, x_src[..., None], out=u_dst)
+    if disc.a_bar.ndim == 5:
+        a_pref, u_pref = disc.a_bar, disc.b_bar
+        for u_dst, x_src in zip(_token_blocks(u_pref, length), _blocks(x, block_size)):
+            u_dst *= x_src[..., None]
+    else:
+        a_pref, u_pref = work[:, :, :, :n_blocks]
+        # Transposing copies from token order, by whole blocks and then the
+        # last block's tokens.
+        for a_dst, u_dst, a_src, b_src, x_src in zip(
+            _token_blocks(a_pref, length), _token_blocks(u_pref, length),
+            _blocks(disc.a_bar, block_size), _blocks(disc.b_bar, block_size),
+            _blocks(x, block_size),
+        ):
+            a_dst[...] = a_src
+            np.multiply(b_src, x_src[..., None], out=u_dst)
     # Identity elements extend the last block without changing any state.
     tail = length - (n_blocks - 1) * block_size
     a_pref[:, tail:, -1] = 1.0
@@ -324,7 +355,7 @@ def _blocked_states(a, b, x, h0, block_size, work):
         u_pref[:, k] += a_pref[:, k] * u_pref[:, k - 1]
         a_pref[:, k] *= a_pref[:, k - 1]
 
-    h_enter = np.empty((a.shape[0], n_blocks) + a.shape[2:])
+    h_enter = np.empty((x.shape[0], n_blocks) + h0.shape[1:])
     h_enter[:, 0] = h0
     for i in range(1, n_blocks):
         h_enter[:, i] = a_pref[:, -1, i - 1] * h_enter[:, i - 1] + u_pref[:, -1, i - 1]
@@ -364,16 +395,22 @@ def _project_token_params(f_offset, params):
 
 
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                     keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE):
+                     keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE, out=None):
     """Run one offset-conditioned scan layer over a serialized sequence.
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
     L, C_off) offset features that parameterize (Delta, B, C) per token.
 
-    Each chunk of _chunk_bounds is projected, discretized and scanned on its
-    own, in one discretized pair and one scan workspace allocated here for
-    the longest chunk.  With ``keep_intermediates`` the same loop also writes
-    each chunk's projections, transitions and states into full-length arrays.
+    Each chunk of _chunk_bounds is projected, then discretized straight into
+    the block-major scan workspace, which is allocated here once for the
+    longest chunk; the scan composes the terms there.  No token-order (D, S)
+    term is made.  The refined sequence goes to ``out``, a (batch, L, D)
+    float64 array, or a new one; ``out`` may be ``f_coarse`` itself, since
+    each chunk's input is read before its output is written.  With
+    ``keep_intermediates`` the same loop also writes each chunk's
+    projections, transitions (before the scan overwrites them) and states
+    into full-length arrays; the record keeps ``f_coarse`` as the backward
+    pass's input, so an ``out`` that shares its memory is refused.
     """
     f_coarse = np.asarray(f_coarse, dtype=np.float64)
     f_offset = np.asarray(f_offset, dtype=np.float64)
@@ -397,13 +434,17 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     h0 = np.zeros((batch, d_inner, state)) if h0 is None else np.asarray(h0, dtype=np.float64)
     if h0.shape != (batch, d_inner, state):
         raise ShapeError(f"h0 must be {(batch, d_inner, state)}, got {h0.shape}")
+    if out is None:
+        out = np.empty((batch, length, d_inner))
+    elif out.shape != f_coarse.shape or out.dtype != np.float64:
+        raise ShapeError(f"out must be float64 {f_coarse.shape}, got {out.dtype} {out.shape}")
+    elif keep_intermediates and np.may_share_memory(out, f_coarse):
+        raise StateError("a recorded run keeps f_coarse; out must not overwrite it")
 
     a = params.a
     chunks = _chunk_bounds(length, block_size)
     longest = max((stop - start for start, stop in chunks), default=0)
-    terms = np.empty((2, batch, longest, d_inner, state))  # a_bar and b_bar
     work = scan_workspace(batch, longest, d_inner, state, block_size)
-    refined = np.empty((batch, length, d_inner))
     recorded = {}
     if keep_intermediates:
         widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),
@@ -414,28 +455,35 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         part, n_tokens = slice(start, stop), stop - start
         projected = _project_token_params(f_offset[:, part], params)
         _, delta, b_tokens, c_tokens = projected
-        disc = zoh_discretize(a, b_tokens, delta, mode,
-                              out=Discretized(*terms[:, :, :n_tokens]))
+        n_blocks = -(-n_tokens // block_size)
+        disc = zoh_discretize(a, _by_block(b_tokens, block_size), _by_block(delta, block_size),
+                              mode, out=Discretized(*work[:, :, :, :n_blocks]))
+        if recorded:
+            for name, value in zip(("z_delta", "delta", "b_tokens", "c_tokens"), projected):
+                recorded[name][:, part] = value
+            for dst, src in zip(_blocks(recorded["a_bar"][:, part], block_size),
+                                _token_blocks(disc.a_bar, n_tokens)):
+                dst[...] = src
         try:
-            refined[:, part], h = scan_blocked(
+            out[:, part], h = scan_blocked(
                 disc, c_tokens, params.d, f_coarse[:, part], h, block_size,
-                states=recorded["h_states"][:, part] if recorded else None, work=work,
+                states=recorded["h_states"][:, part] if recorded else None,
             )
         except NumericError as err:
             raise NumericError("non-finite hidden state", index=start + err.index) from err
-        if recorded:
-            for name, value in zip(("z_delta", "delta", "b_tokens", "c_tokens", "a_bar"),
-                                   (*projected, disc.a_bar)):
-                recorded[name][:, part] = value
     inputs = (f_coarse, f_offset, params, h0) if keep_intermediates else None
-    return FlowSsmRun(refined=refined, h_final=h.copy(), mode=ZohMode(mode), inputs=inputs,
+    return FlowSsmRun(refined=out, h_final=h.copy(), mode=ZohMode(mode), inputs=inputs,
                       **recorded)
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                   block_size=DEFAULT_BLOCK_SIZE):
-    """Convenience wrapper returning just (refined sequence, new hidden state)."""
-    run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, block_size=block_size)
+                   block_size=DEFAULT_BLOCK_SIZE, out=None):
+    """Convenience wrapper returning just (refined sequence, new hidden state).
+
+    ``out`` is as in flow_ssm_forward: ``out=f_coarse`` refines in place.
+    """
+    run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, block_size=block_size,
+                           out=out)
     return run.refined, run.h_final
 
 

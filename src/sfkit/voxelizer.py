@@ -132,7 +132,12 @@ def encode_point_features(cloud, weights=None, seed=0, channels=DEFAULT_CHANNELS
 
 
 def pool_to_voxels(point_features, result):
-    """Mean of member-point features per occupied voxel."""
+    """Mean of member-point features per occupied voxel.
+
+    The sums are one np.bincount over bins ``row * C + channel``, which adds
+    each bin's terms in input order from 0.0, as np.add.at does.  Out-of-grid
+    points land in a spare last row that is dropped.
+    """
     feats = np.asarray(point_features, dtype=np.float64)
     if feats.shape[0] != result.n_points:
         raise ShapeError(
@@ -140,12 +145,12 @@ def pool_to_voxels(point_features, result):
         )
     if result.n_voxels == 0:
         return np.empty((0, feats.shape[1] if feats.ndim == 2 else 0))
-    sums = np.zeros((result.n_voxels, feats.shape[1]))
-    np.add.at(sums, result.assignment[result.in_bounds], feats[result.in_bounds])
-    counts = np.bincount(
-        result.assignment[result.in_bounds], minlength=result.n_voxels
-    )
-    return sums / counts[:, None]
+    n, c = result.n_voxels, feats.shape[1]
+    rows = np.where(result.in_bounds, result.assignment, n)
+    bins = (rows[:, None] * c + np.arange(c)).ravel()
+    sums = np.bincount(bins, weights=feats.ravel(), minlength=(n + 1) * c)[:n * c]
+    counts = np.bincount(rows, minlength=n + 1)[:n]
+    return sums.reshape(n, c) / counts[:, None]
 
 
 def devoxelize_coarse(voxel_features, result):

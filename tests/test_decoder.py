@@ -246,3 +246,23 @@ def test_decode_peak_memory_bound_on_dense_scene():
         tracemalloc.stop()
     sequence = n_points * 2 * channels * 8  # one (L, 2C) float64 array
     assert peak - entry <= 7 * sequence, f"{(peak - entry) / sequence:.2f} x L*2C*8"
+
+
+def test_decode_refines_in_place_within_tight_memory_bound():
+    # The inputs of test_decode_peak_memory_bound_on_dense_scene.  With the
+    # sequence refined in place, each chunk discretized into the scan
+    # workspace and one copy of each per-point array, the head's input and
+    # its two parts (3 x L*2C*8) set the peak.
+    rng = np.random.default_rng(13)
+    channels, n_points = 16, 32_400
+    vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (n_points, 3)), channels)
+    w = seeded_weights(np.random.default_rng(14), channels, state=16)
+    tracemalloc.start()
+    try:
+        entry, _ = tracemalloc.get_traced_memory()
+        dec.decode(vf, pf, res.offsets, res, w, config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sequence = n_points * 2 * channels * 8  # one (L, 2C) float64 array
+    assert peak - entry <= 3.5 * sequence, f"{(peak - entry) / sequence:.2f} x L*2C*8"

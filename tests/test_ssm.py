@@ -668,3 +668,83 @@ def test_streamed_layer_memory_is_bounded_by_one_chunk():
     longest = ssm.SCAN_CHUNK + ssm.DEFAULT_BLOCK_SIZE
     bound = length * d_inner * 8 + 5 * longest * d_inner * state * 8
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("block_size", [64, 48])
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_in_place_layer_bytes_match_out_of_place(block_size, mode):
+    for length in stream_lengths(block_size):
+        rng = np.random.default_rng(length)
+        params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
+        h0 = rng.normal(size=(2, 3, 4))
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode, block_size)
+        buf = x.copy()
+        got, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, mode, block_size, out=buf)
+        assert got is buf, length
+        assert np.array_equal(buf, y), length
+        assert np.array_equal(h_in, h), length
+
+
+def test_recorded_run_refuses_an_out_that_overwrites_its_input():
+    rng = np.random.default_rng(35)
+    params, x, f_off = make_inputs(rng, 1, 200, 3, 4, 2)
+    for out in (x, x[:, ::-1]):
+        with pytest.raises(StateError):
+            ssm.flow_ssm_forward(x, f_off, params, keep_intermediates=True, out=out)
+    with pytest.raises(ShapeError):
+        ssm.flow_ssm_forward(x, f_off, params, out=np.empty((1, 199, 3)))
+    out = np.empty_like(x)
+    run = ssm.flow_ssm_forward(x, f_off, params, keep_intermediates=True, out=out)
+    assert run.refined is out
+    assert np.array_equal(out, ssm.flow_ssm_layer(x, f_off, params)[0])
+
+
+def test_in_place_numeric_error_in_third_chunk_names_global_token():
+    rng = np.random.default_rng(31)
+    chunk = chunk_tokens(64)
+    params, x, f_off = make_inputs(rng, 1, 3 * chunk + 5, 3, 4, 2)
+    bad = 2 * chunk + 17
+    x[0, bad, 1] = np.inf
+    with pytest.raises(NumericError) as err:
+        ssm.flow_ssm_layer(x, f_off, params, out=x)
+    assert err.value.index == bad
+
+
+def test_layer_discretizes_each_chunk_into_the_block_major_workspace(monkeypatch):
+    seen = []
+    discretize = ssm.zoh_discretize
+
+    def spy(a, b, delta, mode=ssm.ZohMode.EXACT, out=None):
+        seen.append(out)
+        return discretize(a, b, delta, mode, out)
+
+    monkeypatch.setattr(ssm, "zoh_discretize", spy)
+    rng = np.random.default_rng(36)
+    chunk = chunk_tokens(64)
+    params, x, f_off = make_inputs(rng, 1, 2 * chunk + 70, 3, 4, 2)
+    ssm.flow_ssm_layer(x, f_off, params)
+    n_blocks = chunk // 64
+    assert [out.a_bar.shape for out in seen] == [(1, 64, n_blocks, 3, 4)] * 2 + [(1, 64, 2, 3, 4)]
+    first = seen[0].a_bar
+    for out in seen:
+        assert np.shares_memory(out.a_bar, first) and np.shares_memory(out.b_bar, seen[0].b_bar)
+
+
+@pytest.mark.parametrize("length", [0, 1, 47, 48, 49, 96, 130])
+def test_scan_blocked_block_major_terms_match_token_order(length):
+    rng = np.random.default_rng(37)
+    params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
+    delta, b_tok, c_tok = token_terms(params, f_off)
+    h0 = rng.normal(size=(2, 3, 4))
+    expect_states, got_states = np.empty((2, 2, length, 3, 4))
+    expect = ssm.scan_blocked(ssm.zoh_discretize(params.a, b_tok, delta), c_tok, params.d,
+                              x, h0, 48, states=expect_states)
+    blocked = ssm.zoh_discretize(params.a, ssm._by_block(b_tok, 48), ssm._by_block(delta, 48))
+    got = ssm.scan_blocked(blocked, c_tok, params.d, x, h0, 48, states=got_states)
+    assert np.array_equal(got[0], expect[0])
+    assert np.array_equal(got[1], expect[1])
+    assert np.array_equal(got_states, expect_states)
+    if length > 48:
+        short = ssm.Discretized(blocked.a_bar[:, :, :-1], blocked.b_bar[:, :, :-1])
+        with pytest.raises(ShapeError):
+            ssm.scan_blocked(short, c_tok, params.d, x, h0, 48)

@@ -178,6 +178,25 @@ def test_pool_matches_naive_loop():
         assert np.max(np.abs(pooled[v] - expect)) < 1e-12
 
 
+def add_at_pool(feats, res):
+    """pool_to_voxels in its np.add.at form."""
+    sums = np.zeros((res.n_voxels, feats.shape[1]))
+    np.add.at(sums, res.assignment[res.in_bounds], feats[res.in_bounds])
+    return sums / np.bincount(res.assignment[res.in_bounds], minlength=res.n_voxels)[:, None]
+
+
+def test_pool_bytes_match_add_at_form():
+    rng = np.random.default_rng(9)
+    cloud = random_cloud(rng, 3000, lo=-2.0, hi=12.0)  # dense, with out-of-grid points
+    res = vx.voxelize(cloud, small_grid())
+    assert not np.all(res.in_bounds) and res.n_voxels < res.n_points
+    signed_zeros = rng.choice([-0.0, 0.0, 1.5], size=(3000, 5))
+    signed_zeros[res.assignment == res.assignment[np.flatnonzero(res.in_bounds)[0]]] = -0.0
+    for feats in (rng.normal(size=(3000, 7)), signed_zeros,
+                  np.asfortranarray(rng.normal(size=(3000, 4)))):
+        assert vx.pool_to_voxels(feats, res).tobytes() == add_at_pool(feats, res).tobytes()
+
+
 def test_devoxelize_copies_per_voxel():
     cloud = PointCloud([[1.1, 1.1, 1.1], [1.9, 1.9, 1.9], [5.5, 5.5, 5.5]])
     res = vx.voxelize(cloud, small_grid())
