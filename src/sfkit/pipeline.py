@@ -224,6 +224,9 @@ def infer_flow(scene, weights, config, trace=None):
     for frame in scene.frames:
         res = voxelize(frame, grid)
         pf = encode_point_features(frame, weights.point_encoder)
+        # Out-of-grid points get zero features, as they get zero offsets and
+        # pool into no voxel: their raw coordinates reach nothing downstream.
+        pf[~res.in_bounds] = 0.0
         results.append(res)
         voxel_feats.append(pool_to_voxels(pf, res))
         if frame.frame_index == slot:

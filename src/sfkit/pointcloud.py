@@ -141,14 +141,9 @@ class FlowField:
 
 
 class SceneSequence:
-    """Five warped frames + ground truth for the prediction frame.
+    """Five warped frames + ground truth for the prediction frame."""
 
-    ``poses`` (the warping transforms) are kept for provenance when the scene
-    was generated in-process; they are not part of the file format and are
-    excluded from equality.
-    """
-
-    def __init__(self, frames, gt_flow, mask, seed, poses=None):
+    def __init__(self, frames, gt_flow, mask, seed):
         frames = list(frames)
         if len(frames) != N_FRAMES:
             raise InvalidInput(f"expected {N_FRAMES} frames, got {len(frames)}")
@@ -164,7 +159,6 @@ class SceneSequence:
         self.gt_flow = gt_flow
         self.mask = mask
         self.seed = int(seed)
-        self.poses = poses
 
     @property
     def prediction_frame(self):
@@ -220,13 +214,8 @@ class SceneConfig:
     ego: EgoMotion = field(default_factory=EgoMotion)
     jitter_sigma: float = 0.0
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
-    n_frames: int = N_FRAMES
 
     def validate(self):
-        if self.n_frames != N_FRAMES:
-            raise InvalidConfig(
-                f"scene must have exactly {N_FRAMES} frames, got {self.n_frames}"
-            )
         check_config(self, "dt", "dynamic_threshold")
         if self.n_background < 0:
             raise InvalidConfig("n_background must be >= 0")
@@ -289,7 +278,7 @@ def synth_scene(config, seed):
     ref_pose = _ego_pose(config.ego, times[FRAME_T1])
     ref_rot = ref_pose.rotation
 
-    frames, poses = [], []
+    frames = []
     for i in range(N_FRAMES):
         # World positions at this timestamp: movers drift relative to the
         # prediction frame where their sampled bases live.
@@ -309,7 +298,6 @@ def synth_scene(config, seed):
         warp = ref_pose.inverse().compose(ego_pose)
         warped = warp.apply(measured)
         frames.append(PointCloud(_f32_round(warped), frame_index=i))
-        poses.append(warp)
 
     n_t = len(frames[FRAME_T])
     flow = np.zeros((n_t, 3))
@@ -330,7 +318,6 @@ def synth_scene(config, seed):
         gt_flow=FlowField(_f32_round(flow)),
         mask=mask,
         seed=seed,
-        poses=poses,
     )
 
 

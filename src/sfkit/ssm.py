@@ -7,11 +7,13 @@ as log-negatives so the decay stays strictly inside the unit interval).
 
 One scan engine exploits the associative composition
 (a2, b2) o (a1, b1) = (a2*a1, a2*b1 + b2) to vectorize across blocks, in one
-pass over the tokens it is given.  The layer streams the sequence through it
-in chunks of whole blocks, carrying the hidden state from chunk to chunk.  It
-discretizes each chunk straight into the scan's block-major workspace, which
-it allocates once per call, and scans the terms there, so its memory above
-its input and output is O(chunk * D * S); the output may be the input itself.
+pass over the tokens it is given.  It composes terms in one layout, block
+major (token i * block + k at [:, k, i]), so each prefix step works on one
+contiguous slice.  The layer streams the sequence through it in chunks of
+whole blocks, carrying the hidden state from chunk to chunk.  It discretizes
+each chunk straight into a block-major pair that it allocates once per call,
+and scans the terms there, so its memory above its input and output is
+O(chunk * D * S); the output may be the input itself.
 A plain left-to-right loop with the same contract is the oracle.  An
 adjoint pass provides exact gradients for finite-difference verification.
 """
@@ -209,7 +211,7 @@ def scan_sequential(disc, c, d, x, h0, states=None):
     return y, h
 
 
-def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, work=None):
+def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
     """Blocked scan with identical contract to scan_sequential.
 
     Scans what it is given in one pass: it forms within-block prefix
@@ -220,12 +222,10 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, 
     that bound memory scan one chunk at a time, as flow_ssm_forward does.
 
     The terms are token-order (batch, L, D, S), or block-major (batch, block,
-    n_blocks, D, S) with token i * block + k at [:, k, i], as scan_workspace
-    lays them out.  Block-major terms are composed where they lie, and the
-    scan overwrites them.  Token-order terms are copied into ``work``, scratch
-    as made by scan_workspace for at least L tokens; without it, one is
-    allocated for this call.  The readout, ``states`` and the returned state
-    read the composed pairs through views.
+    n_blocks, D, S) with token i * block + k at [:, k, i].  Block-major terms
+    are composed where they lie, and the scan overwrites them; token-order
+    terms are first laid out block-major in a copy.  The readout, ``states``
+    and the returned state read the composed pairs through views.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -233,21 +233,18 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None, 
     h0 = np.asarray(h0, dtype=np.float64)
     if block_size < 1:
         raise ShapeError(f"block_size must be >= 1, got {block_size}")
-    batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0, block_size)
+    batch, length, d_inner, _ = _check_scan_shapes(disc, c, d, x, h0, block_size)
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
         if disc.a_bar.ndim == 5:
             disc = Discretized(disc.a_bar[:, :length, 0], disc.b_bar[:, :length, 0])
         return scan_sequential(disc, c, d, x, h0, states)
-    if disc.a_bar.ndim == 4:  # token order, copied into the workspace
-        if work is None:
-            work = scan_workspace(batch, length, d_inner, state, block_size)
-        elif work.shape[:3] != (2, batch, block_size) or work.shape[4:] != (d_inner, state) \
-                or work.shape[3] * block_size < length:
-            raise ShapeError(f"work {work.shape} does not fit {length} tokens")
-
-    h = _blocked_states(disc, x, h0, block_size, work)
+    if disc.a_bar.ndim == 4:
+        # A copy even when _by_block gives a view: the scan overwrites its terms.
+        disc = Discretized(*(np.ascontiguousarray(_by_block(t, block_size))
+                             for t in (disc.a_bar, disc.b_bar)))
+    h = _blocked_states(disc, x, h0, block_size)
     if not np.all(np.isfinite(h)):
         finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:length]
         raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
@@ -277,18 +274,6 @@ def _chunk_bounds(length, block_size):
     if len(starts) > 1 and length - starts[-1] <= block_size:
         starts.pop()
     return list(zip(starts, starts[1:] + [length]))
-
-
-def scan_workspace(batch, n_tokens, d_inner, state, block_size):
-    """Scratch for _blocked_states over up to ``n_tokens`` tokens.
-
-    A pair of (batch, block, n_blocks, D, S) arrays, stacked on a leading
-    axis of 2.  They are block-position major: token i * block + k of a scan
-    sits at [:, k, i], so each prefix step reads and writes one contiguous
-    (n_blocks, D, S) slice per batch entry.
-    """
-    n_blocks = max(1, -(-n_tokens // block_size))
-    return np.empty((2, batch, block_size, n_blocks, d_inner, state))
 
 
 def _blocks(tokens, block_size):
@@ -322,30 +307,17 @@ def _by_block(tokens, block_size):
     return tokens.reshape(batch, n_blocks, block_size, *tokens.shape[2:]).swapaxes(1, 2)
 
 
-def _blocked_states(disc, x, h0, block_size, work):
+def _blocked_states(disc, x, h0, block_size):
     """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition.
 
-    Composes block-major terms where they lie, and token-order ones in
-    ``work`` (see scan_workspace).  Returns the states as a block-major
-    (batch, block, n_blocks, D, S) view of the one or the other.
+    Composes the block-major (batch, block, n_blocks, D, S) terms where they
+    lie and returns the states as a view of the first of them.
     """
     length = x.shape[1]
     n_blocks = -(-length // block_size)
-    if disc.a_bar.ndim == 5:
-        a_pref, u_pref = disc.a_bar, disc.b_bar
-        for u_dst, x_src in zip(_token_blocks(u_pref, length), _blocks(x, block_size)):
-            u_dst *= x_src[..., None]
-    else:
-        a_pref, u_pref = work[:, :, :, :n_blocks]
-        # Transposing copies from token order, by whole blocks and then the
-        # last block's tokens.
-        for a_dst, u_dst, a_src, b_src, x_src in zip(
-            _token_blocks(a_pref, length), _token_blocks(u_pref, length),
-            _blocks(disc.a_bar, block_size), _blocks(disc.b_bar, block_size),
-            _blocks(x, block_size),
-        ):
-            a_dst[...] = a_src
-            np.multiply(b_src, x_src[..., None], out=u_dst)
+    a_pref, u_pref = disc.a_bar, disc.b_bar
+    for u_dst, x_src in zip(_token_blocks(u_pref, length), _blocks(x, block_size)):
+        u_dst *= x_src[..., None]
     # Identity elements extend the last block without changing any state.
     tail = length - (n_blocks - 1) * block_size
     a_pref[:, tail:, -1] = 1.0
@@ -402,7 +374,7 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     L, C_off) offset features that parameterize (Delta, B, C) per token.
 
     Each chunk of _chunk_bounds is projected, then discretized straight into
-    the block-major scan workspace, which is allocated here once for the
+    a block-major pair of terms, which is allocated here once for the
     longest chunk; the scan composes the terms there.  No token-order (D, S)
     term is made.  The refined sequence goes to ``out``, a (batch, L, D)
     float64 array, or a new one; ``out`` may be ``f_coarse`` itself, since
@@ -442,9 +414,14 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         raise StateError("a recorded run keeps f_coarse; out must not overwrite it")
 
     a = params.a
+    # A block at least as long as the sequence scans it sequentially either
+    # way; capping it at L keeps the scan's memory O(L), not O(block).
+    block_size = min(block_size, max(length, 1))
     chunks = _chunk_bounds(length, block_size)
     longest = max((stop - start for start, stop in chunks), default=0)
-    work = scan_workspace(batch, longest, d_inner, state, block_size)
+    # The block-major (batch, block, n_blocks, D, S) pair that every chunk
+    # is discretized into and scanned in.
+    work = np.empty((2, batch, block_size, -(-longest // block_size), d_inner, state))
     recorded = {}
     if keep_intermediates:
         widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),

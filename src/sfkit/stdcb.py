@@ -362,8 +362,8 @@ class StdcbConfig:
         check_config(self, "channels", "encoder_depths", "decoder_depths")
         if len(self.decoder_depths) != len(self.encoder_depths) - 1:
             raise InvalidConfig(
-                "need one decoder stack per level transition "
-                f"({len(self.encoder_depths) - 1}), got {len(self.decoder_depths)}"
+                "decoder_depths must be one integer >= 1 per level transition "
+                f"({len(self.encoder_depths) - 1}), got {self.decoder_depths!r}"
             )
         if self.cross_dilation < 1:
             raise InvalidConfig("cross_dilation must be >= 1")

@@ -420,3 +420,23 @@ def test_bad_config_values_exit_2(scene_path, tmp_path, command, override, capsy
     else:
         assert run(command, *args, "--set", override) == 2
     assert "must be" in capsys.readouterr().err
+
+
+# Each scalar and list shape that JSON can spell, with lists of three items so
+# that the 3-vector keys see a bad item rather than a bad length.
+BAD_JSON_VALUES = ("null", "true", '"x"', "NaN", "Infinity", "-Infinity", "1e400", "-1", "0",
+                   "1.5", "[]", "[1,1]", '[1,1,"x"]', "[1,1,NaN]", "[1,1,true]")
+
+
+def test_every_config_key_and_bad_value_exits_0_or_2(tmp_path, capsys):
+    from sfkit.errors import CONFIG_RULES
+
+    scene = tmp_path / "scene.sfsc"
+    assert run("synth", "--points", 9, "--movers", 0, "--seed", 3, "--out", scene) == 0
+    for key in CONFIG_RULES:
+        for value in BAD_JSON_VALUES:
+            code = run("infer", scene, "--out", tmp_path / "f.sffl", "--set", f"{key}={value}")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (key, value, code, err)
+            if code == 2:
+                assert f"{key} must be" in err, (key, value, err)

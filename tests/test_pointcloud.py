@@ -139,8 +139,6 @@ def test_scene_has_five_frames_warped_to_reference():
 
 def test_invalid_configs_rejected():
     with pytest.raises(InvalidConfig):
-        pc.synth_scene(basic_config(n_frames=0), 0)
-    with pytest.raises(InvalidConfig):
         pc.synth_scene(basic_config(dt=-0.1), 0)
     with pytest.raises(InvalidConfig):
         pc.synth_scene(basic_config(n_background=-5), 0)

@@ -633,24 +633,6 @@ def test_streamed_layer_bytes_at_pipeline_widths(mode):
     assert np.array_equal(streamed.h_final, h_ref)
 
 
-def test_scan_blocked_bytes_do_not_depend_on_workspace():
-    rng = np.random.default_rng(34)
-    length = chunk_tokens(48) + 30
-    params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
-    delta, b_tok, c_tok = token_terms(params, f_off)
-    disc = ssm.zoh_discretize(params.a, b_tok, delta)
-    h0 = rng.normal(size=(2, 3, 4))
-    expect = ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48)
-    # A workspace sized for a longer sequence, filled with garbage.
-    work = np.full(ssm.scan_workspace(2, 5000, 3, 4, 48).shape, np.nan)
-    for _ in range(2):
-        got = ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48, work=work)
-        assert np.array_equal(got[0], expect[0])
-        assert np.array_equal(got[1], expect[1])
-    with pytest.raises(ShapeError):
-        ssm.scan_blocked(disc, c_tok, params.d, x, h0, 48, work=work[:, :, :, :2])
-
-
 def test_streamed_layer_memory_is_bounded_by_one_chunk():
     rng = np.random.default_rng(32)
     length, d_inner, state, c_off = 32_400, 32, 16, 16
@@ -668,6 +650,21 @@ def test_streamed_layer_memory_is_bounded_by_one_chunk():
     longest = ssm.SCAN_CHUNK + ssm.DEFAULT_BLOCK_SIZE
     bound = length * d_inner * 8 + 5 * longest * d_inner * state * 8
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
+
+
+def test_layer_memory_does_not_grow_with_a_block_longer_than_the_sequence():
+    rng = np.random.default_rng(38)
+    params, x, f_off = make_inputs(rng, 1, 30, 32, 16, 16)
+    expect = ssm.flow_ssm_layer(x, f_off, params, block_size=30)
+    tracemalloc.start()
+    try:
+        got = ssm.flow_ssm_layer(x, f_off, params, block_size=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (D, S) term pair padded to 20,000 tokens would be 164 MB.
+    assert peak <= 1e6, f"peak {peak / 1e6:.1f} MB"
+    assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
 
 
 @pytest.mark.parametrize("block_size", [64, 48])
@@ -737,8 +734,12 @@ def test_scan_blocked_block_major_terms_match_token_order(length):
     delta, b_tok, c_tok = token_terms(params, f_off)
     h0 = rng.normal(size=(2, 3, 4))
     expect_states, got_states = np.empty((2, 2, length, 3, 4))
-    expect = ssm.scan_blocked(ssm.zoh_discretize(params.a, b_tok, delta), c_tok, params.d,
-                              x, h0, 48, states=expect_states)
+    tokens = ssm.zoh_discretize(params.a, b_tok, delta)
+    before = (tokens.a_bar.copy(), tokens.b_bar.copy())
+    expect = ssm.scan_blocked(tokens, c_tok, params.d, x, h0, 48, states=expect_states)
+    # The block-major copy of a whole number of blocks is made from a view,
+    # so only the copy protects the caller's terms from the scan.
+    assert np.array_equal(tokens.a_bar, before[0]) and np.array_equal(tokens.b_bar, before[1])
     blocked = ssm.zoh_discretize(params.a, ssm._by_block(b_tok, 48), ssm._by_block(delta, 48))
     got = ssm.scan_blocked(blocked, c_tok, params.d, x, h0, 48, states=got_states)
     assert np.array_equal(got[0], expect[0])
