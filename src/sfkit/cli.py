@@ -6,7 +6,6 @@ Exit codes are stable: 0 success, 2 input/config error, 3 numeric error.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -20,7 +19,7 @@ from . import pointcloud as pc
 from . import serialization as sz
 from . import ssm
 from . import stdcb
-from .errors import InvalidConfig, NumericError, SceneFlowError
+from .errors import MAX_FLOATS, InvalidConfig, NumericError, SceneFlowError, check_config
 from .pipeline import (
     InferenceTrace,
     RunConfig,
@@ -55,6 +54,7 @@ def _common_flags(parser):
 
 
 def _load_config(args):
+    check_config(args, seed="--seed")
     mapping = {}
     if args.config is not None:
         try:
@@ -110,6 +110,7 @@ def cmd_synth(args):
 
 def cmd_infer(args):
     config = _load_config(args)
+    check_config(args, seed_weights="--seed-weights")
     scene = pc.load_scene(args.scene)
     if args.weights is not None:
         weights = load_pipeline_weights(args.weights, config)
@@ -175,30 +176,29 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def _bench_lengths(text):
-    """Comma-separated scan lengths, each an integer >= 0 (0 is skipped)."""
-    try:
-        lengths = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise InvalidConfig(f"--lengths must be comma-separated integers, got {text!r}") from None
-    if any(length < 0 for length in lengths):
-        raise InvalidConfig(f"--lengths must be >= 0, got {text!r}")
-    return lengths
+def _comma_list(text):
+    """Comma-separated items, each an int where it parses and else left a
+    string for the flag's rule to reject."""
+    items = []
+    for item in filter(str.strip, text.split(",")):
+        try:
+            items.append(int(item))
+        except ValueError:
+            items.append(item)
+    return items
 
 
 def cmd_bench(args):
     config = _load_config(args)
-    lengths = _bench_lengths(args.lengths)
-    for flag, value in (("--batch", args.batch), ("--d-inner", args.d_inner),
-                        ("--state", args.state)):
-        if value < 1:
-            raise InvalidConfig(f"{flag} must be >= 1, got {value}")
-    if not (math.isfinite(args.min_time) and args.min_time > 0):
-        raise InvalidConfig(f"--min-time must be a finite number > 0, got {args.min_time}")
-    rng = np.random.default_rng(args.seed)
+    check_config(args, lengths="--lengths", batch="--batch", d_inner="--d-inner",
+                 state="--state", min_time="--min-time")
     d_inner, state, batch = args.d_inner, args.state, args.batch
+    if (terms := batch * max(args.lengths, default=0) * d_inner * state) > MAX_FLOATS:
+        raise InvalidConfig("--batch, --lengths, --d-inner and --state must give at most "
+                            f"{MAX_FLOATS} scan terms (batch*L*D*S), got {terms}")
+    rng = np.random.default_rng(args.seed)
     rows = ["impl,L,D_inner,S,tokens_per_second"]
-    for length in lengths:
+    for length in args.lengths:
         if length == 0:
             print("skipping L=0 (nothing to scan)")
             continue
@@ -497,7 +497,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="time the scan implementations")
     _common_flags(p)
-    p.add_argument("--lengths", default="64,256,1024,4096")
+    p.add_argument("--lengths", type=_comma_list, default="64,256,1024,4096")
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--d-inner", type=int, default=32)
     p.add_argument("--state", type=int, default=16)

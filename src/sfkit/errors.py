@@ -70,8 +70,20 @@ def _finite(v):
 
 
 _ANY_LENGTH = range(sys.maxsize)
-_COUNT = (Integral, lambda v: v >= 1, "an integer >= 1")
 _POSITIVE = (Real, lambda v: _finite(v) and v > 0, "a finite number > 0")
+_NON_NEGATIVE = (Real, lambda v: _finite(v) and v >= 0, "a finite number >= 0")
+
+
+def _count(lo, bits):
+    return (Integral, lambda v: lo <= v <= 1 << bits, f"an integer in [{lo}, 2**{bits}]")
+
+
+# Every count has an upper bound, so no count reaches numpy as a size it
+# cannot allocate; sizes that grow with several inputs at once are held to
+# MAX_FLOATS by cross-field checks.
+_COUNT = _count(1, 10)
+_SEED = (Integral, lambda v: 0 <= v < 1 << 64, "an integer in [0, 2**64)")
+MAX_FLOATS = 1 << 24  # 128 MiB of float64
 
 # The run-config rules, in this leaf module so every config class can use them.
 # field: (type, test, rule text).  A type ``(T, lengths)`` is a list or tuple
@@ -83,32 +95,55 @@ CONFIG_RULES = {
     # 21 bits per axis keeps voxel coords Morton-encodable
     "grid_extents": ((Integral, (3,)), lambda v: 1 <= v < 1 << 21, "3 integers in [1, 2**21)"),
     "channels": _COUNT,
-    # one encoder stack per level, and at least one level
+    # one encoder stack per level, and at least one level; the weight bundle's
+    # size bounds the depths
     "encoder_depths": (
-        (Integral, _ANY_LENGTH[1:]), _COUNT[1], "a non-empty list of integers >= 1"
+        (Integral, _ANY_LENGTH[1:]), lambda v: v >= 1, "a non-empty list of integers >= 1"
     ),
-    "decoder_depths": ((Integral, _ANY_LENGTH), _COUNT[1], "a list of integers >= 1"),
+    "decoder_depths": ((Integral, _ANY_LENGTH), lambda v: v >= 1, "a list of integers >= 1"),
     "decoder_layers": _COUNT,
     "state_size": _COUNT,
     "zoh_mode": (str, ("exact", "simplified").__contains__, "exact|simplified"),
     "dilation": (str, ("gap1", "literal").__contains__, "gap1|literal"),
     "dt": _POSITIVE,
     # 2**20 bins bounds the loss histogram at 8 MB
-    "k_bins": (Integral, lambda v: 2 <= v <= 1 << 20, "an integer in [2, 2**20]"),
-    "dynamic_threshold": (Real, lambda v: _finite(v) and v >= 0, "a finite number >= 0"),
-    "block_size": _COUNT,
+    "k_bins": _count(2, 20),
+    "dynamic_threshold": _NON_NEGATIVE,
+    "block_size": _count(1, 20),
     "threads": _COUNT,
     "decode_frame": (str, ("t", "t+1").__contains__, "t|t+1"),
 }
 
+# The rules of every other input, keyed by the name its error prints: the
+# CLI's own flags and the synthetic scene's fields.
+INPUT_RULES = {
+    "--lengths": ((Integral, _ANY_LENGTH), lambda v: 0 <= v <= 1 << 20,
+                  "a comma-separated list of integers in [0, 2**20]"),
+    "--batch": _COUNT,
+    "--d-inner": _COUNT,
+    "--state": _COUNT,
+    "--min-time": (Real, lambda v: 0 < v <= 60, "a number of seconds in (0, 60]"),
+    "--seed": _SEED,
+    "--seed-weights": _SEED,
+    # at most 2**22 + 64 * 2**16 = 2**23 points per synthetic frame
+    "n_background": _count(0, 22),
+    "n_movers": _count(0, 6),
+    "mover n_points": _count(1, 16),
+    "jitter_sigma": _NON_NEGATIVE,
+}
+
+_RULES = CONFIG_RULES | INPUT_RULES
+
 
 def check_config(config, *names, **renamed):
-    """Check fields of the frozen dataclass ``config`` against CONFIG_RULES,
-    storing lists as tuples.  ``names`` are fields named as their rule;
-    ``renamed`` maps field to rule.  Raises ``InvalidConfig``."""
+    """Check attributes of ``config`` against their rules in CONFIG_RULES or
+    INPUT_RULES, storing lists as tuples.  ``names`` are attributes named as
+    their rule; ``renamed`` maps attribute to rule.  Raises ``InvalidConfig``
+    naming the rule.  This is the one check of a single input value; checks
+    that span several values stay with the classes that hold them."""
     for name, key in [*zip(names, names), *renamed.items()]:
         value = getattr(config, name)
-        kind, test, rule = CONFIG_RULES[key]
+        kind, test, rule = _RULES[key]
         items = (value,)
         if isinstance(kind, tuple):
             kind, lengths = kind

@@ -11,10 +11,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .decoder import DecoderConfig, DecoderWeights, decode
-from .errors import CONFIG_RULES, InvalidConfig, InvalidInput, ShapeError, check_config
+from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
 from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, ZohMode
-from .stdcb import GAP1_DILATION, BackboneWeights, StdcbConfig, backbone_forward
+from .stdcb import GAP1_DILATION, BackboneWeights, StdcbConfig, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
     DEFAULT_CHANNELS,
@@ -60,6 +60,11 @@ class RunConfig:
     def __post_init__(self):
         check_config(self, *CONFIG_RULES)
         self.stdcb_config()  # one decoder stack per level transition
+        if (floats := _bundle_floats(self)) > MAX_FLOATS:
+            raise InvalidConfig(
+                "channels, encoder_depths, decoder_depths, decoder_layers and state_size "
+                f"must give a weight bundle of at most {MAX_FLOATS} floats, got {floats}"
+            )
 
     def grid(self):
         return VoxelGrid(self.grid_origin, self.cell_size, self.grid_extents)
@@ -126,6 +131,24 @@ def _build_pipeline_weights(config, rng):
         decoder=DecoderWeights(
             offset_encoder=offset_encoder, ssm_layers=ssm_layers, head=head
         ),
+    )
+
+
+def _floats(tree):
+    return sum(np.size(leaf) for leaf in flatten_tree(tree).values())
+
+
+def _bundle_floats(config):
+    """Floats in ``config``'s weight bundle, leaves such as ``bn_eps``
+    counted as one.  Every block and every scan layer has one shape, so one
+    of each is built from ZeroRng, for free, and no depth is looped over."""
+    c, zero = config.channels, ZeroRng()
+    blocks = sum(config.encoder_depths) + sum(config.decoder_depths)
+    return (
+        2 * _floats(MlpWeights.seeded(3, c, c, zero))  # point and offset encoders
+        + blocks * _floats(StdcbWeights.seeded(c, zero))
+        + config.decoder_layers * _floats(SsmParams.seeded(2 * c, config.state_size, c, zero))
+        + _floats(MlpWeights.seeded(3 * c, c, 3, zero))  # head
     )
 
 

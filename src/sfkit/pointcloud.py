@@ -10,6 +10,7 @@ ego trajectory, so the ground truth is known analytically.
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -216,18 +217,11 @@ class SceneConfig:
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
 
     def validate(self):
-        check_config(self, "dt", "dynamic_threshold")
-        if self.n_background < 0:
-            raise InvalidConfig("n_background must be >= 0")
-        if not (np.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0.0):
-            raise InvalidConfig(
-                f"jitter_sigma must be a finite number >= 0, got {self.jitter_sigma!r}"
-            )
+        check_config(self, "dt", "dynamic_threshold", "n_background", "jitter_sigma")
         if np.any(np.asarray(self.bounds_hi) <= np.asarray(self.bounds_lo)):
             raise InvalidConfig("bounds_hi must exceed bounds_lo per axis")
         for m in self.movers:
-            if m.n_points <= 0:
-                raise InvalidConfig("mover n_points must be positive")
+            check_config(m, n_points="mover n_points")
             if np.any(np.asarray(m.extents) <= 0):
                 raise InvalidConfig("mover extents must be positive")
 
@@ -324,8 +318,7 @@ def synth_scene(config, seed):
 def sample_mover_specs(n_movers, seed, bounds_lo=(-8.0, -8.0, -1.0),
                        bounds_hi=(8.0, 8.0, 1.0), n_points=200):
     """Deterministically draw mover boxes and velocities for a scene seed."""
-    if n_movers < 0:
-        raise InvalidConfig(f"n_movers must be >= 0, got {n_movers}")
+    check_config(SimpleNamespace(n_movers=n_movers), "n_movers")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 77]))
     lo, hi = np.asarray(bounds_lo), np.asarray(bounds_hi)
     movers = []

@@ -26,11 +26,12 @@ def uniform_init(rng, shape):
 
 
 class ZeroRng:
-    """Generator stand-in whose draws are zeros: a ``seeded`` builder given
-    one yields the bundle's shapes without importing ``numpy.random``."""
+    """Generator stand-in whose draws are read-only zero views that take no
+    memory: a ``seeded`` builder given one yields the bundle's shapes for
+    free, without importing ``numpy.random``."""
 
     def uniform(self, low, high, size):
-        return np.zeros(size)
+        return np.broadcast_to(0.0, size)
 
 
 @dataclass(frozen=True)

@@ -425,7 +425,8 @@ def test_bad_config_values_exit_2(scene_path, tmp_path, command, override, capsy
 # Each scalar and list shape that JSON can spell, with lists of three items so
 # that the 3-vector keys see a bad item rather than a bad length.
 BAD_JSON_VALUES = ("null", "true", '"x"', "NaN", "Infinity", "-Infinity", "1e400", "-1", "0",
-                   "1.5", "[]", "[1,1]", '[1,1,"x"]', "[1,1,NaN]", "[1,1,true]")
+                   "1.5", "[]", "[1,1]", '[1,1,"x"]', "[1,1,NaN]", "[1,1,true]",
+                   "100000000000000000000000000")
 
 
 def test_every_config_key_and_bad_value_exits_0_or_2(tmp_path, capsys):
@@ -440,3 +441,73 @@ def test_every_config_key_and_bad_value_exits_0_or_2(tmp_path, capsys):
             assert code in (0, 2), (key, value, code, err)
             if code == 2:
                 assert f"{key} must be" in err, (key, value, err)
+
+
+def run_or_usage_error(*argv):
+    """``run``, with argparse's own usage error read as its exit code 2."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# Each swept flag and the rule its value is checked by, or None for a flag
+# whose bad values are refused further in.
+SWEPT_FLAGS = {
+    "synth": {"--points": "n_background", "--movers": "n_movers",
+              "--mover-points": "mover n_points", "--jitter": "jitter_sigma",
+              "--ego-speed": None, "--seed": "--seed"},
+    "infer": {"--seed-weights": "--seed-weights"},
+    "bench": {"--lengths": "--lengths", "--batch": "--batch", "--d-inner": "--d-inner",
+              "--state": "--state", "--min-time": "--min-time", "--seed": "--seed"},
+}
+SWEPT_VALUES = ("-1", "0", "1.5", "nan", "inf", "-inf", "x", str(10**20), str(10**26),
+                str(-10**26))
+
+
+def test_every_cli_flag_and_bad_value_exits_0_or_2(tmp_path, capsys):
+    scene = tmp_path / "scene.sfsc"
+    assert run("synth", "--points", 9, "--movers", 0, "--seed", 3, "--out", scene) == 0
+    out = tmp_path / "out"
+    # ``--lengths 0`` times nothing, so that a valid --min-time costs no time.
+    base = {"synth": ("--points", 9, "--movers", 1, "--mover-points", 3),
+            "infer": (scene,), "bench": ("--lengths", "0")}
+    for command, flags in SWEPT_FLAGS.items():
+        for flag, key in flags.items():
+            for value in SWEPT_VALUES:
+                code = run_or_usage_error(command, *base[command], f"{flag}={value}",
+                                          "--out", out)
+                err = capsys.readouterr().err
+                assert code in (0, 2), (command, flag, value, code, err)
+                if "must be" in err:
+                    assert f"error: {key} must be" in err, (command, flag, value, err)
+
+
+def test_weight_file_truncations_and_byte_flips_through_infer_exit_0_2_or_3(tmp_path):
+    scene = tmp_path / "scene.sfsc"
+    assert run("synth", "--points", 9, "--movers", 0, "--seed", 3, "--out", scene) == 0
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({"channels": 1, "encoder_depths": [1], "decoder_depths": [],
+                                  "state_size": 1}))
+    wpath, broken = tmp_path / "w.sfwt", tmp_path / "broken.sfwt"
+    assert run("infer", scene, "--config", config, "--out", tmp_path / "f.sffl",
+               "--save-weights", wpath) == 0
+    # Every 7th variant: 7 is prime to the 8 bytes of a float64, so the flips
+    # still land on every byte position of the payload's numbers.
+    variants = list(every_truncation_and_byte_flip(wpath.read_bytes()))[::7]
+    for i, variant in enumerate(variants):
+        broken.write_bytes(variant)
+        code = run("infer", scene, "--config", config, "--weights", broken,
+                   "--out", tmp_path / "g.sffl")
+        assert code in (0, 2, 3), i
+
+
+def test_sizes_above_max_floats_exit_2_naming_their_inputs(scene_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("infer", scene_path, "--set", "channels=400", "--out", out) == 2
+    assert ("channels, encoder_depths, decoder_depths, decoder_layers and state_size must give"
+            in capsys.readouterr().err)
+    assert run("bench", "--lengths", "8,64", "--d-inner", 1024, "--state", 1024,
+               "--out", out) == 2
+    assert "--batch, --lengths, --d-inner and --state must give" in capsys.readouterr().err
+    assert not out.exists()

@@ -11,9 +11,11 @@ import pytest
 
 import sfkit
 
-from sfkit.errors import FormatError, ShapeError
+from sfkit.errors import MAX_FLOATS, FormatError, InvalidConfig, ShapeError
 from sfkit.pipeline import (
     RunConfig,
+    _build_pipeline_weights,
+    _bundle_floats,
     init_pipeline_weights,
     load_pipeline_weights,
     pipeline_weights_to_dict,
@@ -21,6 +23,7 @@ from sfkit.pipeline import (
 )
 from sfkit.weights import (
     MlpWeights,
+    ZeroRng,
     flatten_tree,
     load_weight_dict,
     save_weight_dict,
@@ -200,6 +203,35 @@ def test_loading_weights_does_not_import_numpy_random(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{}, PAPER5, {"channels": 3, "state_size": 5, "decoder_layers": 3, "dilation": "literal"}],
+    ids=["desk", "paper5", "small_three_layer"],
+)
+def test_bundle_floats_count_the_whole_template(config):
+    config = RunConfig(**config)
+    template = _build_pipeline_weights(config, ZeroRng())
+    assert _bundle_floats(config) == sum(np.size(v) for v in flatten_tree(template).values())
+    assert _bundle_floats(config) <= MAX_FLOATS
+
+
+def test_oversized_bundle_is_refused_before_any_array_exists():
+    # 38.2M floats, 305 MB if drawn; at this width one block's template
+    # would take 21 MB if ZeroRng allocated its zeros.
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig) as err:
+            RunConfig(**PAPER5, channels=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "channels, encoder_depths, decoder_depths, decoder_layers and state_size must give "
+        f"a weight bundle of at most {MAX_FLOATS} floats, got 38154853"
+    )
+    assert peak < 8e6
 
 
 def _section(name, dims, payload=b"", rank=None):
