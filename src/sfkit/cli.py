@@ -205,10 +205,7 @@ def cmd_bench(args):
         params = ssm.SsmParams.seeded(d_inner, state, d_inner, rng)
         x = rng.normal(size=(batch, length, d_inner))
         offsets = rng.normal(size=(batch, length, d_inner))
-        z_delta = offsets @ params.w_delta + params.b_delta
-        delta = ssm.softplus(z_delta)
-        b_tok = offsets @ params.w_b
-        c_tok = offsets @ params.w_c
+        _, delta, b_tok, c_tok = ssm.project_token_params(offsets, params)
         disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
         h0 = np.zeros((batch, d_inner, state))
 
@@ -260,9 +257,8 @@ def _check_scan_equivalence():
         params = ssm.SsmParams.seeded(d_inner, state, 3, rng)
         f_off = rng.normal(size=(2, length, 3))
         x = rng.normal(size=(2, length, d_inner))
-        delta = ssm.softplus(f_off @ params.w_delta + params.b_delta)
-        disc = ssm.zoh_discretize(params.a, f_off @ params.w_b, delta)
-        c_tok = f_off @ params.w_c
+        _, delta, b_tok, c_tok = ssm.project_token_params(f_off, params)
+        disc = ssm.zoh_discretize(params.a, b_tok, delta)
         h0 = rng.normal(size=(2, d_inner, state))
         y1, h1 = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
         y2, h2 = ssm.scan_blocked(disc, c_tok, params.d, x, h0, block_size=16)
@@ -279,9 +275,9 @@ def _check_streamed_scan():
     f_off = rng.normal(size=(1, length, 3))
     h0 = rng.normal(size=(1, 4, 8))
     refined, h = ssm.flow_ssm_layer(x, f_off, params, h0)
-    delta = ssm.softplus(f_off @ params.w_delta + params.b_delta)
-    disc = ssm.zoh_discretize(params.a, f_off @ params.w_b, delta, ssm.ZohMode.SIMPLIFIED)
-    y_ref, h_ref = ssm.scan_sequential(disc, f_off @ params.w_c, params.d, x, h0)
+    _, delta, b_tok, c_tok = ssm.project_token_params(f_off, params)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
+    y_ref, h_ref = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
     assert np.abs(refined - y_ref).max() <= 1e-10 * max(np.abs(y_ref).max(), 1.0)
     assert np.abs(h - h_ref).max() <= 1e-10 * max(np.abs(h_ref).max(), 1.0)
 
@@ -305,8 +301,8 @@ def _check_chunk_bytes():
     _, h = ssm.flow_ssm_layer(in_place, f_off, params, h0, out=in_place)
     assert np.array_equal(in_place, run.refined), "in-place output differs from recorded run"
     assert np.array_equal(h, run.h_final), "in-place state differs from recorded run"
-    full = f_off @ params.w_delta + params.b_delta, f_off @ params.w_b, f_off @ params.w_c
-    for name, expect in zip(("z_delta", "b_tokens", "c_tokens"), full):
+    z_delta, _, b_tok, c_tok = ssm.project_token_params(f_off, params)
+    for name, expect in zip(("z_delta", "b_tokens", "c_tokens"), (z_delta, b_tok, c_tok)):
         assert np.array_equal(getattr(run, name), expect), f"per-chunk {name} differs"
 
 

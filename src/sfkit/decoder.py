@@ -13,24 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, check_config
+from .errors import NumericError, ShapeError
 from .pointcloud import FlowField
 from .serialization import deserialize, serialize
 from .ssm import DEFAULT_BLOCK_SIZE, ZohMode, flow_ssm_layer
 from .voxelizer import devoxelize_coarse
 from .weights import MlpWeights
-
-
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Scan settings; the feature widths come from the weights."""
-
-    n_layers: int = 1  # one refinement pass balances accuracy and speed
-    zoh_mode: ZohMode = ZohMode.SIMPLIFIED
-    block_size: int = DEFAULT_BLOCK_SIZE
-
-    def __post_init__(self):
-        check_config(self, "block_size", n_layers="decoder_layers")
 
 
 def encode_offsets(p_offset, w):
@@ -67,9 +55,17 @@ class DecoderWeights:
     ssm_layers: tuple  # one SsmParams per cascade layer
     head: MlpWeights  # flow head, 2C + C -> C -> 3
 
+    def __post_init__(self):
+        if not self.ssm_layers:
+            raise ShapeError("a decoder needs at least one scan layer")
 
-def decode(voxel_features, point_features, p_offset, assignment, weights, config):
+
+def decode(voxel_features, point_features, p_offset, assignment, weights,
+           mode=ZohMode.SIMPLIFIED, block_size=DEFAULT_BLOCK_SIZE):
     """Run the full decoder for one scene's prediction frame.
+
+    The cascade runs one scan layer per entry of ``weights.ssm_layers``;
+    ``mode`` and ``block_size`` are passed to each as in ``flow_ssm_layer``.
 
     Output row i is the flow of input point i regardless of the serialized
     processing order.  The scan layers refine the serialized sequence in
@@ -78,10 +74,6 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
     them back through the inverse permutation.  So that the decoder's
     inputs can be freed here, the caller should hold no other reference.
     """
-    if len(weights.ssm_layers) != config.n_layers:
-        raise ShapeError(
-            f"{len(weights.ssm_layers)} scan layers provided, config wants {config.n_layers}"
-        )
     # Each array is dropped once its last reader has run; the head's input,
     # built while its two parts are alive, sets the peak memory.
     f_coarse = assemble_coarse(voxel_features, point_features, assignment)
@@ -94,7 +86,7 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, config
     for params in weights.ssm_layers:
         hidden = flow_ssm_layer(
             tokens, offset_tokens, params, hidden,
-            mode=config.zoh_mode, block_size=config.block_size, out=tokens,
+            mode=mode, block_size=block_size, out=tokens,
         )[1]
     del tokens
 

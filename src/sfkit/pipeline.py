@@ -10,11 +10,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .decoder import DecoderConfig, DecoderWeights, decode
+from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
-from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, ZohMode
-from .stdcb import GAP1_DILATION, BackboneWeights, StdcbConfig, StdcbWeights, backbone_forward
+from .ssm import DEFAULT_BLOCK_SIZE, SsmParams
+from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
     DEFAULT_CHANNELS,
@@ -59,7 +59,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_config(self, *CONFIG_RULES)
-        self.stdcb_config()  # one decoder stack per level transition
+        if len(self.decoder_depths) != len(self.encoder_depths) - 1:
+            raise InvalidConfig(
+                "decoder_depths must be one integer >= 1 per level transition "
+                f"({len(self.encoder_depths) - 1}), got {self.decoder_depths!r}"
+            )
         if (floats := _bundle_floats(self)) > MAX_FLOATS:
             raise InvalidConfig(
                 "channels, encoder_depths, decoder_depths, decoder_layers and state_size "
@@ -68,21 +72,6 @@ class RunConfig:
 
     def grid(self):
         return VoxelGrid(self.grid_origin, self.cell_size, self.grid_extents)
-
-    def stdcb_config(self):
-        return StdcbConfig(
-            channels=self.channels,
-            encoder_depths=self.encoder_depths,
-            decoder_depths=self.decoder_depths,
-            cross_dilation=GAP1_DILATION if self.dilation == "gap1" else 1,
-        )
-
-    def decoder_config(self):
-        return DecoderConfig(
-            n_layers=self.decoder_layers,
-            zoh_mode=ZohMode(self.zoh_mode),
-            block_size=self.block_size,
-        )
 
     @classmethod
     def from_mapping(cls, *mappings):
@@ -118,7 +107,10 @@ def init_pipeline_weights(config, seed):
 def _build_pipeline_weights(config, rng):
     c = config.channels
     point_encoder = MlpWeights.seeded(3, c, c, rng)
-    backbone = BackboneWeights.seeded(config.stdcb_config(), rng)
+    backbone = BackboneWeights.seeded(
+        c, config.encoder_depths, config.decoder_depths, rng,
+        cross_dilation=GAP1_DILATION if config.dilation == "gap1" else 1,
+    )
     offset_encoder = MlpWeights.seeded(3, c, c, rng)
     ssm_layers = tuple(
         SsmParams.seeded(2 * c, config.state_size, c, rng)
@@ -269,7 +261,7 @@ def infer_flow(scene, weights, config, trace=None):
         rows = (lo, lo + res_t.n_voxels)
         del results, res, pf
     del voxel_feats  # the stacked tensor holds copies of these rows
-    refined = backbone_forward(stacked.pop(), config.stdcb_config(), weights.backbone, rows)
+    refined = backbone_forward(stacked.pop(), weights.backbone, rows)
 
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
     keys[:, 0] = slot
@@ -289,5 +281,5 @@ def infer_flow(scene, weights, config, trace=None):
     del f3d_t, point_feats_t
     return decode(
         features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
-        config.decoder_config(),
+        mode=config.zoh_mode, block_size=config.block_size,
     )

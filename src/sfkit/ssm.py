@@ -18,12 +18,13 @@ A plain left-to-right loop with the same contract is the oracle.  An
 adjoint pass provides exact gradients for finite-difference verification.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, StateError
+from .errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
 from .weights import ZeroRng, uniform_init
 
 DEFAULT_BLOCK_SIZE = 64
@@ -358,7 +359,10 @@ class FlowSsmRun:
     h_states: np.ndarray = None
 
 
-def _project_token_params(f_offset, params):
+def project_token_params(f_offset, params):
+    """(z_delta, delta, B, C): the per-token step-size logits, step sizes
+    softplus(z_delta), input gates and output gates projected from offset
+    features (..., C_off)."""
     z_delta = f_offset @ params.w_delta + params.b_delta
     delta = softplus(z_delta)
     b_tokens = f_offset @ params.w_b
@@ -375,10 +379,12 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     Each chunk of _chunk_bounds is projected, then discretized straight into
     a block-major pair of terms, which is allocated here once for the
-    longest chunk; the scan composes the terms there.  No token-order (D, S)
-    term is made.  The refined sequence goes to ``out``, a (batch, L, D)
-    float64 array, or a new one; ``out`` may be ``f_coarse`` itself, since
-    each chunk's input is read before its output is written.  With
+    longest chunk; the scan composes the terms there.  A pair of more than
+    ``MAX_FLOATS`` floats raises InvalidConfig before anything is allocated.
+    No token-order (D, S) term is made.  The refined sequence goes to
+    ``out``, a (batch, L, D) float64 array, or a new one; ``out`` may be
+    ``f_coarse`` itself, since each chunk's input is read before its output
+    is written.  With
     ``keep_intermediates`` the same loop also writes each chunk's
     projections, transitions (before the scan overwrites them) and states
     into full-length arrays; the record keeps ``f_coarse`` as the backward
@@ -420,8 +426,14 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     chunks = _chunk_bounds(length, block_size)
     longest = max((stop - start for start, stop in chunks), default=0)
     # The block-major (batch, block, n_blocks, D, S) pair that every chunk
-    # is discretized into and scanned in.
-    work = np.empty((2, batch, block_size, -(-longest // block_size), d_inner, state))
+    # is discretized into and scanned in, sized before it is allocated.
+    work_shape = (2, batch, block_size, -(-longest // block_size), d_inner, state)
+    if (floats := math.prod(work_shape)) > MAX_FLOATS:
+        raise InvalidConfig(
+            "channels, state_size and block_size must give a scan workspace of at most "
+            f"{MAX_FLOATS} floats, got {floats} for {length} tokens"
+        )
+    work = np.empty(work_shape)
     recorded = {}
     if keep_intermediates:
         widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),
@@ -430,7 +442,7 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     h = h0
     for start, stop in chunks:
         part, n_tokens = slice(start, stop), stop - start
-        projected = _project_token_params(f_offset[:, part], params)
+        projected = project_token_params(f_offset[:, part], params)
         _, delta, b_tokens, c_tokens = projected
         n_blocks = -(-n_tokens // block_size)
         disc = zoh_discretize(a, _by_block(b_tokens, block_size), _by_block(delta, block_size),

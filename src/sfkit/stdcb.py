@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, InvalidConfig, ShapeError, check_config
+from .errors import AlignmentError, ShapeError
 from .ssm import sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides
 from .weights import MlpWeights, flatten_tree, uniform_init
@@ -209,6 +209,8 @@ class SfsmWeights:
                 raise ShapeError(f"SFSM {name} must be ({c},)")
         if self.bn_eps <= 0:
             raise ShapeError("bn_eps must be positive")
+        if not np.all(self.bn_var >= 0):  # a variance; the gate takes its root
+            raise ShapeError(f"SFSM bn_var must be >= 0, got {np.min(self.bn_var)}")
         if not 0.0 <= self.leaky_slope <= 1.0:
             raise ShapeError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
 
@@ -350,61 +352,35 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
 
 
 @dataclass(frozen=True)
-class StdcbConfig:
-    """Backbone layout: one encoder stack per level, decoder stacks between."""
-
-    channels: int = 16
-    encoder_depths: tuple = (2, 2, 2, 2, 2)
-    decoder_depths: tuple = (1, 1, 1, 1)
-    cross_dilation: int = GAP1_DILATION
-
-    def __post_init__(self):
-        check_config(self, "channels", "encoder_depths", "decoder_depths")
-        if len(self.decoder_depths) != len(self.encoder_depths) - 1:
-            raise InvalidConfig(
-                "decoder_depths must be one integer >= 1 per level transition "
-                f"({len(self.encoder_depths) - 1}), got {self.decoder_depths!r}"
-            )
-        if self.cross_dilation < 1:
-            raise InvalidConfig("cross_dilation must be >= 1")
-
-    @classmethod
-    def desk(cls, channels=16, cross_dilation=GAP1_DILATION):
-        """Shrunken two-level layout that keeps dense-oracle tests feasible."""
-        return cls(
-            channels=channels,
-            encoder_depths=(1, 1),
-            decoder_depths=(1,),
-            cross_dilation=cross_dilation,
-        )
-
-    @property
-    def n_levels(self):
-        return len(self.encoder_depths)
-
-
-@dataclass(frozen=True)
 class BackboneWeights:
+    """Every block of the U backbone, nested as its layout: one encoder
+    stack per level, one decoder stack per level transition, and at least
+    one block per stack."""
+
     encoder: tuple  # tuple per level of tuple[StdcbWeights]
     decoder: tuple  # tuple per transition of tuple[StdcbWeights]
 
+    def __post_init__(self):
+        if not (self.encoder and len(self.decoder) == len(self.encoder) - 1
+                and all(self.encoder) and all(self.decoder)):
+            raise ShapeError(
+                "a backbone needs at least one level, one decoder stack per level "
+                "transition and one block per stack; got encoder stacks of depth "
+                f"{[len(s) for s in self.encoder]} and decoder stacks of depth "
+                f"{[len(s) for s in self.decoder]}"
+            )
+
     @classmethod
-    def seeded(cls, config, rng):
-        enc = tuple(
-            tuple(
-                StdcbWeights.seeded(config.channels, rng, config.cross_dilation)
-                for _ in range(depth)
+    def seeded(cls, channels, encoder_depths, decoder_depths, rng,
+               cross_dilation=GAP1_DILATION):
+        def stacks(depths):
+            return tuple(
+                tuple(StdcbWeights.seeded(channels, rng, cross_dilation) for _ in range(depth))
+                for depth in depths
             )
-            for depth in config.encoder_depths
-        )
-        dec = tuple(
-            tuple(
-                StdcbWeights.seeded(config.channels, rng, config.cross_dilation)
-                for _ in range(depth)
-            )
-            for depth in config.decoder_depths
-        )
-        return cls(encoder=enc, decoder=dec)
+
+        # Arguments evaluate in order: the encoder stacks draw from rng first.
+        return cls(encoder=stacks(encoder_depths), decoder=stacks(decoder_depths))
 
 
 def pool2(coords):
@@ -467,13 +443,14 @@ def _cut_last(blocks, kmap, rows):
         yield block, {"kmap": kmap, "rows": rows} if cut else {"kmap": kmap}
 
 
-def backbone_forward(f_4d, config, weights, rows=None):
+def backbone_forward(f_4d, weights, rows=None):
     """U-shaped encoder/decoder over coupling-block stacks.
 
     Spatial resolution halves between levels; skip connections add by active
     site, and the full-resolution output is residually combined with the
-    input (active sets coincide by the submanifold property).  A single-level
-    config is a plain block stack: no skips and no outer residual, so depth-1
+    input (active sets coincide by the submanifold property).  The level
+    count is the weights' (one encoder stack per level).  A single level is
+    a plain block stack: no skips and no outer residual, so depth-1
     reduces exactly to one block.
 
     ``rows=(lo, hi)`` returns a tensor over those output rows only.  Just
@@ -488,21 +465,20 @@ def backbone_forward(f_4d, config, weights, rows=None):
     input only if the caller holds no reference to it.  Each decoder level
     adds the upsampled coarse features into its skip's rows in place.
     """
-    if len(weights.encoder) != config.n_levels or len(weights.decoder) != config.n_levels - 1:
-        raise ShapeError("weights do not match the configured level count")
+    n_levels = len(weights.encoder)
     # One KernelMap per level serves that level's encoder and decoder blocks,
     # and one pool2 index per transition serves its downsample and upsample.
     # Both live only in these locals, so each is dropped once its level's
     # decoder stack or upsample has run and none survives the return.
     x, skips = f_4d, []
-    if config.n_levels == 1:
+    if n_levels == 1:
         del f_4d
-    for level in range(config.n_levels):
+    for level in range(n_levels):
         kmap = KernelMap(x.coords)
-        cut = rows if config.n_levels == 1 else None
+        cut = rows if n_levels == 1 else None
         for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
             x = stdcb_forward(x, block, **kwargs)
-        if level < config.n_levels - 1:
+        if level < n_levels - 1:
             if level == 0 and rows is not None:
                 # Only the outer residual reads the input from here on, and
                 # only these rows; a view of them would keep it all alive.
@@ -511,9 +487,9 @@ def backbone_forward(f_4d, config, weights, rows=None):
             pooling = pool2(x.coords)
             skips.append((x, kmap, pooling))
             x = downsample2(x, pooling)
-    if config.n_levels == 1:
+    if n_levels == 1:
         return x
-    for level in range(config.n_levels - 2, -1, -1):
+    for level in range(n_levels - 2, -1, -1):
         skip, kmap, pooling = skips.pop()
         x = upsample_into(x, skip, pooling)
         del skip, pooling  # x is the skip now; only the first decoder block reads it

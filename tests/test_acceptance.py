@@ -14,7 +14,7 @@ from sfkit import loss as loss_mod
 from sfkit import metrics, ssm, stdcb
 from sfkit import pointcloud as pc
 from sfkit.cli import main as cli_main
-from sfkit.decoder import DecoderConfig, DecoderWeights, decode
+from sfkit.decoder import DecoderWeights, decode
 from sfkit.pipeline import RunConfig, init_pipeline_weights
 from sfkit.serialization import deserialize, morton_codes, morton_decode, serialize
 from sfkit.ssm import SsmParams, ZohMode
@@ -367,10 +367,7 @@ def test_criterion_11_devoxelization_refinement():
         ssm_layers=(SsmParams.seeded(2 * channels, 8, channels, rng),),
         head=MlpWeights.seeded(3 * channels, channels, 3, rng),
     )
-    flow = decode(
-        voxel_features, point_features, res.offsets, res, weights,
-        DecoderConfig(n_layers=1),
-    )
+    flow = decode(voxel_features, point_features, res.offsets, res, weights)
     separation = np.linalg.norm(flow.vectors[0] - flow.vectors[1])
     assert separation > 1e-9, f"co-voxel outputs separated by only {separation:.2e}"
     _pass(11, "refined devoxelization separates co-voxel points")

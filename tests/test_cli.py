@@ -6,7 +6,7 @@ import pytest
 from sfkit import cli
 from sfkit import pointcloud as pc
 from sfkit.cli import main
-from sfkit.pipeline import RunConfig
+from sfkit.pipeline import RunConfig, init_pipeline_weights
 
 
 def run(*argv):
@@ -173,6 +173,21 @@ def test_weight_file_non_finite_section_exit_2(scene_path, tmp_path, section, ca
     assert not flow.exists()
 
 
+def test_weight_file_negative_bn_var_exit_2(scene_path, tmp_path, capsys):
+    from sfkit.weights import load_weight_dict, save_weight_dict
+
+    wpath = tmp_path / "w.sfwt"
+    assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",
+               "--save-weights", wpath) == 0
+    flat = load_weight_dict(wpath)
+    flat["backbone.encoder.0.0.sfsm_temporal.bn_var"].flat[0] = -65536.0
+    save_weight_dict(flat, wpath)
+    flow = tmp_path / "g.sffl"
+    assert run("infer", scene_path, "--weights", wpath, "--out", flow) == 2
+    assert "bn_var must be >= 0, got -65536.0" in capsys.readouterr().err
+    assert not flow.exists()
+
+
 def test_weight_file_section_name_not_utf8_exit_2(scene_path, tmp_path):
     wpath = tmp_path / "w.sfwt"
     wpath.write_bytes(b"SFWT\x01\x00\x01\x00\xff\x00" + bytes(8))
@@ -314,7 +329,7 @@ def test_empty_encoder_depths_gets_the_rule_message(scene_path, tmp_path, capsys
     assert message in capsys.readouterr().err
     # A single level has no transition, so it takes no decoder stack.
     config = RunConfig.from_mapping({"encoder_depths": [2], "decoder_depths": []})
-    assert config.stdcb_config().n_levels == 1
+    assert len(init_pipeline_weights(config, 0).backbone.encoder) == 1
 
 
 def test_ply_export_flag(tmp_path):
@@ -510,4 +525,14 @@ def test_sizes_above_max_floats_exit_2_naming_their_inputs(scene_path, tmp_path,
     assert run("bench", "--lengths", "8,64", "--d-inner", 1024, "--state", 1024,
                "--out", out) == 2
     assert "--batch, --lengths, --d-inner and --state must give" in capsys.readouterr().err
+    # 1100 points scan as a 1024-token chunk and a tail: at channels=64
+    # (D = 128) and state_size=65 the chunk's term pair is 2*1024*128*65
+    # floats, just above MAX_FLOATS, while the bundle is well below it.
+    scene = tmp_path / "scene.sfsc"
+    assert run("synth", "--points", 1100, "--movers", 0, "--seed", 4, "--out", scene) == 0
+    capsys.readouterr()
+    assert run("infer", scene, "--set", "channels=64", "--set", "state_size=65",
+               "--out", out) == 2
+    assert ("channels, state_size and block_size must give a scan workspace of at most "
+            "16777216 floats, got 17039360" in capsys.readouterr().err)
     assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfkit import decoder as dec
-from sfkit.errors import InvalidConfig, ShapeError
+from sfkit.errors import ShapeError
 from sfkit.pointcloud import PointCloud
 from sfkit.serialization import deserialize, serialize
 from sfkit.ssm import SsmParams, flow_ssm_layer
@@ -25,10 +25,6 @@ def seeded_weights(rng, channels=4, state=4, n_layers=1):
         ),
         head=MlpWeights.seeded(3 * channels, channels, 3, rng),
     )
-
-
-def config(n_layers=1):
-    return dec.DecoderConfig(n_layers=n_layers)
 
 
 # --- offset encoder -----------------------------------------------------------
@@ -123,7 +119,7 @@ def test_covoxel_points_get_distinct_flow():
     vf = rng.normal(size=(1, 4))
     pf = np.tile(rng.normal(size=(1, 4)), (2, 1))  # identical point features too
     w = seeded_weights(rng)
-    flow = dec.decode(vf, pf, res.offsets, res, w, config())
+    flow = dec.decode(vf, pf, res.offsets, res, w)
     assert np.linalg.norm(flow.vectors[0] - flow.vectors[1]) > 1e-9
 
 
@@ -135,7 +131,7 @@ def test_all_zero_weights_give_zero_flow():
         ssm_layers=(SsmParams.zeros(8, 4, 4),),
         head=MlpWeights.zeros(12, 4, 3),
     )
-    flow = dec.decode(vf, pf, res.offsets, res, w, config())
+    flow = dec.decode(vf, pf, res.offsets, res, w)
     assert np.array_equal(flow.vectors, np.zeros((20, 3)))
 
 
@@ -143,8 +139,8 @@ def test_decode_deterministic():
     rng = np.random.default_rng(5)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (100, 3)))
     w = seeded_weights(np.random.default_rng(42))
-    a = dec.decode(vf, pf, res.offsets, res, w, config())
-    b = dec.decode(vf, pf, res.offsets, res, w, config())
+    a = dec.decode(vf, pf, res.offsets, res, w)
+    b = dec.decode(vf, pf, res.offsets, res, w)
     assert np.array_equal(a.vectors, b.vectors)
 
 
@@ -156,7 +152,7 @@ def test_decode_output_follows_input_order():
     vf = rng.normal(size=(res.n_voxels, 4))
     pf = rng.normal(size=(12, 4))
     w = seeded_weights(np.random.default_rng(7))
-    base = dec.decode(vf, pf, res.offsets, res, w, config())
+    base = dec.decode(vf, pf, res.offsets, res, w)
 
     perm = rng.permutation(12)
     res_p = make_assignment(pts[perm])
@@ -165,7 +161,7 @@ def test_decode_output_follows_input_order():
     for i, coord in enumerate(res_p.voxel_coords):
         match = np.flatnonzero((res.voxel_coords == coord).all(axis=1))[0]
         vf_p[i] = vf[match]
-    out = dec.decode(vf_p, pf[perm], res_p.offsets, res_p, w, config())
+    out = dec.decode(vf_p, pf[perm], res_p.offsets, res_p, w)
     assert np.allclose(out.vectors, base.vectors[perm], atol=1e-12)
 
 
@@ -178,29 +174,23 @@ def test_decode_layer_count_changes_values_not_shape():
         ssm_layers=w1.ssm_layers * 3,
         head=w1.head,
     )
-    f1 = dec.decode(vf, pf, res.offsets, res, w1, config(n_layers=1))
-    f3 = dec.decode(vf, pf, res.offsets, res, w3, config(n_layers=3))
+    f1 = dec.decode(vf, pf, res.offsets, res, w1)
+    f3 = dec.decode(vf, pf, res.offsets, res, w3)
     assert f1.vectors.shape == f3.vectors.shape
     assert not np.allclose(f1.vectors, f3.vectors)
 
 
-def test_decode_layer_mismatch():
+def test_decoder_refuses_an_empty_cascade_and_block_size_0():
     rng = np.random.default_rng(10)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (5, 3)))
-    w = seeded_weights(rng, n_layers=2)
-    with pytest.raises(ShapeError):
-        dec.decode(vf, pf, res.offsets, res, w, config(n_layers=1))
+    w = seeded_weights(rng)
+    with pytest.raises(ShapeError, match="at least one scan layer"):
+        dec.DecoderWeights(offset_encoder=w.offset_encoder, ssm_layers=(), head=w.head)
+    with pytest.raises(ShapeError, match="block_size must be >= 1"):
+        dec.decode(vf, pf, res.offsets, res, w, block_size=0)
 
 
-def test_decoder_config_validation():
-    with pytest.raises(InvalidConfig):
-        dec.DecoderConfig(n_layers=0)
-    with pytest.raises(InvalidConfig):
-        dec.DecoderConfig(block_size=0)
-
-
-def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights,
-                         config):
+def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights):
     """decode with both feature sets serialized separately and the offsets
     deserialized back before the head."""
     f_coarse = dec.assemble_coarse(voxel_features, point_features, assignment)
@@ -210,8 +200,7 @@ def two_serialize_decode(voxel_features, point_features, p_offset, assignment, w
     seq_offset = serialize(f_offset, coords)
     tokens, hidden = seq_coarse.rows[None], None
     for params in weights.ssm_layers:
-        tokens, hidden = flow_ssm_layer(tokens, seq_offset.rows[None], params, hidden,
-                                        mode=config.zoh_mode, block_size=config.block_size)
+        tokens, hidden = flow_ssm_layer(tokens, seq_offset.rows[None], params, hidden)
     refined = deserialize(seq_coarse.with_rows(tokens[0]))
     return weights.head.apply(np.concatenate([refined, deserialize(seq_offset)], axis=1))
 
@@ -222,10 +211,10 @@ def test_decode_serializes_once_byte_identical(n_layers, monkeypatch):
     rng = np.random.default_rng(11)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (3000, 3)))
     w = seeded_weights(np.random.default_rng(12), n_layers=n_layers)
-    expect = two_serialize_decode(vf, pf, res.offsets, res, w, config(n_layers=n_layers))
+    expect = two_serialize_decode(vf, pf, res.offsets, res, w)
     calls = []
     monkeypatch.setattr(dec, "serialize", lambda *a: calls.append(1) or serialize(*a))
-    flow = dec.decode(vf, pf, res.offsets, res, w, config(n_layers=n_layers))
+    flow = dec.decode(vf, pf, res.offsets, res, w)
     assert np.array_equal(flow.vectors, expect)
     assert len(calls) == 1
 
@@ -240,7 +229,7 @@ def test_decode_peak_memory_bound_on_dense_scene():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        dec.decode(vf, pf, res.offsets, res, w, config())
+        dec.decode(vf, pf, res.offsets, res, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -260,7 +249,7 @@ def test_decode_refines_in_place_within_tight_memory_bound():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        dec.decode(vf, pf, res.offsets, res, w, config())
+        dec.decode(vf, pf, res.offsets, res, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

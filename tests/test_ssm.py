@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sfkit import ssm
-from sfkit.errors import NumericError, ShapeError, StateError
+from sfkit.errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
 
 
 def make_inputs(rng, batch, length, d_inner, state, c_off):
@@ -665,6 +665,23 @@ def test_layer_memory_does_not_grow_with_a_block_longer_than_the_sequence():
     # One (D, S) term pair padded to 20,000 tokens would be 164 MB.
     assert peak <= 1e6, f"peak {peak / 1e6:.1f} MB"
     assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+
+def test_scan_workspace_above_max_floats_is_refused_before_it_is_allocated():
+    # One 1024-token chunk at D = 128, S = 65: the term pair is 2*1024*128*65
+    # floats, just above MAX_FLOATS, so a missing check allocates ~136 MB.
+    rng = np.random.default_rng(39)
+    params, x, f_off = make_inputs(rng, 1, 1024, 128, 65, 4)
+    assert 2 * 1024 * 128 * 65 > MAX_FLOATS
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidConfig, match="channels, state_size and block_size") as err:
+            ssm.flow_ssm_layer(x, f_off, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "got 17039360 for 1024 tokens" in str(err.value)
+    assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("block_size", [64, 48])

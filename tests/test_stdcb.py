@@ -8,7 +8,7 @@ import pytest
 from sfkit import pointcloud as pc
 from sfkit import stdcb
 from sfkit import voxelizer as vx
-from sfkit.errors import AlignmentError, InvalidConfig, ShapeError
+from sfkit.errors import AlignmentError, ShapeError
 from sfkit.pipeline import InferenceTrace, RunConfig, infer_flow, init_pipeline_weights
 from sfkit.voxelizer import SparseTensor4D
 from sfkit.weights import MlpWeights
@@ -432,6 +432,17 @@ def test_sfsm_rejects_leaky_slope_outside_unit_interval(leaky_slope):
         dataclasses.replace(w, leaky_slope=leaky_slope)
 
 
+@pytest.mark.parametrize("bn_var", [-65536.0, -1e-300, float("nan")])
+def test_sfsm_rejects_a_negative_bn_var(bn_var):
+    w = stdcb.SfsmWeights.seeded(3, np.random.default_rng(48))
+    var = w.bn_var.copy()
+    var[1] = bn_var
+    with pytest.raises(ShapeError, match="bn_var must be >= 0"):
+        dataclasses.replace(w, bn_var=var)
+    var[1] = 0.0  # a zero variance is legal: bn_eps keeps the root positive
+    assert np.all(np.isfinite(dataclasses.replace(w, bn_var=var).gate(np.ones((2, 6)))))
+
+
 def test_signed_zero_weights_reach_the_preactivation():
     rng = np.random.default_rng(46)
     main = random_tensor(rng, channels=4)
@@ -677,21 +688,44 @@ def test_out_of_grid_point_flows_do_not_depend_on_its_distance():
 # --- backbone -------------------------------------------------------------------
 
 
-def test_config_validation():
-    with pytest.raises(InvalidConfig):
-        stdcb.StdcbConfig(encoder_depths=(), decoder_depths=())
-    with pytest.raises(InvalidConfig):
-        stdcb.StdcbConfig(encoder_depths=(1, 1), decoder_depths=(1, 1))
-    with pytest.raises(InvalidConfig):
-        stdcb.StdcbConfig(channels=0, encoder_depths=(1,), decoder_depths=())
+def test_backbone_weights_refuse_malformed_stacks():
+    block = stdcb.StdcbWeights.seeded(2, np.random.default_rng(16))
+    one = (block,)
+    for encoder, decoder in [
+        ((), ()),  # no level
+        ((one, one), (one, one)),  # two decoder stacks for one transition
+        ((one, one), ()),  # no decoder stack for the transition
+        ((one,), (one,)),  # a decoder stack with no transition
+        ((one, ()), (one,)),  # an empty encoder stack
+        ((one, one), ((),)),  # an empty decoder stack
+    ]:
+        with pytest.raises(ShapeError, match="one decoder stack per level transition"):
+            stdcb.BackboneWeights(encoder=encoder, decoder=decoder)
+    assert stdcb.BackboneWeights(encoder=(one, one), decoder=(one,)).decoder == (one,)
+
+
+def test_three_level_weights_run_three_levels(monkeypatch):
+    # The level count is read from the weights alone; no config is passed.
+    rng = np.random.default_rng(15)
+    tensor = random_tensor(rng, channels=4)
+    weights = stdcb.BackboneWeights.seeded(4, (2, 1, 1), (1, 1), rng)
+    calls = []
+    for name in ("stdcb_forward", "downsample2", "upsample_into"):
+        real = getattr(stdcb, name)
+        monkeypatch.setattr(stdcb, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    out = stdcb.backbone_forward(tensor, weights)
+    assert calls.count("downsample2") == calls.count("upsample_into") == 2
+    assert calls.count("stdcb_forward") == 2 + 1 + 1 + 1 + 1
+    assert out.same_active_set(tensor)
+    assert np.all(np.isfinite(out.features))
 
 
 def test_single_level_depth_one_degenerates_to_block():
     rng = np.random.default_rng(17)
     tensor = random_tensor(rng, channels=4)
-    config = stdcb.StdcbConfig(channels=4, encoder_depths=(1,), decoder_depths=())
-    weights = stdcb.BackboneWeights.seeded(config, rng)
-    out = stdcb.backbone_forward(tensor, config, weights)
+    weights = stdcb.BackboneWeights.seeded(4, (1,), (), rng)
+    out = stdcb.backbone_forward(tensor, weights)
     expect = stdcb.stdcb_forward(tensor, weights.encoder[0][0])
     assert np.array_equal(out.features, expect.features)
 
@@ -699,9 +733,8 @@ def test_single_level_depth_one_degenerates_to_block():
 def test_backbone_preserves_active_set():
     rng = np.random.default_rng(18)
     tensor = random_tensor(rng, channels=4)
-    config = stdcb.StdcbConfig.desk(channels=4)
-    weights = stdcb.BackboneWeights.seeded(config, rng)
-    out = stdcb.backbone_forward(tensor, config, weights)
+    weights = stdcb.BackboneWeights.seeded(4, (1, 1), (1,), rng)
+    out = stdcb.backbone_forward(tensor, weights)
     assert out.same_active_set(tensor)
     assert np.all(np.isfinite(out.features))
 
@@ -720,13 +753,12 @@ def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
                         lambda coords, taps: builds.append(len(taps)) or real_build(coords, taps))
     rng = np.random.default_rng(45)
     tensor = random_tensor(rng, channels=4)
-    config = stdcb.StdcbConfig(channels=4, encoder_depths=(2, 2, 1), decoder_depths=(2, 1))
-    out = stdcb.backbone_forward(tensor, config, stdcb.BackboneWeights.seeded(config, rng))
+    out = stdcb.backbone_forward(tensor, stdcb.BackboneWeights.seeded(4, (2, 2, 1), (2, 1), rng))
     # One map per level, shared by its encoder and decoder blocks; within a
     # block the spatial kernel builds 26 taps and each temporal kernel 2, as
     # all three share the centre tap.
-    assert len(maps) == config.n_levels
-    assert builds == [26, 2, 2] * config.n_levels
+    assert len(maps) == 3
+    assert builds == [26, 2, 2] * 3
     # Nothing, the input and the output tensors included, keeps a map alive.
     assert all(ref() is None for ref in maps)
     assert out.same_active_set(tensor)
@@ -735,8 +767,7 @@ def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
 def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
     rng = np.random.default_rng(62)
     tensor = random_tensor(rng, channels=4)
-    config = stdcb.StdcbConfig(channels=4, encoder_depths=(1, 1, 1), decoder_depths=(1, 1))
-    weights = stdcb.BackboneWeights.seeded(config, rng)
+    weights = stdcb.BackboneWeights.seeded(4, (1, 1, 1), (1, 1), rng)
     decoder_blocks = {id(block) for stack in weights.decoder for block in stack}
     encoder_rows, alive, in_place = [], [], []
     real_block = stdcb.stdcb_forward
@@ -753,7 +784,7 @@ def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
         return out
 
     monkeypatch.setattr(stdcb, "stdcb_forward", block)
-    stdcb.backbone_forward(tensor, config, weights)
+    stdcb.backbone_forward(tensor, weights)
     # Entering the level-1 decoder, only the level-0 skip is still needed;
     # entering the level-0 decoder, no encoder output is.  Besides those,
     # the one live encoder output is the skip the decoder block reads,
@@ -774,9 +805,9 @@ def test_infer_flow_drops_backbone_tensors_before_decode(monkeypatch):
             return out
         return wrapper
 
-    def decode(*args):
+    def decode(*args, **kwargs):
         alive.extend(ref() is not None for ref in refs)
-        return real_decode(*args)
+        return real_decode(*args, **kwargs)
 
     real_decode = pipeline.decode
     monkeypatch.setattr(pipeline, "stack_temporal", keeping_ref(pipeline.stack_temporal))
@@ -887,11 +918,10 @@ def test_infer_flow_peak_memory_bound():
 
 def test_backbone_parameter_count_matches_formula():
     c = 4
-    config = stdcb.StdcbConfig(
-        channels=c, encoder_depths=(2, 1, 1), decoder_depths=(1, 1)
-    )
-    weights = stdcb.BackboneWeights.seeded(config, np.random.default_rng(19))
-    n_blocks = sum(config.encoder_depths) + sum(config.decoder_depths)
+    encoder_depths, decoder_depths = (2, 1, 1), (1, 1)
+    weights = stdcb.BackboneWeights.seeded(c, encoder_depths, decoder_depths,
+                                           np.random.default_rng(19))
+    n_blocks = sum(encoder_depths) + sum(decoder_depths)
     per_block = (
         (27 * c * c + c)  # spatial conv
         + (3 * c * c + c)  # temporal conv
@@ -1002,7 +1032,6 @@ def test_backbone_makes_no_key_lookups(monkeypatch):
                         lambda self, coords: calls.append(len(coords)) or real_lookup(self, coords))
     rng = np.random.default_rng(69)
     tensor = tiled_tensor(rng, n=600)
-    config = stdcb.StdcbConfig(channels=4, encoder_depths=(1, 1, 1), decoder_depths=(1, 1))
-    out = stdcb.backbone_forward(tensor, config, stdcb.BackboneWeights.seeded(config, rng))
+    out = stdcb.backbone_forward(tensor, stdcb.BackboneWeights.seeded(4, (1, 1, 1), (1, 1), rng))
     assert out.same_active_set(tensor)
     assert calls == []
