@@ -520,7 +520,7 @@ def main(argv=None):
     except SceneFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -6,14 +6,14 @@ features, stack along time, run the sparse backbone, pull the prediction
 frame's voxel features back out, and decode them to per-point flow.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
-from .ssm import DEFAULT_BLOCK_SIZE, SsmParams
+from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, scan_layout
 from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
@@ -215,25 +215,27 @@ def load_pipeline_weights(path, config):
 
 @dataclass
 class InferenceTrace:
-    """Intermediates kept for debugging and tests."""
+    """What a traced run keeps: the whole backbone output."""
 
-    results: list = field(default_factory=list)
-    voxel_features: list = field(default_factory=list)
-    stacked: object = None
     backbone_out: object = None
-    frame_t_voxel_features: object = None
-    coarse_point_features: object = None
 
 
 def infer_flow(scene, weights, config, trace=None):
     """Predict per-point flow for the scene's prediction frame.
 
-    Untraced, every array is dropped once its last reader has run: from the
-    backbone on, only the prediction frame's voxelization result and point
-    features are kept of the per-frame state.  A trace keeps the rest.
+    A scan workspace too large for the prediction frame's points is refused
+    before any stage runs.  Every array is dropped once its last reader has
+    run: from the backbone on, only the prediction frame's voxelization
+    result and point features are kept of the per-frame state.  A trace
+    changes only the backbone's output: it keeps all of its rows, not just
+    the prediction frame's.
     """
     grid = config.grid()
     slot = FRAME_T if config.decode_frame == "t" else FRAME_T1
+    layer = weights.decoder.ssm_layers[0]
+    # The decoder scans every point of the prediction frame, in one batch.
+    scan_layout(1, len(scene.frames[slot]), layer.d_inner, layer.state_size,
+                   config.block_size)
     results, voxel_feats = [], []
     point_feats_t = None
     for frame in scene.frames:
@@ -251,16 +253,11 @@ def infer_flow(scene, weights, config, trace=None):
     # reference and can free the stacked input after its last reader.
     stacked = [stack_temporal(results, voxel_feats)]
     res_t = results[slot]
-    if trace is not None:
-        trace.results, trace.voxel_features, trace.stacked = results, voxel_feats, stacked[0]
-        rows = None  # a trace keeps the whole backbone output
-    else:
-        # In canonical order the prediction frame's rows are one range, and
-        # the decoder reads nothing else.
-        lo = sum(res.n_voxels for res in results[:slot])
-        rows = (lo, lo + res_t.n_voxels)
-        del results, res, pf
-    del voxel_feats  # the stacked tensor holds copies of these rows
+    # In canonical order the prediction frame's rows are one range, and the
+    # decoder reads nothing else; a trace keeps the whole backbone output.
+    lo = sum(res.n_voxels for res in results[:slot])
+    rows = None if trace is not None else (lo, lo + res_t.n_voxels)
+    del results, res, pf, voxel_feats  # the stacked tensor holds copies of the features
     refined = backbone_forward(stacked.pop(), weights.backbone, rows)
 
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
@@ -272,8 +269,6 @@ def infer_flow(scene, weights, config, trace=None):
     f3d_t = refined.features[idx]
     if trace is not None:
         trace.backbone_out = refined
-        trace.frame_t_voxel_features = f3d_t
-        trace.coarse_point_features = point_feats_t
     # The decoder sets the peak memory: keep alive only what it reads, and
     # hand its feature inputs over by ``pop`` so that it can free them.
     del refined

@@ -6,7 +6,7 @@ key walks a Z-order space-filling curve.  Sorting is stable, so points that
 share a voxel keep their original relative order.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,15 +97,6 @@ class SerializedSequence:
 
     def __len__(self):
         return len(self.order)
-
-    def with_rows(self, rows):
-        """Same permutation, new payload (e.g. after refining the sequence)."""
-        rows = np.asarray(rows)
-        if rows.shape[0] != self.order.shape[0]:
-            raise ShapeError(
-                f"payload has {rows.shape[0]} rows, permutation covers {self.order.shape[0]}"
-            )
-        return replace(self, rows=rows)
 
 
 def serialize(rows, coords):

@@ -370,6 +370,27 @@ def project_token_params(f_offset, params):
     return z_delta, delta, b_tokens, c_tokens
 
 
+def scan_layout(batch, length, d_inner, state, block_size):
+    """(block_size, chunks, work_shape) of a scan over (batch, L, D) tokens
+    with S states: the block size capped at L, the chunks of _chunk_bounds,
+    and the shape of the block-major (2, batch, block, n_blocks, D, S) pair
+    that every chunk is discretized into and scanned in.  A pair of more
+    than ``MAX_FLOATS`` floats raises InvalidConfig; nothing is allocated.
+    """
+    # A block at least as long as the sequence scans it sequentially either
+    # way; capping it at L keeps the scan's memory O(L), not O(block).
+    block_size = min(block_size, max(length, 1))
+    chunks = _chunk_bounds(length, block_size)
+    longest = max((stop - start for start, stop in chunks), default=0)
+    work_shape = (2, batch, block_size, -(-longest // block_size), d_inner, state)
+    if (floats := math.prod(work_shape)) > MAX_FLOATS:
+        raise InvalidConfig(
+            "channels, state_size and block_size must give a scan workspace of at most "
+            f"{MAX_FLOATS} floats, got {floats} for {length} tokens"
+        )
+    return block_size, chunks, work_shape
+
+
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
                      keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE, out=None):
     """Run one offset-conditioned scan layer over a serialized sequence.
@@ -380,7 +401,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     Each chunk of _chunk_bounds is projected, then discretized straight into
     a block-major pair of terms, which is allocated here once for the
     longest chunk; the scan composes the terms there.  A pair of more than
-    ``MAX_FLOATS`` floats raises InvalidConfig before anything is allocated.
+    ``MAX_FLOATS`` floats raises InvalidConfig before anything is allocated
+    (see scan_layout).
     No token-order (D, S) term is made.  The refined sequence goes to
     ``out``, a (batch, L, D) float64 array, or a new one; ``out`` may be
     ``f_coarse`` itself, since each chunk's input is read before its output
@@ -420,19 +442,7 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         raise StateError("a recorded run keeps f_coarse; out must not overwrite it")
 
     a = params.a
-    # A block at least as long as the sequence scans it sequentially either
-    # way; capping it at L keeps the scan's memory O(L), not O(block).
-    block_size = min(block_size, max(length, 1))
-    chunks = _chunk_bounds(length, block_size)
-    longest = max((stop - start for start, stop in chunks), default=0)
-    # The block-major (batch, block, n_blocks, D, S) pair that every chunk
-    # is discretized into and scanned in, sized before it is allocated.
-    work_shape = (2, batch, block_size, -(-longest // block_size), d_inner, state)
-    if (floats := math.prod(work_shape)) > MAX_FLOATS:
-        raise InvalidConfig(
-            "channels, state_size and block_size must give a scan workspace of at most "
-            f"{MAX_FLOATS} floats, got {floats} for {length} tokens"
-        )
+    block_size, chunks, work_shape = scan_layout(batch, length, d_inner, state, block_size)
     work = np.empty(work_shape)
     recorded = {}
     if keep_intermediates:

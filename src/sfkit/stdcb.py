@@ -20,7 +20,7 @@ import numpy as np
 from .errors import AlignmentError, ShapeError
 from .ssm import sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides
-from .weights import MlpWeights, flatten_tree, uniform_init
+from .weights import MlpWeights, uniform_init
 
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
 GAP1_DILATION = 2
@@ -497,9 +497,3 @@ def backbone_forward(f_4d, weights, rows=None):
             x = stdcb_forward(x, block, **kwargs)
     return f_4d.with_features(f_4d.features + x.features)
 
-
-def count_parameters(weights):
-    """Total scalar parameter count of a backbone weight set."""
-    return sum(
-        leaf.size for leaf in flatten_tree(weights).values() if isinstance(leaf, np.ndarray)
-    )

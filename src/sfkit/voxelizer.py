@@ -8,12 +8,10 @@ Out-of-bounds points are flagged with a sentinel, never dropped.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericError, RangeError, ShapeError, check_config
-from .weights import MlpWeights
 
 OUT_OF_BOUNDS = -1
 
@@ -31,10 +29,6 @@ class VoxelGrid:
 
     def __post_init__(self):
         check_config(self, "cell_size", origin="grid_origin", extents="grid_extents")
-
-    @property
-    def shape(self):
-        return tuple(int(e) for e in self.extents)
 
     def centers(self, coords):
         """World-space cell centers for (N, 3) integer voxel coordinates."""
@@ -64,21 +58,6 @@ class VoxelizationResult:
     @property
     def n_voxels(self):
         return len(self.voxel_coords)
-
-    @cached_property
-    def _membership(self):
-        """(indptr, members): the points of voxel v, ascending, are
-        members[indptr[v]:indptr[v + 1]].  Built on first use, since
-        inference never reads it."""
-        assigned = self.assignment[self.in_bounds]
-        members = np.flatnonzero(self.in_bounds)[np.argsort(assigned, kind="stable")]
-        counts = np.bincount(assigned, minlength=self.n_voxels)
-        return np.concatenate(([0], np.cumsum(counts))), members
-
-    def points_in_voxel(self, v):
-        """Original indices of the points assigned to occupied voxel v."""
-        indptr, members = self._membership
-        return members[indptr[v] : indptr[v + 1]]
 
     def clamped_coords(self):
         """Per-point voxel coords clipped into the grid (for serialization of
@@ -118,14 +97,8 @@ def voxelize(cloud, grid):
     return VoxelizationResult(grid, assignment, offsets, coords, voxel_coords)
 
 
-def encode_point_features(cloud, weights=None, seed=0, channels=DEFAULT_CHANNELS):
-    """Per-point features from a two-layer MLP over raw coordinates.
-
-    When no weights are given they are drawn from the seeded initializer, so
-    the same (cloud, seed) pair always produces identical features.
-    """
-    if weights is None:
-        weights = MlpWeights.seeded(3, channels, channels, np.random.default_rng(seed))
+def encode_point_features(cloud, weights):
+    """Per-point features from a two-layer MLP over raw coordinates."""
     if weights.n_in != 3:
         raise ShapeError(f"point encoder must take 3 inputs, got {weights.n_in}")
     return weights.apply(cloud.points)
@@ -235,12 +208,6 @@ class SparseTensor4D:
         idx = np.minimum(np.searchsorted(packed, q), len(packed) - 1)
         found = inside & (packed[idx] == q)
         return np.where(found, idx, 0), found
-
-    def feature_at(self, key):
-        idx, found = self.lookup(np.asarray(key, dtype=np.int64).reshape(1, 4))
-        if not found[0]:
-            raise KeyError(f"key {tuple(key)} not active")
-        return self.features[idx[0]]
 
     def with_features(self, features):
         """Same active set (already canonical), new feature rows."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, SceneFlowError, ShapeError
 from .pointcloud import ByteReader
 
 WEIGHTS_MAGIC = b"SFWT"
@@ -54,10 +54,6 @@ class MlpWeights:
     @property
     def n_in(self):
         return self.w1.shape[0]
-
-    @property
-    def n_out(self):
-        return self.w2.shape[1]
 
     @classmethod
     def seeded(cls, n_in, n_hidden, n_out, rng):
@@ -167,7 +163,10 @@ def flatten_tree(tree, prefix=""):
 def unflatten_like(template, flat, prefix=""):
     """Inverse of flatten_tree: ``template``'s structure with ``flat``'s leaves.
 
-    Every dataclass is rebuilt through its constructor, so its validation runs.
+    Every dataclass is rebuilt through its constructor, so its validation
+    runs; an error it raises is prefixed with the object's dotted path, which
+    is its SFWT section prefix (scan layers, stored as ``decoder.ssm.N``,
+    refuse no value that has passed the loader's shape and finiteness checks).
     """
     children = _children(template)
     if children is None:
@@ -175,4 +174,9 @@ def unflatten_like(template, flat, prefix=""):
     rebuilt = {key: unflatten_like(child, flat, _join(prefix, key)) for key, child in children}
     if isinstance(template, tuple):
         return tuple(rebuilt.values())
-    return type(template)(**rebuilt)
+    try:
+        return type(template)(**rebuilt)
+    except SceneFlowError as err:
+        if prefix:
+            err.args = (f"{prefix}: {err}",)
+        raise

@@ -6,6 +6,7 @@ import pytest
 from sfkit import cli
 from sfkit import pointcloud as pc
 from sfkit.cli import main
+from sfkit.errors import InvalidConfig
 from sfkit.pipeline import RunConfig, init_pipeline_weights
 
 
@@ -105,6 +106,24 @@ def test_missing_file_exit_code(tmp_path):
     assert run("infer", tmp_path / "nope.sfsc") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("infer", "{scene}", "--out", "{dir}"),
+    ("infer", "{scene}", "--out", "{flow}", "--csv", "{dir}"),
+    ("infer", "{scene}", "--out", "{flow}", "--dump-features", "{dir}"),
+    ("synth", "--out", "{dir}"),
+    ("infer", "{dir}"),
+    ("eval", "{scene}", "{flow}", "--out", "{dir}"),
+])
+def test_a_directory_where_a_file_belongs_exits_2(scene_path, tmp_path, argv, capsys):
+    flow, folder = tmp_path / "f.sffl", tmp_path / "folder"
+    folder.mkdir()
+    assert run("infer", scene_path, "--out", flow) == 0
+    capsys.readouterr()
+    paths = {"scene": scene_path, "flow": flow, "dir": folder}
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_corrupt_scene_exit_code(tmp_path):
     bad = tmp_path / "bad.sfsc"
     bad.write_bytes(b"SFSC\x01\x00\x05\x00\xff")
@@ -184,7 +203,9 @@ def test_weight_file_negative_bn_var_exit_2(scene_path, tmp_path, capsys):
     save_weight_dict(flat, wpath)
     flow = tmp_path / "g.sffl"
     assert run("infer", scene_path, "--weights", wpath, "--out", flow) == 2
-    assert "bn_var must be >= 0, got -65536.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bn_var must be >= 0, got -65536.0" in err
+    assert err.startswith("error: backbone.encoder.0.0.sfsm_temporal: ")  # the section prefix
     assert not flow.exists()
 
 
@@ -536,3 +557,17 @@ def test_sizes_above_max_floats_exit_2_naming_their_inputs(scene_path, tmp_path,
     assert ("channels, state_size and block_size must give a scan workspace of at most "
             "16777216 floats, got 17039360" in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_infer_flow_refuses_the_scan_workspace_before_voxelizing(monkeypatch):
+    import sfkit.pipeline as pipeline
+
+    def voxelize(*args):
+        raise AssertionError("voxelize ran before the scan workspace was checked")
+
+    monkeypatch.setattr(pipeline, "voxelize", voxelize)
+    # The 1100-point case above: a workspace of 17039360 floats.
+    scene = pc.synth_scene(pc.SceneConfig(n_background=1100, movers=()), 4)
+    config = RunConfig(channels=64, state_size=65)
+    with pytest.raises(InvalidConfig, match="got 17039360 for 1100 tokens"):
+        pipeline.infer_flow(scene, init_pipeline_weights(config, 4), config)

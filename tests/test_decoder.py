@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -201,7 +202,7 @@ def two_serialize_decode(voxel_features, point_features, p_offset, assignment, w
     tokens, hidden = seq_coarse.rows[None], None
     for params in weights.ssm_layers:
         tokens, hidden = flow_ssm_layer(tokens, seq_offset.rows[None], params, hidden)
-    refined = deserialize(seq_coarse.with_rows(tokens[0]))
+    refined = deserialize(dataclasses.replace(seq_coarse, rows=tokens[0]))
     return weights.head.apply(np.concatenate([refined, deserialize(seq_offset)], axis=1))
 
 

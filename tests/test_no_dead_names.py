@@ -1,0 +1,39 @@
+"""Every function, class and method that src/sfkit defines is named again
+somewhere in src/sfkit or perfbench: a name that no library or benchmark
+code reads is dead.
+
+Names are matched as whole words over the raw text, comments, docstrings and
+strings included (perfbench names its hooks in strings).  A dead name that
+collides with another identifier, such as a ``shape`` property, therefore
+passes: this check is a floor, not a proof.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "sfkit").glob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+# Kept with no library reader: the dense oracle, the ego-motion helper and
+# the fixture constructors that tests build from.
+ALLOWED = {"to_dense", "warp_to_frame", "zeros", "identity"}
+
+
+def definitions(path):
+    """The function, class and method names defined in one file, dunders aside."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+
+
+def test_every_library_name_is_read_outside_its_definition():
+    defined = Counter(name for path in LIBRARY for name in definitions(path))
+    text = "\n".join(path.read_text() for path in READERS)
+    dead = sorted(
+        name for name, n_defs in defined.items()
+        if name not in ALLOWED and len(re.findall(rf"\b{name}\b", text)) <= n_defs
+    )
+    assert dead == []

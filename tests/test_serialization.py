@@ -125,17 +125,14 @@ def test_corrupt_permutation_rejected():
     )
     with pytest.raises(InvalidPermutation):
         deserialize(mismatched)
+    short = SerializedSequence(order=np.array([1, 0, 2]), rank=np.array([1, 0, 2]), rows=rows[:2])
+    with pytest.raises(InvalidPermutation, match="lengths disagree"):
+        deserialize(short)
 
 
 def test_length_mismatch_rejected():
     with pytest.raises(ShapeError):
         serialize(np.zeros((3, 1)), np.zeros((4, 3), dtype=int))
-
-
-def test_with_rows_checks_length():
-    seq = serialize(np.zeros((3, 1)), np.zeros((3, 3), dtype=int))
-    with pytest.raises(ShapeError):
-        seq.with_rows(np.zeros((5, 1)))
 
 
 def _neighbor_rank_gaps(rank, k, offsets):

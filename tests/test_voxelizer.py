@@ -36,7 +36,6 @@ def test_point_at_voxel_center_has_zero_offset():
 def test_two_points_share_a_voxel():
     res = vx.voxelize(PointCloud([[1.2, 1.2, 1.2], [1.8, 1.9, 1.1]]), small_grid())
     assert res.n_voxels == 1
-    assert np.array_equal(res.points_in_voxel(0), [0, 1])
     assert np.array_equal(res.assignment, [0, 0])
 
 
@@ -68,22 +67,8 @@ def test_grouping_matches_bruteforce_oracle():
 def test_every_in_bounds_point_in_exactly_one_voxel():
     rng = np.random.default_rng(1)
     res = vx.voxelize(random_cloud(rng, 500), small_grid())
-    seen = np.concatenate([res.points_in_voxel(v) for v in range(res.n_voxels)])
+    seen = np.concatenate([np.flatnonzero(res.assignment == v) for v in range(res.n_voxels)])
     assert sorted(seen) == sorted(np.flatnonzero(res.in_bounds))
-
-
-def test_lazy_membership_matches_eager_form():
-    rng = np.random.default_rng(3)
-    res = vx.voxelize(random_cloud(rng, 800, lo=-3.0, hi=13.0), small_grid())
-    assert not res.in_bounds.all()
-    assert "_membership" not in vars(res)  # nothing is built until asked for
-    # The eager form: a stable argsort of the in-grid assignments.
-    order = np.argsort(res.assignment[res.in_bounds], kind="stable")
-    members = np.flatnonzero(res.in_bounds)[order]
-    counts = np.bincount(res.assignment[res.in_bounds], minlength=res.n_voxels)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    for v in range(res.n_voxels):
-        assert np.array_equal(res.points_in_voxel(v), members[indptr[v] : indptr[v + 1]])
 
 
 def test_translation_consistency():
@@ -142,13 +127,6 @@ def test_encoder_shape_mismatch():
         vx.encode_point_features(PointCloud([[0, 0, 0]]), MlpWeights.zeros(5, 4, 4))
 
 
-def test_seeded_encoding_deterministic():
-    cloud = PointCloud([[0.5, 0.5, 0.5]])
-    a = vx.encode_point_features(cloud, seed=9)
-    b = vx.encode_point_features(cloud, seed=9)
-    assert np.array_equal(a, b)
-
-
 # --- pooling / devoxelization ----------------------------------------------------
 
 
@@ -173,7 +151,7 @@ def test_pool_matches_naive_loop():
     feats = rng.normal(size=(400, 6))
     pooled = vx.pool_to_voxels(feats, res)
     for v in range(res.n_voxels):
-        members = res.points_in_voxel(v)
+        members = np.flatnonzero(res.assignment == v)
         expect = feats[members].mean(axis=0)
         assert np.max(np.abs(pooled[v] - expect)) < 1e-12
 
@@ -280,7 +258,9 @@ def test_stack_lookup_matches_source():
     for tau in range(3):
         v = rng.integers(0, results[tau].n_voxels)
         key = np.concatenate(([tau], results[tau].voxel_coords[v]))
-        assert np.array_equal(tensor.feature_at(key), feats[tau][v])
+        idx, found = tensor.lookup(key[None])
+        assert found[0]
+        assert np.array_equal(tensor.features[idx[0]], feats[tau][v])
 
 
 def test_stack_rejects_mismatched_channels_and_grids():
