@@ -5,6 +5,8 @@ Exit codes are stable: 0 success, 2 input/config error, 3 numeric error.
 """
 
 import argparse
+import contextlib
+import errno
 import json
 import os
 import sys
@@ -41,7 +43,8 @@ def _common_flags(parser):
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, help="output path")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; validated but no effect today (falls back to SFKIT_THREADS)")
+                        help="threads per decoder scan layer (default: SFKIT_THREADS, else "
+                             "the usable CPUs); outputs are the same bytes at any count")
     parser.add_argument("--k-bins", type=int, default=None, help="histogram bin count")
     parser.add_argument("--decoder-layers", type=int, default=None,
                         help="refinement cascade length")
@@ -116,24 +119,62 @@ def cmd_infer(args):
         weights = load_pipeline_weights(args.weights, config)
     else:
         weights = init_pipeline_weights(config, args.seed_weights)
-    if args.save_weights is not None:
-        save_pipeline_weights(weights, args.save_weights)
     out = args.out or Path("flow.sffl")
-    trace = InferenceTrace() if args.dump_features is not None else None
-    flow = infer_flow(scene, weights, config, trace=trace)
-    pc.save_flow(flow, out)
+    with _staged_outputs() as stage:
+        # Staged first, so that a path no file can take fails before inference.
+        flow_tmp = stage(out)
+        csv_tmp = stage(args.csv) if args.csv is not None else None
+        dump_tmp = stage(args.dump_features) if args.dump_features is not None else None
+        if args.save_weights is not None:
+            save_pipeline_weights(weights, stage(args.save_weights))
+        trace = InferenceTrace() if dump_tmp is not None else None
+        flow = infer_flow(scene, weights, config, trace=trace)
+        pc.save_flow(flow, flow_tmp)
+        if csv_tmp is not None:
+            with open(csv_tmp, "w") as fh:
+                fh.write("index,dx,dy,dz\n")
+                for i, (dx, dy, dz) in enumerate(flow.vectors):
+                    fh.write(f"{i},{dx:.9g},{dy:.9g},{dz:.9g}\n")
+        if dump_tmp is not None:
+            _dump_backbone_csv(trace.backbone_out, dump_tmp)
     mean_mag = flow.magnitudes().mean() if len(flow) else 0.0
     print(f"wrote {out}: {len(flow)} flow vectors (|flow| mean {mean_mag:.4f} m)")
     if args.csv is not None:
-        with open(args.csv, "w") as fh:
-            fh.write("index,dx,dy,dz\n")
-            for i, (dx, dy, dz) in enumerate(flow.vectors):
-                fh.write(f"{i},{dx:.9g},{dy:.9g},{dz:.9g}\n")
         print(f"wrote {args.csv} (flow as CSV)")
     if args.dump_features is not None:
-        _dump_backbone_csv(trace.backbone_out, args.dump_features)
         print(f"wrote {args.dump_features} (backbone feature dump)")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _staged_outputs():
+    """Write a command's output files whole or not at all.
+
+    Yields ``stage(target)``, which returns a temporary path beside
+    ``target`` for the command to write; a target that is a directory, or
+    whose folder does not exist, raises at once.  If the block completes,
+    every temporary replaces its target; on any error every temporary is
+    removed and no target is touched.
+    """
+    staged = []
+
+    def stage(target):
+        target = Path(target)
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+        if not target.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
+        tmp = target.with_name(f".{target.name}.{os.getpid()}-{len(staged)}.partial")
+        staged.append((tmp, target))
+        return tmp
+
+    try:
+        yield stage
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def _dump_backbone_csv(tensor, path):
@@ -306,6 +347,23 @@ def _check_chunk_bytes():
         assert np.array_equal(getattr(run, name), expect), f"per-chunk {name} differs"
 
 
+def _check_thread_bytes():
+    # The decoder scans channel groups on parallel threads, so its flows do
+    # not depend on the thread count only if every group rounds like one
+    # group over all channels.  On a host with one usable CPU both runs are
+    # one group.
+    rng = np.random.default_rng(19)
+    length = 2 * ssm.SCAN_CHUNK + 5  # two chunks and a tail shorter than a block
+    params = ssm.SsmParams.seeded(32, 16, 16, rng)
+    x = rng.normal(size=(1, length, 32))
+    f_off = rng.normal(size=(1, length, 16))
+    h0 = rng.normal(size=(1, 32, 16))
+    y1, h1 = ssm.flow_ssm_layer(x, f_off, params, h0, threads=1)
+    y2, h2 = ssm.flow_ssm_layer(x, f_off, params, h0, threads=2)
+    assert y1.tobytes() == y2.tobytes(), "two-group output differs from one group"
+    assert h1.tobytes() == h2.tobytes(), "two-group state differs from one group"
+
+
 def _check_ssm_gradients():
     rng = np.random.default_rng(3)
     params = ssm.SsmParams.seeded(4, 6, 3, rng)
@@ -429,6 +487,7 @@ SELFTEST_CHECKS = (
     ("ssm.scan_equivalence", _check_scan_equivalence),
     ("ssm.stream", _check_streamed_scan),
     ("ssm.chunk_bytes", _check_chunk_bytes),
+    ("ssm.thread_bytes", _check_thread_bytes),
     ("ssm.gradients", _check_ssm_gradients),
     ("loss.construction", _check_loss_construction),
     ("pointcloud.roundtrip", _check_scene_roundtrip),

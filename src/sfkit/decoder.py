@@ -61,11 +61,12 @@ class DecoderWeights:
 
 
 def decode(voxel_features, point_features, p_offset, assignment, weights,
-           mode=ZohMode.SIMPLIFIED, block_size=DEFAULT_BLOCK_SIZE):
+           mode=ZohMode.SIMPLIFIED, block_size=DEFAULT_BLOCK_SIZE, threads=1):
     """Run the full decoder for one scene's prediction frame.
 
     The cascade runs one scan layer per entry of ``weights.ssm_layers``;
-    ``mode`` and ``block_size`` are passed to each as in ``flow_ssm_layer``.
+    ``mode``, ``block_size`` and ``threads`` are passed to each as in
+    ``flow_ssm_layer``.
 
     Output row i is the flow of input point i regardless of the serialized
     processing order.  The scan layers refine the serialized sequence in
@@ -86,7 +87,7 @@ def decode(voxel_features, point_features, p_offset, assignment, weights,
     for params in weights.ssm_layers:
         hidden = flow_ssm_layer(
             tokens, offset_tokens, params, hidden,
-            mode=mode, block_size=block_size, out=tokens,
+            mode=mode, block_size=block_size, out=tokens, threads=threads,
         )[1]
     del tokens
 

@@ -6,14 +6,14 @@ features, stack along time, run the sparse backbone, pull the prediction
 frame's voxel features back out, and decode them to per-point flow.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
-from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, scan_layout
+from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, scan_layout, usable_cpus
 from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
@@ -54,7 +54,8 @@ class RunConfig:
     k_bins: int = 100
     dynamic_threshold: float = 0.05
     block_size: int = DEFAULT_BLOCK_SIZE
-    threads: int = 1
+    # Scan threads per decoder layer (ssm.split_groups); flows never depend on it.
+    threads: int = field(default_factory=lambda: min(usable_cpus(), 1 << 10))
     decode_frame: str = "t"  # which frame's points receive flow: "t" | "t+1"
 
     def __post_init__(self):
@@ -276,5 +277,5 @@ def infer_flow(scene, weights, config, trace=None):
     del f3d_t, point_feats_t
     return decode(
         features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
-        mode=config.zoh_mode, block_size=config.block_size,
+        mode=config.zoh_mode, block_size=config.block_size, threads=config.threads,
     )

@@ -13,12 +13,16 @@ contiguous slice.  The layer streams the sequence through it in chunks of
 whole blocks, carrying the hidden state from chunk to chunk.  It discretizes
 each chunk straight into a block-major pair that it allocates once per call,
 and scans the terms there, so its memory above its input and output is
-O(chunk * D * S); the output may be the input itself.
+O(chunk * D * S); the output may be the input itself.  A is diagonal, so the
+layer may split its channels into groups that run the same chunk loop on
+parallel threads, each over the whole sequence, with the same bytes.
 A plain left-to-right loop with the same contract is the oracle.  An
 adjoint pass provides exact gradients for finite-difference verification.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +37,10 @@ DEFAULT_BLOCK_SIZE = 64
 # Short chunks pay per-call overhead and long ones fall out of cache: at
 # L = 32.4k, D = 32, S = 16 on a 2-core x86 VM, 512-1024 tokens ran fastest.
 SCAN_CHUNK = 1024
+# A layer of fewer (token, channel, state) lanes than this scans on one
+# thread.  On a 2-core x86 VM two groups lost at 2**17 lanes (D = 32, S = 16,
+# L = 256) and won from 2**18 on, at every D * S from 64 to 1024.
+SPLIT_MIN_TERMS = 1 << 18
 
 
 class ZohMode(str, Enum):
@@ -42,8 +50,8 @@ class ZohMode(str, Enum):
     SIMPLIFIED = "simplified"
 
 
-def softplus(z):
-    return np.logaddexp(0.0, z)
+def softplus(z, out=None):
+    return np.logaddexp(0.0, z, out=out)
 
 
 def sigmoid(z, out=None):
@@ -212,7 +220,30 @@ def scan_sequential(disc, c, d, x, h0, states=None):
     return y, h
 
 
-def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
+@dataclass(frozen=True)
+class ScanBuffers:
+    """What a blocked scan of up to ``n_blocks`` blocks writes besides its
+    terms: one prefix step's product and the block entry states, (batch,
+    n_blocks, D, S); the finiteness mask of the states, shaped like the
+    terms; and the skip term and the readout, (batch, tokens, D)."""
+
+    step: np.ndarray
+    enter: np.ndarray
+    finite: np.ndarray
+    skip: np.ndarray
+    y: np.ndarray
+
+    @classmethod
+    def empty(cls, batch, block_size, n_blocks, d_inner, state, tokens):
+        per_block = (batch, n_blocks, d_inner, state)
+        per_token = (batch, tokens, d_inner)
+        return cls(np.empty(per_block), np.empty(per_block),
+                   np.empty((batch, block_size, n_blocks, d_inner, state), dtype=bool),
+                   np.empty(per_token), np.empty(per_token))
+
+
+def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
+                 buffers=None):
     """Blocked scan with identical contract to scan_sequential.
 
     Scans what it is given in one pass: it forms within-block prefix
@@ -226,7 +257,10 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
     n_blocks, D, S) with token i * block + k at [:, k, i].  Block-major terms
     are composed where they lie, and the scan overwrites them; token-order
     terms are first laid out block-major in a copy.  The readout, ``states``
-    and the returned state read the composed pairs through views.
+    and the returned state read the composed pairs through views.  The
+    blocked path writes every other array into ``buffers`` (ScanBuffers of
+    at least this many blocks and tokens, made here when None) and returns
+    a view of its readout.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -234,7 +268,7 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
     h0 = np.asarray(h0, dtype=np.float64)
     if block_size < 1:
         raise ShapeError(f"block_size must be >= 1, got {block_size}")
-    batch, length, d_inner, _ = _check_scan_shapes(disc, c, d, x, h0, block_size)
+    batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0, block_size)
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if block_size >= length:
@@ -245,15 +279,22 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None):
         # A copy even when _by_block gives a view: the scan overwrites its terms.
         disc = Discretized(*(np.ascontiguousarray(_by_block(t, block_size))
                              for t in (disc.a_bar, disc.b_bar)))
-    h = _blocked_states(disc, x, h0, block_size)
-    if not np.all(np.isfinite(h)):
-        finite = np.isfinite(h).all(axis=(0, 3, 4)).T.reshape(-1)[:length]
+    n_blocks = disc.a_bar.shape[2]
+    if buffers is None:
+        buffers = ScanBuffers.empty(batch, block_size, n_blocks, d_inner, state, length)
+    h = _blocked_states(disc, x, h0, block_size, buffers)
+    finite = np.isfinite(h, out=buffers.finite[:, :, :n_blocks])
+    if not finite.all():
+        finite = finite.all(axis=(0, 3, 4)).T.reshape(-1)[:length]
         raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
-    y = np.empty((batch, length, d_inner))
+    # The skip term is formed before the readout is written, so ``x`` is
+    # read in full before anything is written.
+    skip = np.multiply(d, x, out=buffers.skip[:, :length])
+    y = buffers.y[:, :length]
     for h_tok, c_tok, y_tok in zip(_token_blocks(h, length), _blocks(c, block_size),
                                    _blocks(y, block_size)):
         np.einsum("...ds,...s->...d", h_tok, c_tok, out=y_tok)
-    y += d * x
+    y += skip
     if states is not None:
         for h_tok, s_tok in zip(_token_blocks(h, length), _blocks(states, block_size)):
             s_tok[...] = h_tok
@@ -308,11 +349,12 @@ def _by_block(tokens, block_size):
     return tokens.reshape(batch, n_blocks, block_size, *tokens.shape[2:]).swapaxes(1, 2)
 
 
-def _blocked_states(disc, x, h0, block_size):
+def _blocked_states(disc, x, h0, block_size, buffers):
     """All hidden states for h_t = a_t * h_{t-1} + b_t * x_t via block composition.
 
     Composes the block-major (batch, block, n_blocks, D, S) terms where they
-    lie and returns the states as a view of the first of them.
+    lie and returns the states as a view of the first of them.  Every
+    temporary is a view of ``buffers``.
     """
     length = x.shape[1]
     n_blocks = -(-length // block_size)
@@ -324,14 +366,16 @@ def _blocked_states(disc, x, h0, block_size):
     a_pref[:, tail:, -1] = 1.0
     u_pref[:, tail:, -1] = 0.0
 
+    step = buffers.step[:, :n_blocks]
     for k in range(1, block_size):
-        u_pref[:, k] += a_pref[:, k] * u_pref[:, k - 1]
+        u_pref[:, k] += np.multiply(a_pref[:, k], u_pref[:, k - 1], out=step)
         a_pref[:, k] *= a_pref[:, k - 1]
 
-    h_enter = np.empty((x.shape[0], n_blocks) + h0.shape[1:])
+    h_enter = buffers.enter[:, :n_blocks]
     h_enter[:, 0] = h0
     for i in range(1, n_blocks):
-        h_enter[:, i] = a_pref[:, -1, i - 1] * h_enter[:, i - 1] + u_pref[:, -1, i - 1]
+        np.multiply(a_pref[:, -1, i - 1], h_enter[:, i - 1], out=h_enter[:, i])
+        h_enter[:, i] += u_pref[:, -1, i - 1]
 
     h = np.multiply(a_pref, h_enter[:, None], out=a_pref)
     h += u_pref
@@ -391,8 +435,101 @@ def scan_layout(batch, length, d_inner, state, block_size):
     return block_size, chunks, work_shape
 
 
+@dataclass(frozen=True)
+class _ChannelGroup:
+    """One contiguous channel range of a streamed layer, with every array
+    its chunk loop writes.  The calling thread allocates them all, so a
+    helper thread that scans the group allocates nothing of chunk size."""
+
+    channels: slice
+    work: np.ndarray  # block-major (2, batch, block, n_blocks, width, S) term pair
+    # (batch, tokens, D) step-size logits of every channel: a projection to
+    # all D columns rounds as in a one-group run on any BLAS.
+    z: np.ndarray
+    delta: np.ndarray  # (batch, tokens, width) step sizes, zero past the chunk
+    b: np.ndarray  # (batch, tokens, S) input gates, zero past the chunk
+    c: np.ndarray  # (batch, tokens, S) output gates
+    buffers: ScanBuffers
+
+
+def _channel_groups(n_groups, work_shape):
+    """``n_groups`` contiguous channel groups; their term pairs are carved
+    from one array of ``work_shape``, so they hold the floats of one pair."""
+    _, batch, block_size, n_blocks, d_inner, state = work_shape
+    tokens = n_blocks * block_size
+    work = np.empty(math.prod(work_shape))
+    per_channel = 2 * batch * tokens * state
+    edges = [d_inner * g // n_groups for g in range(n_groups + 1)]
+    return [
+        _ChannelGroup(
+            channels=slice(lo, hi),
+            work=work[lo * per_channel:hi * per_channel].reshape(
+                2, batch, block_size, n_blocks, hi - lo, state),
+            z=np.empty((batch, tokens, d_inner)),
+            delta=np.empty((batch, tokens, hi - lo)),
+            b=np.empty((batch, tokens, state)),
+            c=np.empty((batch, tokens, state)),
+            buffers=ScanBuffers.empty(batch, block_size, n_blocks, hi - lo, state, tokens),
+        )
+        for lo, hi in zip(edges, edges[1:])
+    ]
+
+
+def usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def split_groups(threads, length, d_inner, state):
+    """How many channel groups a layer of (L, D, S) scans on parallel threads:
+    ``min(threads, usable_cpus(), D)`` once the sequence holds SPLIT_MIN_TERMS
+    (token, channel, state) lanes, and one below that."""
+    if length * d_inner * state < SPLIT_MIN_TERMS:
+        return 1
+    return max(1, min(threads, usable_cpus(), d_inner))
+
+
+_helpers = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool():
+    """The process's one pool of helper threads, started at its first use."""
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helpers = ThreadPoolExecutor(max(1, usable_cpus() - 1), "sfkit-scan")
+        return _helpers
+
+
+def _run_groups(scan_group, groups):
+    """Scan the first group here and the others on helper threads.  Returns
+    once every group has stopped; then raises the error of the earliest bad
+    token, or another error before that, so the outcome is the same at any
+    thread count."""
+    if len(groups) == 1:
+        return scan_group(groups[0])
+    futures = [_helper_pool().submit(scan_group, group) for group in groups[1:]]
+    errors = []
+    try:
+        scan_group(groups[0])
+    except BaseException as exc:  # re-raised below, once the helpers are done
+        errors.append(exc)
+    for future in futures:
+        if (exc := future.exception()) is not None:  # waits for the helper
+            errors.append(exc)
+    if errors:
+        raise min(errors, key=lambda e: e.index if isinstance(e, NumericError) else -1)
+
+
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                     keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE, out=None):
+                     keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE, out=None,
+                     threads=1):
     """Run one offset-conditioned scan layer over a serialized sequence.
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
@@ -406,11 +543,17 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     No token-order (D, S) term is made.  The refined sequence goes to
     ``out``, a (batch, L, D) float64 array, or a new one; ``out`` may be
     ``f_coarse`` itself, since each chunk's input is read before its output
-    is written.  With
-    ``keep_intermediates`` the same loop also writes each chunk's
-    projections, transitions (before the scan overwrites them) and states
-    into full-length arrays; the record keeps ``f_coarse`` as the backward
-    pass's input, so an ``out`` that shares its memory is refused.
+    is written.
+
+    A is diagonal, so every channel runs its own recurrence: the layer scans
+    split_groups(threads, L, D, S) contiguous channel groups, each over the
+    whole sequence, the first on this thread and the others on helper
+    threads, and joins them once.  Each group's bytes are those of a
+    one-group run, at any thread count.  With ``keep_intermediates`` the
+    one-group loop also writes each chunk's projections, transitions (before
+    the scan overwrites them) and states into full-length arrays; the
+    record keeps ``f_coarse`` as the backward pass's input, so an ``out``
+    that shares its memory is refused.
     """
     f_coarse = np.asarray(f_coarse, dtype=np.float64)
     f_offset = np.asarray(f_offset, dtype=np.float64)
@@ -443,46 +586,70 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     a = params.a
     block_size, chunks, work_shape = scan_layout(batch, length, d_inner, state, block_size)
-    work = np.empty(work_shape)
+    n_groups = 1 if keep_intermediates else split_groups(threads, length, d_inner, state)
     recorded = {}
     if keep_intermediates:
         widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),
                   "c_tokens": (state,), "a_bar": (d_inner, state), "h_states": (d_inner, state)}
         recorded = {name: np.empty((batch, length) + w) for name, w in widths.items()}
-    h = h0
-    for start, stop in chunks:
-        part, n_tokens = slice(start, stop), stop - start
-        projected = project_token_params(f_offset[:, part], params)
-        _, delta, b_tokens, c_tokens = projected
-        n_blocks = -(-n_tokens // block_size)
-        disc = zoh_discretize(a, _by_block(b_tokens, block_size), _by_block(delta, block_size),
-                              mode, out=Discretized(*work[:, :, :, :n_blocks]))
-        if recorded:
-            for name, value in zip(("z_delta", "delta", "b_tokens", "c_tokens"), projected):
-                recorded[name][:, part] = value
-            for dst, src in zip(_blocks(recorded["a_bar"][:, part], block_size),
-                                _token_blocks(disc.a_bar, n_tokens)):
-                dst[...] = src
-        try:
-            out[:, part], h = scan_blocked(
-                disc, c_tokens, params.d, f_coarse[:, part], h, block_size,
-                states=recorded["h_states"][:, part] if recorded else None,
-            )
-        except NumericError as err:
-            raise NumericError("non-finite hidden state", index=start + err.index) from err
+    h_final = np.empty((batch, d_inner, state))
+
+    def scan_group(group):
+        lanes = group.channels
+        h = h0[:, lanes]
+        for start, stop in chunks:
+            part, n_tokens = slice(start, stop), stop - start
+            n_blocks = -(-n_tokens // block_size)
+            rows, pad = slice(0, n_tokens), slice(n_tokens, n_blocks * block_size)
+            # The projections of project_token_params, written in place;
+            # rows past the chunk fill the last block with zeros.
+            f_part = f_offset[:, part]
+            z_delta = np.matmul(f_part, params.w_delta, out=group.z[:, rows])
+            delta = np.add(z_delta[..., lanes], params.b_delta[lanes], out=group.delta[:, rows])
+            if recorded:
+                recorded["z_delta"][:, part] = delta
+            softplus(delta, out=delta)
+            b_tokens = np.matmul(f_part, params.w_b, out=group.b[:, rows])
+            c_tokens = np.matmul(f_part, params.w_c, out=group.c[:, rows])
+            group.delta[:, pad] = 0.0
+            group.b[:, pad] = 0.0
+            blocked = (_by_block(t[:, :n_blocks * block_size], block_size)
+                       for t in (group.b, group.delta))
+            disc = zoh_discretize(a[lanes], *blocked, mode,
+                                  out=Discretized(*group.work[:, :, :, :n_blocks]))
+            if recorded:
+                for name, value in zip(("delta", "b_tokens", "c_tokens"),
+                                       (delta, b_tokens, c_tokens)):
+                    recorded[name][:, part] = value
+                for dst, src in zip(_blocks(recorded["a_bar"][:, part], block_size),
+                                    _token_blocks(disc.a_bar, n_tokens)):
+                    dst[...] = src
+            try:
+                y, h = scan_blocked(
+                    disc, c_tokens, params.d[lanes], f_coarse[:, part, lanes], h, block_size,
+                    states=recorded["h_states"][:, part] if recorded else None,
+                    buffers=group.buffers,
+                )
+            except NumericError as err:
+                raise NumericError("non-finite hidden state", index=start + err.index) from err
+            out[:, part, lanes] = y
+        h_final[:, lanes] = h
+
+    _run_groups(scan_group, _channel_groups(n_groups, work_shape))
     inputs = (f_coarse, f_offset, params, h0) if keep_intermediates else None
-    return FlowSsmRun(refined=out, h_final=h.copy(), mode=ZohMode(mode), inputs=inputs,
+    return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode), inputs=inputs,
                       **recorded)
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                   block_size=DEFAULT_BLOCK_SIZE, out=None):
+                   block_size=DEFAULT_BLOCK_SIZE, out=None, threads=1):
     """Convenience wrapper returning just (refined sequence, new hidden state).
 
-    ``out`` is as in flow_ssm_forward: ``out=f_coarse`` refines in place.
+    ``out`` and ``threads`` are as in flow_ssm_forward: ``out=f_coarse``
+    refines in place.
     """
     run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, block_size=block_size,
-                           out=out)
+                           out=out, threads=threads)
     return run.refined, run.h_final
 
 

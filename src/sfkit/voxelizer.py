@@ -302,8 +302,14 @@ def _neighbour_pairs(coords, taps):
     strides, cells = packing_strides(lo, coords.max(axis=0) + pad)
     keys = (coords - lo) @ strides
     table = _dense_table(keys, cells) if cells <= TABLE_CELLS_PER_SITE * n else None
-    out = []
+    out, built = [], {}
     for delta in (taps @ strides).tolist():
+        # Tap -d pairs the rows of tap d the other way round, and both of
+        # tap d's arrays ascend, so the mirror shares them.
+        if -delta in built:
+            dst, src = built[-delta]
+            out.append(built.setdefault(delta, (src, dst)))
+            continue
         first, stop = np.searchsorted(keys, (-delta, cells - delta))
         shifted = keys[first:stop] + delta
         if table is not None:
@@ -312,7 +318,8 @@ def _neighbour_pairs(coords, taps):
         else:
             rows = np.minimum(np.searchsorted(keys, shifted), n - 1)
             hit = np.flatnonzero(keys[rows] == shifted)
-        out.append(((hit + first).astype(np.int32), rows[hit].astype(np.int32, copy=False)))
+        pair = (hit + first).astype(np.int32), rows[hit].astype(np.int32, copy=False)
+        out.append(built.setdefault(delta, pair))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,37 @@ def test_a_directory_where_a_file_belongs_exits_2(scene_path, tmp_path, argv, ca
     paths = {"scene": scene_path, "flow": flow, "dir": folder}
     assert run(*(arg.format(**paths) for arg in argv)) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad_flag", ["--out", "--csv", "--dump-features"])
+@pytest.mark.parametrize("bad_path", ["folder", "missing/x"])
+def test_infer_that_fails_over_an_output_path_leaves_no_file(scene_path, tmp_path, bad_flag,
+                                                             bad_path, capsys):
+    (tmp_path / "folder").mkdir()
+    paths = {"--out": tmp_path / "f.sffl", "--csv": tmp_path / "f.csv",
+             "--dump-features": tmp_path / "dump.csv", "--save-weights": tmp_path / "w.sfwt"}
+    paths[bad_flag] = tmp_path / bad_path
+    before = sorted(tmp_path.iterdir())
+    argv = [arg for flag, path in paths.items() for arg in (flag, path)]
+    assert run("infer", scene_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_infer_that_fails_writing_its_last_output_leaves_no_file(scene_path, tmp_path,
+                                                                 monkeypatch):
+    def full_disk(tensor, path):
+        Path(path).write_text("t,ix")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_dump_backbone_csv", full_disk)
+    old = tmp_path / "f.sffl"
+    old.write_bytes(b"earlier flow")
+    before = sorted(tmp_path.iterdir())
+    assert run("infer", scene_path, "--out", old, "--csv", tmp_path / "f.csv",
+               "--dump-features", tmp_path / "dump.csv") == 2
+    assert sorted(tmp_path.iterdir()) == before
+    assert old.read_bytes() == b"earlier flow"
 
 
 def test_corrupt_scene_exit_code(tmp_path):

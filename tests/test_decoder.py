@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sfkit import decoder as dec
+from sfkit import ssm
 from sfkit.errors import ShapeError
 from sfkit.pointcloud import PointCloud
 from sfkit.serialization import deserialize, serialize
@@ -218,6 +219,17 @@ def test_decode_serializes_once_byte_identical(n_layers, monkeypatch):
     flow = dec.decode(vf, pf, res.offsets, res, w)
     assert np.array_equal(flow.vectors, expect)
     assert len(calls) == 1
+
+
+def test_decode_bytes_do_not_depend_on_threads(monkeypatch):
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+    rng = np.random.default_rng(13)
+    vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (3000, 3)), channels=16)
+    w = seeded_weights(np.random.default_rng(14), channels=16, state=16, n_layers=2)
+    assert ssm.split_groups(3, 3000, 32, 16) == 3
+    flows = [dec.decode(vf, pf, res.offsets, res, w, threads=threads).vectors.tobytes()
+             for threads in (1, 2, 3)]
+    assert flows[0] == flows[1] == flows[2]
 
 
 def test_decode_peak_memory_bound_on_dense_scene():

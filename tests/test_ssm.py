@@ -1,5 +1,9 @@
 import dataclasses
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -766,3 +770,151 @@ def test_scan_blocked_block_major_terms_match_token_order(length):
         short = ssm.Discretized(blocked.a_bar[:, :, :-1], blocked.b_bar[:, :, :-1])
         with pytest.raises(ShapeError):
             ssm.scan_blocked(short, c_tok, params.d, x, h0, 48)
+
+
+# --- channel groups on parallel threads ---------------------------------------------
+
+
+@pytest.fixture()
+def three_cpus(monkeypatch):
+    """Let every sequence split into up to three groups, whatever this host has."""
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
+
+
+@pytest.mark.parametrize("mode", list(ssm.ZohMode))
+def test_layer_bytes_do_not_depend_on_threads(three_cpus, mode):
+    # 3 threads split D = 32 into uneven groups.
+    for length in stream_lengths(64):
+        rng = np.random.default_rng(length + 2)
+        params, x, f_off = make_inputs(rng, 1, length, 32, 16, 16)
+        h0 = rng.normal(size=(1, 32, 16))
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode, threads=1)
+        for threads in (2, 3):
+            assert ssm.split_groups(threads, length, 32, 16) == threads
+            got, h_got = ssm.flow_ssm_layer(x, f_off, params, h0, mode, threads=threads)
+            buf = x.copy()
+            _, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, mode, out=buf, threads=threads)
+            for a, b in ((got, y), (h_got, h), (buf, y), (h_in, h)):
+                assert a.tobytes() == b.tobytes(), (length, threads)
+
+
+def test_split_groups_reads_threads_cpus_and_sequence_size(monkeypatch):
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 2)
+    lanes = ssm.SPLIT_MIN_TERMS // (32 * 16)
+    assert ssm.split_groups(4, lanes, 32, 16) == 2
+    assert ssm.split_groups(4, lanes - 1, 32, 16) == 1
+    assert ssm.split_groups(1, 10**6, 32, 16) == 1
+    assert ssm.split_groups(4, 10**6, 1, 16) == 1
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_numeric_error_in_upper_group_names_its_global_token(three_cpus, in_place):
+    rng = np.random.default_rng(31)
+    chunk = chunk_tokens(64)
+    params, x, f_off = make_inputs(rng, 1, 3 * chunk + 5, 32, 16, 16)
+    bad = chunk + 17
+    x[0, bad, 20] = np.nan  # channel 20 is in the upper of two groups
+    out = x if in_place else None
+    with pytest.raises(NumericError) as err:
+        ssm.flow_ssm_layer(x, f_off, params, out=out, threads=2)
+    assert err.value.index == bad
+    # With bad tokens in both groups, the earliest is named, as it is by one
+    # group over all channels, whichever group holds it.
+    for lower_bad, expect in ((2 * chunk + 3, bad), (40, 40)):
+        x[0, lower_bad, 3] = np.inf
+        for threads in (1, 2, 3):
+            with pytest.raises(NumericError) as err:
+                ssm.flow_ssm_layer(x, f_off, params, out=out, threads=threads)
+            assert err.value.index == expect, (lower_bad, threads)
+
+
+def test_helper_error_is_raised_after_every_group_stops(three_cpus, monkeypatch):
+    rng = np.random.default_rng(40)
+    params, x, f_off = make_inputs(rng, 1, 2 * chunk_tokens(64), 32, 16, 16)
+    stopped = []
+    scan = ssm.scan_blocked
+
+    def failing_upper_group(disc, c, d, x, h0, *args, **kwargs):
+        if d.shape == (16,) and np.array_equal(d, params.d[16:]):
+            raise MemoryError("upper group")
+        out = scan(disc, c, d, x, h0, *args, **kwargs)
+        stopped.append(1)
+        return out
+
+    monkeypatch.setattr(ssm, "scan_blocked", failing_upper_group)
+    with pytest.raises(MemoryError, match="upper group"):
+        ssm.flow_ssm_layer(x, f_off, params, threads=2)
+    # The lower group scanned both of its chunks before the error was raised.
+    assert len(stopped) == 2
+
+
+def test_streamed_layer_memory_at_two_groups_is_bounded_by_one_chunk(monkeypatch):
+    # The bound of test_streamed_layer_memory_is_bounded_by_one_chunk, with
+    # the helper thread's allocations traced as well.
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(32)
+    length, d_inner, state, c_off = 32_400, 32, 16, 16
+    params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
+    x = rng.normal(size=(1, length, d_inner))
+    f_off = rng.normal(size=(1, length, c_off))
+    assert ssm.split_groups(2, length, d_inner, state) == 2
+    tracemalloc.start()
+    try:
+        ssm.flow_ssm_layer(x, f_off, params, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    longest = ssm.SCAN_CHUNK + ssm.DEFAULT_BLOCK_SIZE
+    bound = length * d_inner * 8 + 5 * longest * d_inner * state * 8
+    assert peak <= bound, f"peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
+
+
+def test_one_thread_starts_no_thread_and_import_loads_no_pool():
+    script = """
+import sys, threading
+import numpy as np
+import sfkit, sfkit.cli
+from sfkit import ssm
+assert "concurrent.futures" not in sys.modules
+rng = np.random.default_rng(0)
+params = ssm.SsmParams.seeded(32, 16, 16, rng)
+x, f_off = rng.normal(size=(1, 3000, 32)), rng.normal(size=(1, 3000, 16))
+assert ssm.split_groups(2, 3000, 32, 16) == min(2, ssm.usable_cpus())
+ssm.flow_ssm_layer(x, f_off, params, threads=1)
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
+"""
+    src = str(Path(ssm.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+                           + script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_concurrent_layers_on_more_groups_than_cores_keep_their_bytes(three_cpus, monkeypatch):
+    # Three callers share the one helper pool, each splitting into 8 groups,
+    # with the interpreter switching threads as often as it can.
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 8)
+    rng = np.random.default_rng(41)
+    cases = [make_inputs(rng, 1, chunk_tokens(64) + 70, 32, 16, 16) for _ in range(3)]
+    expect = [ssm.flow_ssm_layer(x, f_off, params, threads=1) for params, x, f_off in cases]
+    got = [None] * len(cases)
+
+    def run(i):
+        params, x, f_off = cases[i]
+        got[i] = ssm.flow_ssm_layer(x, f_off, params, threads=8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for (y, h), result in zip(expect, got):
+        assert result is not None
+        assert result[0].tobytes() == y.tobytes() and result[1].tobytes() == h.tobytes()

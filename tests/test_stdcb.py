@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from sfkit import pipeline, ssm
 from sfkit import pointcloud as pc
 from sfkit import stdcb
 from sfkit import voxelizer as vx
@@ -667,6 +668,24 @@ def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, fr
     assert len(traced) == len(scene.frames[slot])
     assert untraced.vectors.tobytes() == traced.vectors.tobytes()
     assert small_tiles.vectors.tobytes() == traced.vectors.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["desk", "t+1"])
+def test_infer_flow_bytes_do_not_depend_on_threads(monkeypatch, layout):
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
+    scene = pc.synth_scene(pc.SceneConfig(n_background=1500, movers=()), 9)
+    weights = init_pipeline_weights(RunConfig(**LAYOUTS[layout]), 9)
+    flows = [infer_flow(scene, weights, RunConfig(threads=threads, **LAYOUTS[layout]))
+             for threads in (1, 2, 3)]
+    assert flows[0].vectors.tobytes() == flows[1].vectors.tobytes() == flows[2].vectors.tobytes()
+
+
+def test_run_config_threads_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 6)
+    assert RunConfig().threads == 6
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 5000)
+    assert RunConfig().threads == 1024
 
 
 def test_out_of_grid_point_flows_do_not_depend_on_its_distance():

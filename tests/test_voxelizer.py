@@ -446,3 +446,19 @@ def test_kernel_map_builds_each_tap_once():
     first = kmap.pairs(SPATIAL_TAPS)
     again = kmap.pairs(SPATIAL_TAPS[::-1])
     assert all(a is b for a, b in zip(first, again[::-1]))
+
+
+@pytest.mark.parametrize("cells_per_site", [0, vx.TABLE_CELLS_PER_SITE])
+def test_mirrored_taps_share_their_pairs_and_match_lookup(cells_per_site, monkeypatch):
+    from sfkit.stdcb import ConvKernel4D
+
+    monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", cells_per_site)
+    rng = np.random.default_rng(33)
+    taps = ConvKernel4D.seeded((3, 1, 5, 3), 1, 1, rng, dilation_t=2).offsets()
+    tensor = random_sparse(rng, 900, extent=(5, 9, 6, 9))
+    assert_maps_match_lookup(tensor, taps.tolist())
+    pairs = dict(zip(map(tuple, taps.tolist()), vx.KernelMap(tensor.coords).pairs(taps)))
+    for tap, pair in pairs.items():
+        if any(tap):
+            mirror = pairs[tuple(-v for v in tap)]
+            assert pair[0] is mirror[1] and pair[1] is mirror[0], tap
