@@ -97,7 +97,10 @@ def cmd_synth(args):
     )
     scene = pc.synth_scene(scene_cfg, args.seed)
     out = args.out or Path("scene.sfsc")
-    pc.save_scene(scene, out)
+    with _staged_outputs() as stage:
+        pc.save_scene(scene, stage(out))
+        if args.ply is not None:
+            pc.export_ply(scene.prediction_frame, stage(args.ply))
     n_dyn = int(np.sum(scene.mask == pc.MotionClass.FOREGROUND_DYNAMIC))
     n_fs = int(np.sum(scene.mask == pc.MotionClass.FOREGROUND_STATIC))
     print(f"wrote {out}: {len(scene.prediction_frame)} points/frame, "
@@ -106,7 +109,6 @@ def cmd_synth(args):
         speed = float(np.linalg.norm(m.velocity))
         print(f"  mover {i}: {m.n_points} pts, |v|={speed:.2f} m/s")
     if args.ply is not None:
-        pc.export_ply(scene.prediction_frame, args.ply)
         print(f"wrote {args.ply} (prediction frame, ASCII PLY)")
     return EXIT_OK
 
@@ -151,10 +153,10 @@ def _staged_outputs():
     """Write a command's output files whole or not at all.
 
     Yields ``stage(target)``, which returns a temporary path beside
-    ``target`` for the command to write; a target that is a directory, or
-    whose folder does not exist, raises at once.  If the block completes,
-    every temporary replaces its target; on any error every temporary is
-    removed and no target is touched.
+    ``target`` for the command to write; a target that is a directory, whose
+    folder does not exist, or that resolves to a path already staged, raises
+    at once.  If the block completes, every temporary replaces its target;
+    on any error every temporary is removed and no target is touched.
     """
     staged = []
 
@@ -164,6 +166,8 @@ def _staged_outputs():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         if not target.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
+        if any(target.resolve() == done.resolve() for _, done in staged):
+            raise SceneFlowError(f"{target} is named by two outputs")
         tmp = target.with_name(f".{target.name}.{os.getpid()}-{len(staged)}.partial")
         staged.append((tmp, target))
         return tmp
@@ -206,13 +210,11 @@ def cmd_eval(args):
     print(f"three-bucket loss: {bucket:.6f}")
 
     if args.out is not None:
-        Path(args.out).write_text(report.to_csv())
-        loss_path = Path(args.out).with_name(Path(args.out).stem + "_loss.csv")
-        scene_id = Path(args.scene).stem
-        loss_path.write_text(
-            loss_mod.LOSS_REPORT_HEADER + "\n"
-            + loss_mod.loss_report_row(scene_id, breakdown, config.k_bins) + "\n"
-        )
+        loss_path = args.out.with_name(args.out.stem + "_loss.csv")
+        with _staged_outputs() as stage:
+            stage(args.out).write_text(report.to_csv())
+            row = loss_mod.loss_report_row(args.scene.stem, breakdown, config.k_bins)
+            stage(loss_path).write_text(f"{loss_mod.LOSS_REPORT_HEADER}\n{row}\n")
         print(f"wrote {args.out} and {loss_path}")
     return EXIT_OK
 
@@ -239,38 +241,41 @@ def cmd_bench(args):
                             f"{MAX_FLOATS} scan terms (batch*L*D*S), got {terms}")
     rng = np.random.default_rng(args.seed)
     rows = ["impl,L,D_inner,S,tokens_per_second"]
-    for length in args.lengths:
-        if length == 0:
-            print("skipping L=0 (nothing to scan)")
-            continue
-        params = ssm.SsmParams.seeded(d_inner, state, d_inner, rng)
-        x = rng.normal(size=(batch, length, d_inner))
-        offsets = rng.normal(size=(batch, length, d_inner))
-        _, delta, b_tok, c_tok = ssm.project_token_params(offsets, params)
-        disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
-        h0 = np.zeros((batch, d_inner, state))
+    with _staged_outputs() as stage:
+        out_tmp = stage(args.out) if args.out is not None else None  # before any timing
+        for length in args.lengths:
+            if length == 0:
+                print("skipping L=0 (nothing to scan)")
+                continue
+            params = ssm.SsmParams.seeded(d_inner, state, d_inner, rng)
+            x = rng.normal(size=(batch, length, d_inner))
+            offsets = rng.normal(size=(batch, length, d_inner))
+            _, delta, b_tok, c_tok = ssm.project_token_params(offsets, params)
+            disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
+            h0 = np.zeros((batch, d_inner, state))
 
-        y_seq, _ = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
-        y_blk, _ = ssm.scan_blocked(disc, c_tok, params.d, x, h0, config.block_size)
-        scale = max(np.abs(y_seq).max(), 1.0)
-        assert np.abs(y_seq - y_blk).max() <= 1e-10 * scale, "scan outputs diverged"
+            y_seq, _ = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
+            y_blk, _ = ssm.scan_blocked(disc, c_tok, params.d, x, h0, config.block_size)
+            scale = max(np.abs(y_seq).max(), 1.0)
+            assert np.abs(y_seq - y_blk).max() <= 1e-10 * scale, "scan outputs diverged"
 
-        for name, fn in (
-            ("sequential", lambda: ssm.scan_sequential(disc, c_tok, params.d, x, h0)),
-            ("blocked", lambda: ssm.scan_blocked(disc, c_tok, params.d, x, h0,
-                                                 config.block_size)),
-        ):
-            start = time.perf_counter()
-            reps = 0
-            while time.perf_counter() - start < args.min_time:
-                fn()
-                reps += 1
-            elapsed = time.perf_counter() - start
-            tps = batch * length * reps / elapsed
-            rows.append(f"{name},{length},{d_inner},{state},{tps:.1f}")
-    csv_text = "\n".join(rows) + "\n"
+            for name, fn in (
+                ("sequential", lambda: ssm.scan_sequential(disc, c_tok, params.d, x, h0)),
+                ("blocked", lambda: ssm.scan_blocked(disc, c_tok, params.d, x, h0,
+                                                     config.block_size)),
+            ):
+                start = time.perf_counter()
+                reps = 0
+                while time.perf_counter() - start < args.min_time:
+                    fn()
+                    reps += 1
+                elapsed = time.perf_counter() - start
+                tps = batch * length * reps / elapsed
+                rows.append(f"{name},{length},{d_inner},{state},{tps:.1f}")
+        csv_text = "\n".join(rows) + "\n"
+        if out_tmp is not None:
+            out_tmp.write_text(csv_text)
     if args.out is not None:
-        Path(args.out).write_text(csv_text)
         print(f"wrote {args.out}")
     else:
         print(csv_text, end="")
@@ -325,9 +330,9 @@ def _check_streamed_scan():
 
 def _check_chunk_bytes():
     # At the decoder's widths the streamed layer projects each chunk on its
-    # own; that matches the full-length projection byte for byte only if
-    # this BLAS rounds a row range like the whole matrix.  The decoder runs
-    # the layer in place, so that run must match the recorded one too.
+    # own, and the recorded run the whole sequence at once; their bytes
+    # match only if this BLAS rounds a row range like the whole matrix.  The
+    # decoder runs the layer in place, so that run must match too.
     rng = np.random.default_rng(17)
     length = 2 * ssm.SCAN_CHUNK + 5
     params = ssm.SsmParams.seeded(32, 16, 16, rng)
@@ -342,9 +347,6 @@ def _check_chunk_bytes():
     _, h = ssm.flow_ssm_layer(in_place, f_off, params, h0, out=in_place)
     assert np.array_equal(in_place, run.refined), "in-place output differs from recorded run"
     assert np.array_equal(h, run.h_final), "in-place state differs from recorded run"
-    z_delta, _, b_tok, c_tok = ssm.project_token_params(f_off, params)
-    for name, expect in zip(("z_delta", "b_tokens", "c_tokens"), (z_delta, b_tok, c_tok)):
-        assert np.array_equal(getattr(run, name), expect), f"per-chunk {name} differs"
 
 
 def _check_thread_bytes():

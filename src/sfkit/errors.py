@@ -115,7 +115,7 @@ CONFIG_RULES = {
 }
 
 # The rules of every other input, keyed by the name its error prints: the
-# CLI's own flags and the synthetic scene's fields.
+# CLI's own flags, the synthetic scene's fields and the metric parameters.
 INPUT_RULES = {
     "--lengths": ((Integral, _ANY_LENGTH), lambda v: 0 <= v <= 1 << 20,
                   "a comma-separated list of integers in [0, 2**20]"),
@@ -130,6 +130,8 @@ INPUT_RULES = {
     "n_movers": _count(0, 6),
     "mover n_points": _count(1, 16),
     "jitter_sigma": _NON_NEGATIVE,
+    "bucket_width": _POSITIVE,
+    "iou_threshold": _POSITIVE,
 }
 
 _RULES = CONFIG_RULES | INPUT_RULES

@@ -9,10 +9,11 @@ prediction.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig
+from .errors import EmptyInput, check_config
 from .metrics import epe, magnitudes
 
 DEFAULT_K = 100
@@ -70,8 +71,7 @@ class LossBreakdown:
 
 def build_histogram(gt_flow, k=DEFAULT_K):
     """Bin ground-truth displacement magnitudes into k equal-width bins."""
-    if k < 2:
-        raise InvalidConfig(f"need at least 2 bins, got {k}")
+    check_config(SimpleNamespace(k=k), k="k_bins")
     r = magnitudes(gt_flow)
     n = len(r)
     if n == 0:
@@ -129,8 +129,7 @@ def scene_adaptive_loss(pred, gt, k=DEFAULT_K):
 
 def three_bucket_loss(pred, gt, dt):
     """Speed-bucketed baseline: sum of mean EPE over [0,0.4), [0.4,1), [1,inf) m/s."""
-    if dt <= 0:
-        raise InvalidConfig(f"dt must be positive, got {dt}")
+    check_config(SimpleNamespace(dt=dt), "dt")
     err = epe(pred, gt)
     speed = magnitudes(gt) / dt
     lo, hi = BUCKET_SPEEDS

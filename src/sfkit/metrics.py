@@ -11,10 +11,11 @@ the dynamic mean.  Reports always label it as the variant.
 from dataclasses import dataclass
 from enum import IntEnum
 import io
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidConfig, ShapeError
+from .errors import EmptyInput, InvalidConfig, ShapeError, check_config
 from .pointcloud import MotionClass
 
 NORMALIZATION_FLOOR = 1e-6  # meters; guards the EPE/|gt| ratio
@@ -117,8 +118,7 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
     """
     if dt <= 0:
         raise InvalidConfig(f"dt must be positive, got {dt}")
-    if bucket_width <= 0:
-        raise InvalidConfig(f"bucket_width must be positive, got {bucket_width}")
+    check_config(SimpleNamespace(bucket_width=bucket_width), "bucket_width")
     errors = epe(pred, gt)
     mask = np.asarray(mask)
     if mask.shape != (len(errors),):
@@ -172,8 +172,7 @@ def dynamic_iou(pred, gt, threshold=DEFAULT_IOU_THRESHOLD):
     A point is called dynamic when its flow magnitude exceeds the threshold;
     an empty union scores 1.
     """
-    if threshold <= 0:
-        raise InvalidConfig(f"threshold must be positive, got {threshold}")
+    check_config(SimpleNamespace(threshold=threshold), threshold="iou_threshold")
     p, g = _aligned(pred, gt)
     pred_dyn = np.linalg.norm(p, axis=1) > threshold
     true_dyn = np.linalg.norm(g, axis=1) > threshold

@@ -17,7 +17,8 @@ O(chunk * D * S); the output may be the input itself.  A is diagonal, so the
 layer may split its channels into groups that run the same chunk loop on
 parallel threads, each over the whole sequence, with the same bytes.
 A plain left-to-right loop with the same contract is the oracle.  An
-adjoint pass provides exact gradients for finite-difference verification.
+adjoint pass over a recorded run, one full-length pass that keeps its
+terms, provides exact gradients for finite-difference verification.
 """
 
 import math
@@ -539,21 +540,22 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     a block-major pair of terms, which is allocated here once for the
     longest chunk; the scan composes the terms there.  A pair of more than
     ``MAX_FLOATS`` floats raises InvalidConfig before anything is allocated
-    (see scan_layout).
-    No token-order (D, S) term is made.  The refined sequence goes to
-    ``out``, a (batch, L, D) float64 array, or a new one; ``out`` may be
-    ``f_coarse`` itself, since each chunk's input is read before its output
-    is written.
+    (see scan_layout).  A streamed run makes no token-order (D, S) term.
+    The refined sequence goes to ``out``, a (batch, L, D) float64 array, or
+    a new one; ``out`` may be ``f_coarse`` itself, since each chunk's input
+    is read before its output is written.
 
     A is diagonal, so every channel runs its own recurrence: the layer scans
     split_groups(threads, L, D, S) contiguous channel groups, each over the
     whole sequence, the first on this thread and the others on helper
     threads, and joins them once.  Each group's bytes are those of a
-    one-group run, at any thread count.  With ``keep_intermediates`` the
-    one-group loop also writes each chunk's projections, transitions (before
-    the scan overwrites them) and states into full-length arrays; the
-    record keeps ``f_coarse`` as the backward pass's input, so an ``out``
-    that shares its memory is refused.
+    one-group run, at any thread count.
+
+    A recorded run (``keep_intermediates``) is one pass on this thread,
+    with the streamed run's bytes: project_token_params, zoh_discretize and
+    a token-order scan_blocked over the whole sequence, then ``out``.  The
+    record keeps ``f_coarse`` for the backward pass, so an ``out`` that
+    shares its memory is refused.
     """
     f_coarse = np.asarray(f_coarse, dtype=np.float64)
     f_offset = np.asarray(f_offset, dtype=np.float64)
@@ -586,12 +588,17 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     a = params.a
     block_size, chunks, work_shape = scan_layout(batch, length, d_inner, state, block_size)
-    n_groups = 1 if keep_intermediates else split_groups(threads, length, d_inner, state)
-    recorded = {}
     if keep_intermediates:
-        widths = {"z_delta": (d_inner,), "delta": (d_inner,), "b_tokens": (state,),
-                  "c_tokens": (state,), "a_bar": (d_inner, state), "h_states": (d_inner, state)}
-        recorded = {name: np.empty((batch, length) + w) for name, w in widths.items()}
+        z_delta, delta, b_tokens, c_tokens = project_token_params(f_offset, params)
+        disc = zoh_discretize(a, b_tokens, delta, mode)
+        h_states = np.empty(disc.a_bar.shape)
+        y, h_final = scan_blocked(disc, c_tokens, params.d, f_coarse, h0, block_size,
+                                  states=h_states)
+        out[...] = y
+        return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode),
+                          inputs=(f_coarse, f_offset, params, h0), z_delta=z_delta,
+                          delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
+                          a_bar=disc.a_bar, h_states=h_states)
     h_final = np.empty((batch, d_inner, state))
 
     def scan_group(group):
@@ -606,10 +613,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
             f_part = f_offset[:, part]
             z_delta = np.matmul(f_part, params.w_delta, out=group.z[:, rows])
             delta = np.add(z_delta[..., lanes], params.b_delta[lanes], out=group.delta[:, rows])
-            if recorded:
-                recorded["z_delta"][:, part] = delta
             softplus(delta, out=delta)
-            b_tokens = np.matmul(f_part, params.w_b, out=group.b[:, rows])
+            np.matmul(f_part, params.w_b, out=group.b[:, rows])
             c_tokens = np.matmul(f_part, params.w_c, out=group.c[:, rows])
             group.delta[:, pad] = 0.0
             group.b[:, pad] = 0.0
@@ -617,28 +622,17 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
                        for t in (group.b, group.delta))
             disc = zoh_discretize(a[lanes], *blocked, mode,
                                   out=Discretized(*group.work[:, :, :, :n_blocks]))
-            if recorded:
-                for name, value in zip(("delta", "b_tokens", "c_tokens"),
-                                       (delta, b_tokens, c_tokens)):
-                    recorded[name][:, part] = value
-                for dst, src in zip(_blocks(recorded["a_bar"][:, part], block_size),
-                                    _token_blocks(disc.a_bar, n_tokens)):
-                    dst[...] = src
             try:
-                y, h = scan_blocked(
-                    disc, c_tokens, params.d[lanes], f_coarse[:, part, lanes], h, block_size,
-                    states=recorded["h_states"][:, part] if recorded else None,
-                    buffers=group.buffers,
-                )
+                y, h = scan_blocked(disc, c_tokens, params.d[lanes], f_coarse[:, part, lanes], h,
+                                    block_size, buffers=group.buffers)
             except NumericError as err:
                 raise NumericError("non-finite hidden state", index=start + err.index) from err
             out[:, part, lanes] = y
         h_final[:, lanes] = h
 
+    n_groups = split_groups(threads, length, d_inner, state)
     _run_groups(scan_group, _channel_groups(n_groups, work_shape))
-    inputs = (f_coarse, f_offset, params, h0) if keep_intermediates else None
-    return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode), inputs=inputs,
-                      **recorded)
+    return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode))
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,

@@ -140,6 +140,42 @@ def test_infer_that_fails_over_an_output_path_leaves_no_file(scene_path, tmp_pat
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("second", ["--csv", "--save-weights"])
+def test_infer_that_names_one_file_twice_exits_2_before_inference(scene_path, tmp_path, second,
+                                                                  monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr(cli, "infer_flow", lambda *a, **k: pytest.fail("inference ran"))
+    before = sorted(tmp_path.iterdir())
+    # The second spelling resolves to the first.
+    assert run("infer", scene_path, "--out", tmp_path / "x",
+               second, tmp_path / "sub" / ".." / "x") == 2
+    assert "named by two outputs" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "{scene}", "{flow}", "--out", "{tmp}/r.csv"),
+    ("synth", "--out", "{tmp}/s.sfsc", "--ply", "{tmp}/p.ply"),
+], ids=["eval", "synth"])
+def test_eval_and_synth_that_fail_over_their_second_output_leave_no_file(scene_path, tmp_path,
+                                                                         argv, capsys):
+    flow = tmp_path / "f.sffl"
+    assert run("infer", scene_path, "--out", flow) == 0
+    (tmp_path / "r_loss.csv").mkdir()
+    (tmp_path / "p.ply").mkdir()
+    before = sorted(tmp_path.iterdir())
+    paths = {"scene": scene_path, "flow": flow, "tmp": tmp_path}
+    assert run(*(arg.format(**paths) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_bench_refuses_its_output_path_before_timing(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.ssm, "scan_sequential", lambda *a, **k: pytest.fail("timing ran"))
+    assert run("bench", "--lengths", "32", "--out", tmp_path / "missing" / "b.csv") == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_infer_that_fails_writing_its_last_output_leaves_no_file(scene_path, tmp_path,
                                                                  monkeypatch):
     def full_disk(tensor, path):

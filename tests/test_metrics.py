@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sfkit import metrics
+from sfkit import loss, metrics
 from sfkit.errors import EmptyInput, InvalidConfig, ShapeError
 from sfkit.pointcloud import FlowField, MotionClass
 
@@ -293,3 +293,16 @@ def test_bucketed_tiny_dt_ignored_for_static_points():
     gt = flow_of([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     out = metrics.bucketed_normalized_epe(gt, gt, np.array([BS, FD]), dt=1e-300)
     assert out.per_class == {"CAR": 0.0}
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda f, mask: loss.three_bucket_loss(f, f, dt=float("nan")), "dt"),
+    (lambda f, mask: metrics.dynamic_iou(f, f, threshold=float("nan")), "iou_threshold"),
+    (lambda f, mask: loss.build_histogram(f, k=2.5), "k_bins"),
+    (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=0.1,
+                                                     bucket_width=float("nan")), "bucket_width"),
+], ids=["three_bucket_dt", "iou_threshold", "histogram_k", "bucket_width"])
+def test_metric_and_loss_parameters_are_checked_by_the_rule_table(call, key):
+    gt = flow_of([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(InvalidConfig, match=f"^{key} must be "):
+        call(gt, np.array([FD, BS]))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import subprocess
 import sys
 import threading
@@ -546,16 +547,17 @@ def test_chunk_bounds_tile_whole_blocks():
 
 
 @pytest.mark.parametrize("mode", list(ssm.ZohMode))
-def test_recorded_run_matches_streamed_run(mode):
+def test_recorded_run_matches_streamed_run(three_cpus, mode):
     block_size = 64
-    for length in stream_lengths(block_size):
+    for length, batch in itertools.product(stream_lengths(block_size), (1, 2)):
         rng = np.random.default_rng(length + 1)
-        params, x, f_off = make_inputs(rng, 1, length, 3, 4, 2)
-        h0 = rng.normal(size=(1, 3, 4))
+        params, x, f_off = make_inputs(rng, batch, length, 3, 4, 2)
+        h0 = rng.normal(size=(batch, 3, 4))
         run = ssm.flow_ssm_forward(x, f_off, params, h0, mode, keep_intermediates=True)
-        streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode)
-        assert np.array_equal(run.refined, streamed.refined), length
-        assert np.array_equal(run.h_final, streamed.h_final), length
+        for threads in (1, 2):  # one group, and two on parallel threads
+            streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode, threads=threads)
+            assert np.array_equal(run.refined, streamed.refined), (length, batch, threads)
+            assert np.array_equal(run.h_final, streamed.h_final), (length, batch, threads)
         delta, b_tok, _ = token_terms(params, f_off)
         a_bar = ssm.zoh_discretize(params.a, b_tok, delta, mode).a_bar
         assert np.array_equal(run.a_bar, a_bar), length
