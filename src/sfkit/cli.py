@@ -7,6 +7,7 @@ Exit codes are stable: 0 success, 2 input/config error, 3 numeric error.
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import os
 import sys
@@ -38,9 +39,8 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _common_flags(parser):
+def _run_config_flags(parser):
     parser.add_argument("--config", type=Path, help="JSON run configuration")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, help="output path")
     parser.add_argument("--threads", type=int, default=None,
                         help="threads per decoder scan layer (default: SFKIT_THREADS, else "
@@ -57,7 +57,6 @@ def _common_flags(parser):
 
 
 def _load_config(args):
-    check_config(args, seed="--seed")
     mapping = {}
     if args.config is not None:
         try:
@@ -85,6 +84,7 @@ def _load_config(args):
 
 
 def cmd_synth(args):
+    check_config(args, seed="--seed")
     config = _load_config(args)
     movers = pc.sample_mover_specs(args.movers, args.seed, n_points=args.mover_points)
     scene_cfg = pc.SceneConfig(
@@ -97,7 +97,7 @@ def cmd_synth(args):
     )
     scene = pc.synth_scene(scene_cfg, args.seed)
     out = args.out or Path("scene.sfsc")
-    with _staged_outputs() as stage:
+    with _staged_outputs(args.config) as stage:
         pc.save_scene(scene, stage(out))
         if args.ply is not None:
             pc.export_ply(scene.prediction_frame, stage(args.ply))
@@ -116,19 +116,21 @@ def cmd_synth(args):
 def cmd_infer(args):
     config = _load_config(args)
     check_config(args, seed_weights="--seed-weights")
-    scene = pc.load_scene(args.scene)
-    if args.weights is not None:
-        weights = load_pipeline_weights(args.weights, config)
-    else:
-        weights = init_pipeline_weights(config, args.seed_weights)
     out = args.out or Path("flow.sffl")
-    with _staged_outputs() as stage:
-        # Staged first, so that a path no file can take fails before inference.
+    with _staged_outputs(args.scene, args.weights, args.config) as stage:
+        # Staged first, so that a path no file can take fails before any work.
         flow_tmp = stage(out)
-        csv_tmp = stage(args.csv) if args.csv is not None else None
-        dump_tmp = stage(args.dump_features) if args.dump_features is not None else None
-        if args.save_weights is not None:
-            save_pipeline_weights(weights, stage(args.save_weights))
+        csv_tmp, dump_tmp, weights_tmp = (
+            None if path is None else stage(path)
+            for path in (args.csv, args.dump_features, args.save_weights)
+        )
+        scene = pc.load_scene(args.scene)
+        if args.weights is not None:
+            weights = load_pipeline_weights(args.weights, config)
+        else:
+            weights = init_pipeline_weights(config, args.seed_weights)
+        if weights_tmp is not None:
+            save_pipeline_weights(weights, weights_tmp)
         trace = InferenceTrace() if dump_tmp is not None else None
         flow = infer_flow(scene, weights, config, trace=trace)
         pc.save_flow(flow, flow_tmp)
@@ -149,15 +151,18 @@ def cmd_infer(args):
 
 
 @contextlib.contextmanager
-def _staged_outputs():
-    """Write a command's output files whole or not at all.
+def _staged_outputs(*inputs):
+    """Write a command's output files whole or not at all, and never over
+    one of its ``inputs`` (paths, or None for an input not given).
 
     Yields ``stage(target)``, which returns a temporary path beside
     ``target`` for the command to write; a target that is a directory, whose
-    folder does not exist, or that resolves to a path already staged, raises
-    at once.  If the block completes, every temporary replaces its target;
-    on any error every temporary is removed and no target is touched.
+    folder does not exist, or that resolves to an input or to a path already
+    staged, raises at once.  If the block completes, every temporary
+    replaces its target; on any error every temporary is removed and no
+    target is touched.
     """
+    read = {Path(path).resolve() for path in inputs if path is not None}
     staged = []
 
     def stage(target):
@@ -166,6 +171,8 @@ def _staged_outputs():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
         if not target.parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(target))
+        if target.resolve() in read:
+            raise SceneFlowError(f"{target} is also an input")
         if any(target.resolve() == done.resolve() for _, done in staged):
             raise SceneFlowError(f"{target} is named by two outputs")
         tmp = target.with_name(f".{target.name}.{os.getpid()}-{len(staged)}.partial")
@@ -192,29 +199,32 @@ def _dump_backbone_csv(tensor, path):
 
 def cmd_eval(args):
     config = _load_config(args)
-    scene = pc.load_scene(args.scene)
-    flow = pc.load_flow(args.flow)
-    if len(flow) != len(scene.gt_flow):
-        raise SceneFlowError(
-            f"flow file has {len(flow)} vectors, scene expects {len(scene.gt_flow)}"
-        )
-    report = metrics_mod.evaluate(flow, scene.gt_flow, scene.mask, config.dt)
-    breakdown = loss_mod.scene_adaptive_loss(flow, scene.gt_flow, config.k_bins)
-    bucket = loss_mod.three_bucket_loss(flow, scene.gt_flow, config.dt)
+    with _staged_outputs(args.scene, args.flow, args.config) as stage:
+        # Staged first, so that a path no file can take fails before any work.
+        if args.out is not None:
+            loss_path = args.out.with_name(args.out.stem + "_loss.csv")
+            report_tmp, loss_tmp = stage(args.out), stage(loss_path)
+        scene = pc.load_scene(args.scene)
+        flow = pc.load_flow(args.flow)
+        if len(flow) != len(scene.gt_flow):
+            raise SceneFlowError(
+                f"flow file has {len(flow)} vectors, scene expects {len(scene.gt_flow)}"
+            )
+        report = metrics_mod.evaluate(flow, scene.gt_flow, scene.mask, config.dt)
+        breakdown = loss_mod.scene_adaptive_loss(flow, scene.gt_flow, config.k_bins)
+        bucket = loss_mod.three_bucket_loss(flow, scene.gt_flow, config.dt)
 
-    print(report.to_text())
-    print(f"scene-adaptive loss: static {breakdown.static_term:.6f} "
-          f"+ dynamic {breakdown.dynamic_term:.6f} = {breakdown.total:.6f} "
-          f"(alpha={breakdown.alpha}, r_alpha={breakdown.r_alpha:.4f} m"
-          f"{', fallback' if breakdown.fallback else ''})")
-    print(f"three-bucket loss: {bucket:.6f}")
-
-    if args.out is not None:
-        loss_path = args.out.with_name(args.out.stem + "_loss.csv")
-        with _staged_outputs() as stage:
-            stage(args.out).write_text(report.to_csv())
+        print(report.to_text())
+        print(f"scene-adaptive loss: static {breakdown.static_term:.6f} "
+              f"+ dynamic {breakdown.dynamic_term:.6f} = {breakdown.total:.6f} "
+              f"(alpha={breakdown.alpha}, r_alpha={breakdown.r_alpha:.4f} m"
+              f"{', fallback' if breakdown.fallback else ''})")
+        print(f"three-bucket loss: {bucket:.6f}")
+        if args.out is not None:
+            report_tmp.write_text(report.to_csv())
             row = loss_mod.loss_report_row(args.scene.stem, breakdown, config.k_bins)
-            stage(loss_path).write_text(f"{loss_mod.LOSS_REPORT_HEADER}\n{row}\n")
+            loss_tmp.write_text(f"{loss_mod.LOSS_REPORT_HEADER}\n{row}\n")
+    if args.out is not None:
         print(f"wrote {args.out} and {loss_path}")
     return EXIT_OK
 
@@ -233,15 +243,15 @@ def _comma_list(text):
 
 def cmd_bench(args):
     config = _load_config(args)
-    check_config(args, lengths="--lengths", batch="--batch", d_inner="--d-inner",
-                 state="--state", min_time="--min-time")
+    check_config(args, seed="--seed", lengths="--lengths", batch="--batch",
+                 d_inner="--d-inner", state="--state", min_time="--min-time")
     d_inner, state, batch = args.d_inner, args.state, args.batch
     if (terms := batch * max(args.lengths, default=0) * d_inner * state) > MAX_FLOATS:
         raise InvalidConfig("--batch, --lengths, --d-inner and --state must give at most "
                             f"{MAX_FLOATS} scan terms (batch*L*D*S), got {terms}")
     rng = np.random.default_rng(args.seed)
     rows = ["impl,L,D_inner,S,tokens_per_second"]
-    with _staged_outputs() as stage:
+    with _staged_outputs(args.config) as stage:
         out_tmp = stage(args.out) if args.out is not None else None  # before any timing
         for length in args.lengths:
             if length == 0:
@@ -523,9 +533,11 @@ def build_parser():
         prog="sfkit", description="Desk-scale scene-flow pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, allow_abbrev=False)  # whole flag names only
 
-    p = sub.add_parser("synth", help="generate a synthetic scene file")
-    _common_flags(p)
+    p = command("synth", help="generate a synthetic scene file")
+    _run_config_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--points", type=int, default=2000, help="background point count")
     p.add_argument("--movers", type=int, default=2, help="number of rigid movers")
     p.add_argument("--mover-points", type=int, default=200)
@@ -534,8 +546,8 @@ def build_parser():
     p.add_argument("--ply", type=Path, help="also export the prediction frame as PLY")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("infer", help="run the pipeline on a scene file")
-    _common_flags(p)
+    p = command("infer", help="run the pipeline on a scene file")
+    _run_config_flags(p)
     p.add_argument("scene", type=Path)
     p.add_argument("--weights", type=Path, help="SFWT weight file")
     p.add_argument("--seed-weights", type=int, default=0,
@@ -546,14 +558,15 @@ def build_parser():
                    help="debug CSV dump of the backbone output tensor")
     p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("eval", help="score a flow file against a scene's ground truth")
-    _common_flags(p)
+    p = command("eval", help="score a flow file against a scene's ground truth")
+    _run_config_flags(p)
     p.add_argument("scene", type=Path)
     p.add_argument("flow", type=Path)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="time the scan implementations")
-    _common_flags(p)
+    p = command("bench", help="time the scan implementations")
+    _run_config_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--lengths", type=_comma_list, default="64,256,1024,4096")
     p.add_argument("--batch", type=int, default=2)
     p.add_argument("--d-inner", type=int, default=32)
@@ -562,8 +575,7 @@ def build_parser():
                    help="minimum seconds per measurement")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("selftest", help="run the embedded oracle checks")
-    _common_flags(p)
+    p = command("selftest", help="run the embedded oracle checks")
     p.add_argument("--filter", default="", help="only run checks whose name contains this")
     p.set_defaults(func=cmd_selftest)
 

@@ -111,7 +111,6 @@ CONFIG_RULES = {
     "dynamic_threshold": _NON_NEGATIVE,
     "block_size": _count(1, 20),
     "threads": _COUNT,
-    "decode_frame": (str, ("t", "t+1").__contains__, "t|t+1"),
 }
 
 # The rules of every other input, keyed by the name its error prints: the

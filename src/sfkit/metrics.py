@@ -16,11 +16,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import EmptyInput, InvalidConfig, ShapeError, check_config
-from .pointcloud import MotionClass
+from .pointcloud import DEFAULT_DYNAMIC_THRESHOLD, MotionClass
 
 NORMALIZATION_FLOOR = 1e-6  # meters; guards the EPE/|gt| ratio
 DEFAULT_BUCKET_WIDTH = 0.4  # m/s
-DEFAULT_IOU_THRESHOLD = 0.05  # meters per frame pair, matches mask generation
+DEFAULT_IOU_THRESHOLD = DEFAULT_DYNAMIC_THRESHOLD  # meters per frame pair, as in mask generation
 
 
 class ObjectClass(IntEnum):

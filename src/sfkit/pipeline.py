@@ -12,7 +12,7 @@ import numpy as np
 
 from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
-from .pointcloud import DEFAULT_DT, FRAME_T, FRAME_T1
+from .pointcloud import DEFAULT_DT, DEFAULT_DYNAMIC_THRESHOLD, FRAME_T
 from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, scan_layout, usable_cpus
 from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
@@ -52,11 +52,10 @@ class RunConfig:
     dilation: str = "gap1"  # gap1 -> taps at {t-2, t, t+2}; literal -> {t-1, t, t+1}
     dt: float = DEFAULT_DT
     k_bins: int = 100
-    dynamic_threshold: float = 0.05
+    dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
     block_size: int = DEFAULT_BLOCK_SIZE
     # Scan threads per decoder layer (ssm.split_groups); flows never depend on it.
     threads: int = field(default_factory=lambda: min(usable_cpus(), 1 << 10))
-    decode_frame: str = "t"  # which frame's points receive flow: "t" | "t+1"
 
     def __post_init__(self):
         check_config(self, *CONFIG_RULES)
@@ -232,10 +231,9 @@ def infer_flow(scene, weights, config, trace=None):
     the prediction frame's.
     """
     grid = config.grid()
-    slot = FRAME_T if config.decode_frame == "t" else FRAME_T1
     layer = weights.decoder.ssm_layers[0]
     # The decoder scans every point of the prediction frame, in one batch.
-    scan_layout(1, len(scene.frames[slot]), layer.d_inner, layer.state_size,
+    scan_layout(1, len(scene.prediction_frame), layer.d_inner, layer.state_size,
                    config.block_size)
     results, voxel_feats = [], []
     point_feats_t = None
@@ -247,22 +245,22 @@ def infer_flow(scene, weights, config, trace=None):
         pf[~res.in_bounds] = 0.0
         results.append(res)
         voxel_feats.append(pool_to_voxels(pf, res))
-        if frame.frame_index == slot:
+        if frame.frame_index == FRAME_T:
             point_feats_t = pf
 
     # Handed over by ``pop`` so that the backbone call holds the only
     # reference and can free the stacked input after its last reader.
     stacked = [stack_temporal(results, voxel_feats)]
-    res_t = results[slot]
+    res_t = results[FRAME_T]
     # In canonical order the prediction frame's rows are one range, and the
     # decoder reads nothing else; a trace keeps the whole backbone output.
-    lo = sum(res.n_voxels for res in results[:slot])
+    lo = sum(res.n_voxels for res in results[:FRAME_T])
     rows = None if trace is not None else (lo, lo + res_t.n_voxels)
     del results, res, pf, voxel_feats  # the stacked tensor holds copies of the features
     refined = backbone_forward(stacked.pop(), weights.backbone, rows)
 
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
-    keys[:, 0] = slot
+    keys[:, 0] = FRAME_T
     keys[:, 1:] = res_t.voxel_coords
     idx, found = refined.lookup(keys)
     if not np.all(found):

@@ -193,7 +193,6 @@ class MoverSpec:
     extents: tuple
     velocity: tuple
     n_points: int = 200
-    object_class: int = 0  # metrics.ObjectClass code; 0 == CAR
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import AlignmentError, ShapeError
 from .ssm import sigmoid
-from .voxelizer import KernelMap, SparseTensor4D, packing_strides
+from .voxelizer import KernelMap, SparseTensor4D, packing_strides, segment_mean
 from .weights import MlpWeights, uniform_init
 
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
@@ -411,11 +411,8 @@ def downsample2(tensor, pooling):
     result is deterministic.
     """
     parent_coords, parent = pooling
-    sums = np.zeros((len(parent_coords), tensor.n_channels))
-    np.add.at(sums, parent, tensor.features)
-    counts = np.bincount(parent, minlength=len(parent_coords))
-    np.divide(sums, counts[:, None], out=sums)
-    return SparseTensor4D(parent_coords, sums, _canonical=True)
+    means = segment_mean(tensor.features, parent, len(parent_coords))
+    return SparseTensor4D(parent_coords, means, _canonical=True)
 
 
 def upsample_into(coarse, fine, pooling):

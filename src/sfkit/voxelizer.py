@@ -105,12 +105,8 @@ def encode_point_features(cloud, weights):
 
 
 def pool_to_voxels(point_features, result):
-    """Mean of member-point features per occupied voxel.
-
-    The sums are one np.bincount over bins ``row * C + channel``, which adds
-    each bin's terms in input order from 0.0, as np.add.at does.  Out-of-grid
-    points land in a spare last row that is dropped.
-    """
+    """Mean of member-point features per occupied voxel.  Out-of-grid points
+    land in a spare last row that segment_mean drops."""
     feats = np.asarray(point_features, dtype=np.float64)
     if feats.shape[0] != result.n_points:
         raise ShapeError(
@@ -118,12 +114,24 @@ def pool_to_voxels(point_features, result):
         )
     if result.n_voxels == 0:
         return np.empty((0, feats.shape[1] if feats.ndim == 2 else 0))
-    n, c = result.n_voxels, feats.shape[1]
-    rows = np.where(result.in_bounds, result.assignment, n)
+    n = result.n_voxels
+    return segment_mean(feats, np.where(result.in_bounds, result.assignment, n), n)
+
+
+def segment_mean(features, rows, n_rows):
+    """Mean of the (N, C) ``features`` rows that share a row index in
+    [0, n_rows); a row index of ``n_rows`` is dropped, and every kept row
+    must have a member.
+
+    The sums are one np.bincount over bins ``row * C + channel``, which adds
+    each bin's terms in input order from 0.0, as np.add.at does.
+    """
+    c = features.shape[1]
     bins = (rows[:, None] * c + np.arange(c)).ravel()
-    sums = np.bincount(bins, weights=feats.ravel(), minlength=(n + 1) * c)[:n * c]
-    counts = np.bincount(rows, minlength=n + 1)[:n]
-    return sums.reshape(n, c) / counts[:, None]
+    sums = np.bincount(bins, weights=features.ravel(), minlength=(n_rows + 1) * c)
+    means = sums[:n_rows * c].reshape(n_rows, c).astype(np.float64, copy=False)  # int64 for no rows
+    counts = np.bincount(rows, minlength=n_rows + 1)[:n_rows]
+    return np.divide(means, counts[:, None], out=means)
 
 
 def devoxelize_coarse(voxel_features, result):

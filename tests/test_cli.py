@@ -154,6 +154,62 @@ def test_infer_that_names_one_file_twice_exits_2_before_inference(scene_path, tm
 
 
 @pytest.mark.parametrize("argv", [
+    ("--out", "{scene}"),
+    ("--out", "{tmp}/sub/../scene.sfsc"),
+    ("--csv", "{config}", "--config", "{config}"),
+    ("--save-weights", "{weights}", "--weights", "{weights}"),
+    ("--dump-features", "{weights}", "--weights", "{weights}"),
+], ids=["out-scene", "out-scene-respelled", "csv-config", "save-weights", "dump-weights"])
+def test_infer_refuses_an_output_that_is_an_input_before_any_work(scene_path, tmp_path, argv,
+                                                                  monkeypatch, capsys):
+    (tmp_path / "sub").mkdir()
+    config, weights = tmp_path / "run.json", tmp_path / "w.sfwt"
+    config.write_text("{}")
+    assert run("infer", scene_path, "--out", tmp_path / "f.sffl", "--save-weights", weights) == 0
+    monkeypatch.setattr(cli.pc, "load_scene", lambda *a: pytest.fail("the scene was read"))
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    paths = {"scene": scene_path, "config": config, "weights": weights, "tmp": tmp_path}
+    assert run("infer", scene_path, *(arg.format(**paths) for arg in argv)) == 2
+    assert "is also an input" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize("target", ["flow", "scene", "config"])
+def test_eval_refuses_an_output_that_is_an_input_before_any_work(scene_path, tmp_path, target,
+                                                                 monkeypatch, capsys):
+    paths = {"scene": scene_path, "flow": tmp_path / "f.sffl", "config": tmp_path / "run.json"}
+    paths["config"].write_text("{}")
+    assert run("infer", scene_path, "--out", paths["flow"]) == 0
+    monkeypatch.setattr(cli.pc, "load_scene", lambda *a: pytest.fail("the scene was read"))
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert run("eval", scene_path, paths["flow"], "--config", paths["config"],
+               "--out", paths[target]) == 2
+    assert "is also an input" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ("selftest", "--config", "{config}"),
+    ("selftest", "--seed", 9, "--out", "{tmp}/nowhere"),
+    ("infer", "{scene}", "--seed", 1, "--out", "{tmp}/f.sffl"),
+    ("eval", "{scene}", "{flow}", "--seed", 1),
+    ("infer", "{scene}", "--set", "decode_frame=t", "--out", "{tmp}/f.sffl"),
+    ("infer", "{scene}", "--config", "{config}", "--out", "{tmp}/f.sffl"),
+], ids=["selftest-config", "selftest-seed-out", "infer-seed", "eval-seed", "set-decode-frame",
+        "config-decode-frame"])
+def test_settings_that_nothing_reads_exit_2(scene_path, tmp_path, argv, capsys):
+    flow, config = tmp_path / "flow.sffl", tmp_path / "run.json"
+    config.write_text(json.dumps({"decode_frame": "t"}))
+    assert run("infer", scene_path, "--out", flow) == 0
+    capsys.readouterr()
+    paths = {"scene": scene_path, "flow": flow, "config": config, "tmp": tmp_path}
+    assert run_or_usage_error(*(str(arg).format(**paths) for arg in argv)) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "unknown config keys: ['decode_frame']" in err
+    assert not (tmp_path / "f.sffl").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("eval", "{scene}", "{flow}", "--out", "{tmp}/r.csv"),
     ("synth", "--out", "{tmp}/s.sfsc", "--ply", "{tmp}/p.ply"),
 ], ids=["eval", "synth"])
@@ -438,19 +494,6 @@ def test_infer_csv_export(scene_path, tmp_path):
     assert len(lines) - 1 == len(flow)
     first = [float(v) for v in lines[1].split(",")[1:]]
     assert np.allclose(first, flow.vectors[0], atol=1e-7)
-
-
-def test_decode_frame_switch(scene_path, tmp_path):
-    cfg_path = tmp_path / "tp1.json"
-    cfg_path.write_text(json.dumps({"decode_frame": "t+1"}))
-    flow_t = tmp_path / "t.sffl"
-    flow_t1 = tmp_path / "t1.sffl"
-    assert run("infer", scene_path, "--out", flow_t) == 0
-    assert run("infer", scene_path, "--config", cfg_path, "--out", flow_t1) == 0
-    a = pc.load_flow(flow_t)
-    b = pc.load_flow(flow_t1)
-    assert len(a) == len(b)  # synthetic frames share their point count
-    assert not np.array_equal(a.vectors, b.vectors)
 
 
 def test_dump_features_flag(scene_path, tmp_path):

@@ -1,6 +1,7 @@
 """Every function, class and method that src/sfkit defines is named again
-somewhere in src/sfkit or perfbench: a name that no library or benchmark
-code reads is dead.
+somewhere in src/sfkit or perfbench, and every field of the settings
+dataclasses is read there as ``.<field>``: a name that no library or
+benchmark code reads is dead.
 
 Names are matched as whole words over the raw text, comments, docstrings and
 strings included (perfbench names its hooks in strings).  A dead name that
@@ -9,9 +10,14 @@ passes: this check is a floor, not a proof.
 """
 
 import ast
+import dataclasses
 import re
 from collections import Counter
 from pathlib import Path
+
+from sfkit.pipeline import RunConfig
+from sfkit.pointcloud import EgoMotion, MoverSpec, SceneConfig
+from sfkit.voxelizer import VoxelGrid
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "sfkit").glob("*.py"))
@@ -37,3 +43,15 @@ def test_every_library_name_is_read_outside_its_definition():
         if name not in ALLOWED and len(re.findall(rf"\b{name}\b", text)) <= n_defs
     )
     assert dead == []
+
+
+def test_every_settings_field_is_read_outside_its_definition():
+    # A definition spells ``name: type``; only a read spells ``.name``.
+    text = "\n".join(path.read_text() for path in READERS)
+    unread = sorted(
+        f"{cls.__name__}.{field.name}"
+        for cls in (RunConfig, SceneConfig, MoverSpec, EgoMotion, VoxelGrid)
+        for field in dataclasses.fields(cls)
+        if not re.search(rf"\.{field.name}\b", text)
+    )
+    assert unread == []

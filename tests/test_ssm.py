@@ -25,6 +25,15 @@ def token_terms(params, f_off):
     return delta, f_off @ params.w_b, f_off @ params.w_c
 
 
+def chunked_token_terms(params, f_off, block_size):
+    """token_terms projected one chunk of _chunk_bounds at a time, as the
+    streamed layer projects them, and joined along the sequence."""
+    length = f_off.shape[1]
+    bounds = ssm._chunk_bounds(length, min(block_size, max(length, 1))) or [(0, 0)]
+    parts = [token_terms(params, f_off[:, start:stop]) for start, stop in bounds]
+    return tuple(np.concatenate(terms, axis=1) for terms in zip(*parts))
+
+
 def two_branch_sigmoid(z):
     """Overflow-guarded logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below."""
     out = np.empty_like(z)
@@ -558,7 +567,7 @@ def test_recorded_run_matches_streamed_run(three_cpus, mode):
             streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode, threads=threads)
             assert np.array_equal(run.refined, streamed.refined), (length, batch, threads)
             assert np.array_equal(run.h_final, streamed.h_final), (length, batch, threads)
-        delta, b_tok, _ = token_terms(params, f_off)
+        delta, b_tok, _ = chunked_token_terms(params, f_off, block_size)
         a_bar = ssm.zoh_discretize(params.a, b_tok, delta, mode).a_bar
         assert np.array_equal(run.a_bar, a_bar), length
         _, _, states = one_shot_layer(x, f_off, params, h0, mode, block_size)
@@ -631,7 +640,7 @@ def test_streamed_layer_bytes_at_pipeline_widths(mode):
     streamed = ssm.flow_ssm_forward(x, f_off, params, h0, mode)
     assert np.array_equal(run.refined, streamed.refined)
     assert np.array_equal(run.h_final, streamed.h_final)
-    delta, b_tok, c_tok = token_terms(params, f_off)
+    delta, b_tok, c_tok = chunked_token_terms(params, f_off, block_size)
     for got, expect in ((run.delta, delta), (run.b_tokens, b_tok), (run.c_tokens, c_tok)):
         assert np.array_equal(got, expect)
     y_ref, h_ref, _ = one_shot_layer(x, f_off, params, h0, mode, block_size)

@@ -646,7 +646,6 @@ LAYOUTS = {
     "desk": {},
     "three-level": {"encoder_depths": (2, 1, 1), "decoder_depths": (1, 2)},
     "single-level": {"encoder_depths": (2,), "decoder_depths": ()},
-    "t+1": {"decode_frame": "t+1"},
 }
 
 
@@ -654,7 +653,7 @@ LAYOUTS = {
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, frame):
     config = RunConfig(**LAYOUTS[layout])
-    slot = pc.FRAME_T if config.decode_frame == "t" else pc.FRAME_T1
+    slot = pc.FRAME_T
     scene = pc.synth_scene(pc.SceneConfig(n_background=300, movers=()), 8)
     if frame == "empty":  # every point of the prediction frame is outside the grid
         scene = with_prediction_frame(scene, slot, np.full((20, 3), 500.0))
@@ -670,7 +669,7 @@ def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, fr
     assert small_tiles.vectors.tobytes() == traced.vectors.tobytes()
 
 
-@pytest.mark.parametrize("layout", ["desk", "t+1"])
+@pytest.mark.parametrize("layout", ["desk"])
 def test_infer_flow_bytes_do_not_depend_on_threads(monkeypatch, layout):
     monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
     monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
