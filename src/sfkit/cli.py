@@ -42,14 +42,6 @@ EXIT_NUMERIC = 3
 def _run_config_flags(parser):
     parser.add_argument("--config", type=Path, help="JSON run configuration")
     parser.add_argument("--out", type=Path, help="output path")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="threads per decoder scan layer (default: SFKIT_THREADS, else "
-                             "the usable CPUs); outputs are the same bytes at any count")
-    parser.add_argument("--k-bins", type=int, default=None, help="histogram bin count")
-    parser.add_argument("--decoder-layers", type=int, default=None,
-                        help="refinement cascade length")
-    parser.add_argument("--zoh", dest="zoh_mode", choices=("exact", "simplified"), default=None)
-    parser.add_argument("--dilation", choices=("gap1", "literal"), default=None)
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="override any run-config key (value parsed as JSON, "
@@ -64,14 +56,6 @@ def _load_config(args):
         except (OSError, json.JSONDecodeError) as exc:
             raise SceneFlowError(f"cannot read config {args.config}: {exc}") from exc
     overrides = {}
-    if args.threads is None and (raw := os.environ.get("SFKIT_THREADS")):
-        try:
-            overrides["threads"] = int(raw)
-        except ValueError:
-            raise InvalidConfig(f"SFKIT_THREADS must be an integer, got {raw!r}") from None
-    for key in ("threads", "k_bins", "decoder_layers", "zoh_mode", "dilation"):  # flag dests
-        if getattr(args, key) is not None:
-            overrides[key] = getattr(args, key)
     for item in args.overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -244,11 +228,14 @@ def _comma_list(text):
 def cmd_bench(args):
     config = _load_config(args)
     check_config(args, seed="--seed", lengths="--lengths", batch="--batch",
-                 d_inner="--d-inner", state="--state", min_time="--min-time")
-    d_inner, state, batch = args.d_inner, args.state, args.batch
+                 min_time="--min-time")
+    # The decoder's scan layer: 2C channels, S states, conditioned on C offsets.
+    batch, channels, state = args.batch, config.channels, config.state_size
+    d_inner = 2 * channels
     if (terms := batch * max(args.lengths, default=0) * d_inner * state) > MAX_FLOATS:
-        raise InvalidConfig("--batch, --lengths, --d-inner and --state must give at most "
-                            f"{MAX_FLOATS} scan terms (batch*L*D*S), got {terms}")
+        raise InvalidConfig("--batch, --lengths, channels and state_size must give at most "
+                            f"{MAX_FLOATS} scan terms (batch*L*2*channels*state_size), "
+                            f"got {terms}")
     rng = np.random.default_rng(args.seed)
     rows = ["impl,L,D_inner,S,tokens_per_second"]
     with _staged_outputs(args.config) as stage:
@@ -257,11 +244,11 @@ def cmd_bench(args):
             if length == 0:
                 print("skipping L=0 (nothing to scan)")
                 continue
-            params = ssm.SsmParams.seeded(d_inner, state, d_inner, rng)
+            params = ssm.SsmParams.seeded(d_inner, state, channels, rng)
             x = rng.normal(size=(batch, length, d_inner))
-            offsets = rng.normal(size=(batch, length, d_inner))
+            offsets = rng.normal(size=(batch, length, channels))
             _, delta, b_tok, c_tok = ssm.project_token_params(offsets, params)
-            disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
+            disc = ssm.zoh_discretize(params.a, b_tok, delta, config.zoh_mode)
             h0 = np.zeros((batch, d_inner, state))
 
             y_seq, _ = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
@@ -569,8 +556,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--lengths", type=_comma_list, default="64,256,1024,4096")
     p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--d-inner", type=int, default=32)
-    p.add_argument("--state", type=int, default=16)
     p.add_argument("--min-time", type=float, default=0.05,
                    help="minimum seconds per measurement")
     p.set_defaults(func=cmd_bench)

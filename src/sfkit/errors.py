@@ -119,8 +119,6 @@ INPUT_RULES = {
     "--lengths": ((Integral, _ANY_LENGTH), lambda v: 0 <= v <= 1 << 20,
                   "a comma-separated list of integers in [0, 2**20]"),
     "--batch": _COUNT,
-    "--d-inner": _COUNT,
-    "--state": _COUNT,
     "--min-time": (Real, lambda v: 0 < v <= 60, "a number of seconds in (0, 60]"),
     "--seed": _SEED,
     "--seed-weights": _SEED,

@@ -116,9 +116,7 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
     mean(EPE / max(|gt|, floor)), buckets average into the class entry, and
     non-empty classes average into the dynamic mean.
     """
-    if dt <= 0:
-        raise InvalidConfig(f"dt must be positive, got {dt}")
-    check_config(SimpleNamespace(bucket_width=bucket_width), "bucket_width")
+    check_config(SimpleNamespace(dt=dt, bucket_width=bucket_width), "dt", "bucket_width")
     errors = epe(pred, gt)
     mask = np.asarray(mask)
     if mask.shape != (len(errors),):

@@ -69,7 +69,10 @@ class VoxelizationResult:
 def voxelize(cloud, grid):
     """Assign every point to its voxel and record the in-cell offset."""
     pts = cloud.points
-    fcoords = np.floor((pts - np.asarray(grid.origin)) / grid.cell_size)
+    # A point far from the grid may overflow to +-inf here; the bounds test
+    # below puts it out of the grid, as it would any point that far.
+    with np.errstate(over="ignore"):
+        fcoords = np.floor((pts - np.asarray(grid.origin)) / grid.cell_size)
     ext = np.asarray(grid.extents, dtype=np.int64)
     # Bounds test in float space; clip before the int cast so far-away points
     # cannot overflow int64.
@@ -79,7 +82,8 @@ def voxelize(cloud, grid):
     offsets = np.zeros_like(pts)
     if np.any(in_bounds):
         centers = grid.centers(coords[in_bounds])
-        offsets[in_bounds] = (pts[in_bounds] - centers) / (grid.cell_size / 2.0)
+        # Not over cell_size / 2.0, which is 0.0 for the smallest subnormal.
+        offsets[in_bounds] = (pts[in_bounds] - centers) / grid.cell_size * 2.0
 
     # Linear index over the grid gives a deterministic (lexicographic) order
     # for the occupied-voxel list.

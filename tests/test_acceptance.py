@@ -383,9 +383,9 @@ def test_criterion_12_end_to_end_determinism(tmp_path):
         flow = base / "flow.sffl"
         report = base / "report.csv"
         _cli("synth", "--points", 4600, "--movers", 2, "--mover-points", 200,
-             "--seed", 12, "--threads", threads, "--out", scene)
-        _cli("infer", scene, "--seed-weights", 12, "--threads", threads, "--out", flow)
-        _cli("eval", scene, flow, "--threads", threads, "--out", report)
+             "--seed", 12, "--set", f"threads={threads}", "--out", scene)
+        _cli("infer", scene, "--seed-weights", 12, "--set", f"threads={threads}", "--out", flow)
+        _cli("eval", scene, flow, "--set", f"threads={threads}", "--out", report)
         outputs.append(
             (scene.read_bytes(), flow.read_bytes(), report.read_bytes(),
              report.with_name(report.stem + "_loss.csv").read_bytes())

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -289,7 +290,7 @@ def test_weight_file_for_another_dilation_exit_2(scene_path, tmp_path, capsys):
     wpath = tmp_path / "gap1.sfwt"
     assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",
                "--save-weights", wpath) == 0
-    assert run("infer", scene_path, "--weights", wpath, "--dilation", "literal",
+    assert run("infer", scene_path, "--weights", wpath, "--set", "dilation=literal",
                "--out", tmp_path / "g.sffl") == 2
     assert "conv_cross.dilation_t" in capsys.readouterr().err
 
@@ -349,6 +350,15 @@ def test_bench_csv_rows(tmp_path):
         ("sequential", "32"), ("blocked", "32"), ("sequential", "64"), ("blocked", "64")
     }
     assert all(float(r[4]) > 0 for r in body)
+    assert {(r[2], r[3]) for r in body} == {("32", "16")}  # RunConfig(): 2 * 16 channels, S 16
+
+
+def test_bench_times_the_run_configs_scan_layer(tmp_path):
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--lengths", "32", "--min-time", "0.01", "--set", "channels=8",
+               "--set", "state_size=4", "--out", out) == 0
+    body = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [r[:4] for r in body] == [["sequential", "32", "16", "4"], ["blocked", "32", "16", "4"]]
 
 
 def test_selftest_passes_and_filter(capsys):
@@ -376,8 +386,8 @@ def test_config_file_and_flag_overrides(scene_path, tmp_path):
     cfg_path.write_text(json.dumps({"decoder_layers": 2, "k_bins": 50}))
     flow = tmp_path / "f.sffl"
     assert run("infer", scene_path, "--config", cfg_path, "--out", flow,
-               "--decoder-layers", 3) == 0
-    # flag wins over file; a bad merged config must fail cleanly
+               "--set", "decoder_layers=3") == 0
+    # --set wins over the file; a bad merged config must fail cleanly
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"unknown_key": 1}))
     assert run("infer", scene_path, "--config", bad_cfg) == 2
@@ -392,25 +402,10 @@ def test_set_overrides_any_config_key(scene_path, tmp_path):
     assert run("infer", scene_path, "--set", "no_equals_sign") == 2
 
 
-def test_threads_env_fallback(scene_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("SFKIT_THREADS", "4")
-    flow_env = tmp_path / "env.sffl"
-    assert run("infer", scene_path, "--out", flow_env) == 0
-    monkeypatch.delenv("SFKIT_THREADS")
-    flow_flag = tmp_path / "flag.sffl"
-    assert run("infer", scene_path, "--threads", 4, "--out", flow_flag) == 0
-    assert flow_env.read_bytes() == flow_flag.read_bytes()
-
-
-def test_threads_env_not_an_integer_exit_2(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("SFKIT_THREADS", "abc")
-    assert run("synth", "--points", 10, "--movers", 0, "--out", tmp_path / "s.sfsc") == 2
-    assert "SFKIT_THREADS must be an integer" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flag,value", [
     ("--lengths", "-5"), ("--lengths", "abc"), ("--lengths", "8,x"),
-    ("--batch", "0"), ("--d-inner", "0"), ("--state", "0"), ("--state", "-2"),
+    ("--batch", "0"), ("--set", "channels=0"), ("--set", "state_size=0"),
+    ("--set", "state_size=-2"),
 ])
 def test_bench_malformed_arguments_exit_2(tmp_path, flag, value, capsys):
     out = tmp_path / "bench.csv"
@@ -581,13 +576,26 @@ def test_every_config_key_and_bad_value_exits_0_or_2(tmp_path, capsys):
 
     scene = tmp_path / "scene.sfsc"
     assert run("synth", "--points", 9, "--movers", 0, "--seed", 3, "--out", scene) == 0
+    # The flag sweep's values too, and 5e-324: as cell_size it divides every
+    # coordinate of the scene to an infinite voxel coordinate.
     for key in CONFIG_RULES:
-        for value in BAD_JSON_VALUES:
+        for value in dict.fromkeys((*BAD_JSON_VALUES, *SWEPT_VALUES, "5e-324")):
             code = run("infer", scene, "--out", tmp_path / "f.sffl", "--set", f"{key}={value}")
             err = capsys.readouterr().err
             assert code in (0, 2), (key, value, code, err)
             if code == 2:
                 assert f"{key} must be" in err, (key, value, err)
+
+
+def test_no_flag_sets_a_run_config_key():
+    # A run-config key is set through --config or --set only, so that
+    # CONFIG_RULES is its one parser and its one error message.
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    flagged = [(name, action.option_strings) for name, sub in commands.items()
+               for action in sub._actions if action.dest in RunConfig.__dataclass_fields__]
+    assert flagged == []
 
 
 def run_or_usage_error(*argv):
@@ -605,8 +613,8 @@ SWEPT_FLAGS = {
               "--mover-points": "mover n_points", "--jitter": "jitter_sigma",
               "--ego-speed": None, "--seed": "--seed"},
     "infer": {"--seed-weights": "--seed-weights"},
-    "bench": {"--lengths": "--lengths", "--batch": "--batch", "--d-inner": "--d-inner",
-              "--state": "--state", "--min-time": "--min-time", "--seed": "--seed"},
+    "bench": {"--lengths": "--lengths", "--batch": "--batch", "--min-time": "--min-time",
+              "--seed": "--seed"},
 }
 SWEPT_VALUES = ("-1", "0", "1.5", "nan", "inf", "-inf", "x", str(10**20), str(10**26),
                 str(-10**26))
@@ -654,9 +662,9 @@ def test_sizes_above_max_floats_exit_2_naming_their_inputs(scene_path, tmp_path,
     assert run("infer", scene_path, "--set", "channels=400", "--out", out) == 2
     assert ("channels, encoder_depths, decoder_depths, decoder_layers and state_size must give"
             in capsys.readouterr().err)
-    assert run("bench", "--lengths", "8,64", "--d-inner", 1024, "--state", 1024,
-               "--out", out) == 2
-    assert "--batch, --lengths, --d-inner and --state must give" in capsys.readouterr().err
+    assert run("bench", "--lengths", "8,1024", "--set", "state_size=1024", "--out", out) == 2
+    assert ("--batch, --lengths, channels and state_size must give at most 16777216 scan "
+            "terms (batch*L*2*channels*state_size), got 67108864" in capsys.readouterr().err)
     # 1100 points scan as a 1024-token chunk and a tail: at channels=64
     # (D = 128) and state_size=65 the chunk's term pair is 2*1024*128*65
     # floats, just above MAX_FLOATS, while the bundle is well below it.

@@ -280,7 +280,7 @@ def test_report_csv_roundtrip():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("dt", [1e-300, 5e-324, float("nan")])
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
 def test_bucketed_refuses_dt_that_overflows_speed_buckets(dt):
     gt = flow_of([[1.0, 0.0, 0.0], [1e10, 0.0, 0.0], [0.0, 0.0, 0.0]])
     mask = np.array([FD, FD, BS])
@@ -297,11 +297,14 @@ def test_bucketed_tiny_dt_ignored_for_static_points():
 
 @pytest.mark.parametrize("call, key", [
     (lambda f, mask: loss.three_bucket_loss(f, f, dt=float("nan")), "dt"),
+    (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=float("nan")), "dt"),
+    (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=float("inf")), "dt"),
     (lambda f, mask: metrics.dynamic_iou(f, f, threshold=float("nan")), "iou_threshold"),
     (lambda f, mask: loss.build_histogram(f, k=2.5), "k_bins"),
     (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=0.1,
                                                      bucket_width=float("nan")), "bucket_width"),
-], ids=["three_bucket_dt", "iou_threshold", "histogram_k", "bucket_width"])
+], ids=["three_bucket_dt", "bucketed_dt_nan", "bucketed_dt_inf", "iou_threshold",
+        "histogram_k", "bucket_width"])
 def test_metric_and_loss_parameters_are_checked_by_the_rule_table(call, key):
     gt = flow_of([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(InvalidConfig, match=f"^{key} must be "):

@@ -688,19 +688,19 @@ def test_run_config_threads_default_to_the_usable_cpus(monkeypatch):
 
 
 def test_out_of_grid_point_flows_do_not_depend_on_its_distance():
-    # All three distances clamp to the same cell, so only the raw coordinates
+    # All four distances clamp to the same cell, so only the raw coordinates
     # differ, and an out-of-grid point's features must not depend on them.
     config = RunConfig()
     scene = pc.synth_scene(pc.SceneConfig(n_background=300, movers=()), 8)
     weights = init_pipeline_weights(config, 8)
     flows = []
-    for far in (-1e3, -1e20, -1e300):
+    for far in (-1e3, -1e20, -1e300, -1e308):
         points = scene.prediction_frame.points.copy()
         points[7] = far
         flow = infer_flow(with_prediction_frame(scene, pc.FRAME_T, points), weights, config)
         assert np.all(np.isfinite(flow.vectors)), far
         flows.append(flow.vectors.tobytes())
-    assert flows[0] == flows[1] == flows[2]
+    assert flows[0] == flows[1] == flows[2] == flows[3]
 
 
 # --- backbone -------------------------------------------------------------------

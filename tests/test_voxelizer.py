@@ -47,6 +47,13 @@ def test_out_of_bounds_points_flagged_not_dropped():
     assert res.n_points == 2
 
 
+def test_smallest_subnormal_cell_size_gives_finite_offsets():
+    grid = vx.VoxelGrid(origin=(0.0, 0.0, 0.0), cell_size=5e-324, extents=(4, 4, 4))
+    res = vx.voxelize(PointCloud([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]), grid)
+    assert np.array_equal(res.in_bounds, [True, False])
+    assert np.all(np.abs(res.offsets) <= 1.0)
+
+
 def test_grouping_matches_bruteforce_oracle():
     rng = np.random.default_rng(0)
     cloud = random_cloud(rng, 1000, lo=-2.0, hi=12.0)  # some points out of bounds
