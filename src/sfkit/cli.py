@@ -14,6 +14,13 @@ import sys
 import time
 from pathlib import Path
 
+# One BLAS thread unless the user set another count: the coupling blocks and
+# the scan already run on sfkit's own threads (RunConfig.threads), and BLAS
+# threads on top of those compete for the same cores.  This must run before
+# numpy loads its BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import loss as loss_mod
@@ -363,6 +370,20 @@ def _check_thread_bytes():
     assert h1.tobytes() == h2.tobytes(), "two-group state differs from one group"
 
 
+def _check_block_thread_bytes():
+    # The coupling blocks split their row tiles over threads as well; three
+    # tiles at two threads must give the one-thread bytes.
+    rng = np.random.default_rng(23)
+    n, extent = 2 * stdcb.BLOCK_TILE + 5, (5, 40, 40, 20)
+    cells = rng.choice(int(np.prod(extent)), size=n, replace=False)
+    tensor = SparseTensor4D(np.stack(np.unravel_index(cells, extent), axis=1),
+                            rng.normal(size=(n, 8)))
+    w = stdcb.StdcbWeights.seeded(8, rng)
+    one = stdcb.stdcb_forward(tensor, w, threads=1)
+    two = stdcb.stdcb_forward(tensor, w, threads=2)
+    assert one.features.tobytes() == two.features.tobytes(), "two-thread block differs"
+
+
 def _check_ssm_gradients():
     rng = np.random.default_rng(3)
     params = ssm.SsmParams.seeded(4, 6, 3, rng)
@@ -487,6 +508,7 @@ SELFTEST_CHECKS = (
     ("ssm.stream", _check_streamed_scan),
     ("ssm.chunk_bytes", _check_chunk_bytes),
     ("ssm.thread_bytes", _check_thread_bytes),
+    ("stdcb.thread_bytes", _check_block_thread_bytes),
     ("ssm.gradients", _check_ssm_gradients),
     ("loss.construction", _check_loss_construction),
     ("pointcloud.roundtrip", _check_scene_roundtrip),

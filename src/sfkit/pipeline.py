@@ -54,7 +54,8 @@ class RunConfig:
     k_bins: int = 100
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
     block_size: int = DEFAULT_BLOCK_SIZE
-    # Scan threads per decoder layer (ssm.split_groups); flows never depend on it.
+    # Threads per coupling block and per decoder scan layer (ssm.run_parallel);
+    # flows never depend on it.
     threads: int = field(default_factory=lambda: min(usable_cpus(), 1 << 10))
 
     def __post_init__(self):
@@ -257,7 +258,7 @@ def infer_flow(scene, weights, config, trace=None):
     lo = sum(res.n_voxels for res in results[:FRAME_T])
     rows = None if trace is not None else (lo, lo + res_t.n_voxels)
     del results, res, pf, voxel_feats  # the stacked tensor holds copies of the features
-    refined = backbone_forward(stacked.pop(), weights.backbone, rows)
+    refined = backbone_forward(stacked.pop(), weights.backbone, rows, config.threads)
 
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
     keys[:, 0] = FRAME_T

@@ -21,6 +21,7 @@ adjoint pass over a recorded run, one full-length pass that keeps its
 terms, provides exact gradients for finite-difference verification.
 """
 
+import contextvars
 import math
 import os
 import threading
@@ -504,28 +505,49 @@ def _helper_pool():
         if _helpers is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _helpers = ThreadPoolExecutor(max(1, usable_cpus() - 1), "sfkit-scan")
+            _helpers = ThreadPoolExecutor(max(1, usable_cpus() - 1), "sfkit-helper")
         return _helpers
 
 
-def _run_groups(scan_group, groups):
-    """Scan the first group here and the others on helper threads.  Returns
-    once every group has stopped; then raises the error of the earliest bad
-    token, or another error before that, so the outcome is the same at any
-    thread count."""
-    if len(groups) == 1:
-        return scan_group(groups[0])
-    futures = [_helper_pool().submit(scan_group, group) for group in groups[1:]]
+def run_parallel(run_item, n_items, threads, scratch=lambda: None):
+    """Call ``run_item(i, buf)`` once for each i in range(n_items), on this
+    thread and on up to ``min(threads, usable_cpus(), n_items) - 1`` threads
+    of the helper pool.  Every thread pulls item numbers from one shared
+    counter, so this thread works too and a busy pool cannot stall the
+    call.  ``buf`` is the thread's own ``scratch()``, made here.  Helpers
+    run in a copy of this thread's context, so ``np.errstate`` reaches them.
+
+    Every item runs, whatever fails.  Returns once every item has stopped;
+    then raises the error of the earliest bad index (NumericError.index), or
+    another error before that, the lowest item's first, so the outcome is
+    the same at any thread count.
+    """
+    n_threads = max(1, min(threads, usable_cpus(), n_items))
+    items = iter(range(n_items))  # the shared counter: next() is one call under the GIL
     errors = []
+
+    def work(buf):
+        for i in items:
+            try:
+                run_item(i, buf)
+            except Exception as exc:  # raised below, once every item has stopped
+                errors.append((i, exc))
+
+    bufs = [scratch() for _ in range(n_threads)]
+    futures = [_helper_pool().submit(contextvars.copy_context().run, work, buf)
+               for buf in bufs[1:]]
     try:
-        scan_group(groups[0])
-    except BaseException as exc:  # re-raised below, once the helpers are done
-        errors.append(exc)
-    for future in futures:
-        if (exc := future.exception()) is not None:  # waits for the helper
-            errors.append(exc)
+        work(bufs[0])
+    finally:
+        for _ in items:  # interrupted here: take the items left, so the helpers stop
+            pass
+        for future in futures:
+            if not future.cancel():  # a helper that never started holds no item
+                future.result()
     if errors:
-        raise min(errors, key=lambda e: e.index if isinstance(e, NumericError) else -1)
+        _, _, exc = min((e.index if isinstance(e, NumericError) else -1, i, e)
+                        for i, e in errors)
+        raise exc
 
 
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
@@ -547,8 +569,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     A is diagonal, so every channel runs its own recurrence: the layer scans
     split_groups(threads, L, D, S) contiguous channel groups, each over the
-    whole sequence, the first on this thread and the others on helper
-    threads, and joins them once.  Each group's bytes are those of a
+    whole sequence, on this thread and helper threads (run_parallel), and
+    joins them once.  Each group's bytes are those of a
     one-group run, at any thread count.
 
     A recorded run (``keep_intermediates``) is one pass on this thread,
@@ -601,7 +623,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
                           a_bar=disc.a_bar, h_states=h_states)
     h_final = np.empty((batch, d_inner, state))
 
-    def scan_group(group):
+    def scan_group(g, _):
+        group = groups[g]
         lanes = group.channels
         h = h0[:, lanes]
         for start, stop in chunks:
@@ -630,8 +653,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
             out[:, part, lanes] = y
         h_final[:, lanes] = h
 
-    n_groups = split_groups(threads, length, d_inner, state)
-    _run_groups(scan_group, _channel_groups(n_groups, work_shape))
+    groups = _channel_groups(split_groups(threads, length, d_inner, state), work_shape)
+    run_parallel(scan_group, len(groups), len(groups))
     return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode))
 
 

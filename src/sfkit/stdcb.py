@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ShapeError
-from .ssm import sigmoid
+from .errors import AlignmentError, NumericError, ShapeError
+from .ssm import run_parallel, sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides, segment_mean
 from .weights import MlpWeights, uniform_init
 
@@ -309,7 +309,7 @@ class StdcbWeights:
         )
 
 
-def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
+def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
     """One coupling block; the active set is preserved end to end.
 
     The block runs in tiles of ``BLOCK_TILE`` output rows.  For each tile
@@ -317,37 +317,53 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
     else one built for this block), the temporal gate, the fuse gate and
     the fuse matmul on that tile alone, and writes the tile into the
     block's one output array.  Above its input the block therefore holds
-    its output and O(BLOCK_TILE · C) scratch: one (tile, 2C) buffer serves
-    the concatenations of every tile.  ``rows=(lo, hi)`` computes output
-    rows lo..hi-1 only and returns a tensor over them; the full call is the
-    range (0, N).  A row's bytes do not depend on the tile size or range.
+    its output and O(BLOCK_TILE · C) scratch per thread: one (tile, 2C)
+    buffer serves the concatenations of every tile a thread runs.
+    ``rows=(lo, hi)`` computes output rows lo..hi-1 only and returns a
+    tensor over them; the full call is the range (0, N).  A row's bytes do
+    not depend on the tile size, the range or the thread count.
+
+    The tiles run on this thread and helper threads (ssm.run_parallel, at
+    most ``threads`` in all).  This thread builds every kernel's taps
+    first, so the tiles only read the map, and makes each thread's buffer.
+    A non-finite row raises NumericError naming its row of ``f_sparse``,
+    the lowest such row at any thread count.
     """
     lo, hi, a, b = _computed_rows(f_sparse.n_active, rows)
     if kmap is None:
         kmap = KernelMap(f_sparse.coords)
     out = np.empty((b - a, w.fuse_w.shape[1]))
+    for kernel in (w.conv_spatial, w.conv_temporal, w.conv_cross):
+        kmap.pairs(kernel.offsets())
     bounds = [*range(a, b, BLOCK_TILE), b]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row tail tile joins the one before it
-    buf = np.empty((min(b - a, BLOCK_TILE + 1), 2 * f_sparse.n_channels))
-    for t0, t1 in zip(bounds, bounds[1:]):
+    buf_shape = (min(b - a, BLOCK_TILE + 1), 2 * f_sparse.n_channels)
+
+    def run_tile(i, buf):
+        t0, t1 = bounds[i], bounds[i + 1]
         tile, tile_buf = (t0, t1), buf[: t1 - t0]
-        # The conv outputs are passed inline, so the gate frees each as soon
-        # as it is consumed.
-        f_spatial_mod, f_temporal_fused = temporal_gated_block(
-            sparse_conv(f_sparse, w.conv_spatial, kmap=kmap, rows=tile),
-            sparse_conv(f_sparse, w.conv_temporal, kmap=kmap, rows=tile),
-            sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=tile),
-            w.sfsm_temporal,
-            w.gate,
-            buf=tile_buf,
-        )
-        f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse, buf=tile_buf)
+        try:
+            # The conv outputs are passed inline, so the gate frees each as
+            # soon as it is consumed.
+            f_spatial_mod, f_temporal_fused = temporal_gated_block(
+                sparse_conv(f_sparse, w.conv_spatial, kmap=kmap, rows=tile),
+                sparse_conv(f_sparse, w.conv_temporal, kmap=kmap, rows=tile),
+                sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=tile),
+                w.sfsm_temporal,
+                w.gate,
+                buf=tile_buf,
+            )
+            f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse, buf=tile_buf)
+        except NumericError as err:
+            raise NumericError("non-finite coupling-block feature", index=t0 + err.index) from err
         del f_spatial_mod, f_temporal_fused
         stacked = np.concatenate([f_fused.features, f_sparse.features[t0:t1]], axis=1, out=tile_buf)
         del f_fused
         fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
         fused += w.fuse_b
+
+    run_parallel(run_tile, len(bounds) - 1, threads, scratch=lambda: np.empty(buf_shape))
     return f_sparse.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
@@ -432,15 +448,16 @@ def upsample_into(coarse, fine, pooling):
     return fine
 
 
-def _cut_last(blocks, kmap, rows):
+def _cut_last(blocks, kmap, rows, threads):
     """(block, keyword arguments) per block of a stack, with ``rows`` passed
     to the last block only, and only when a range is given."""
     for i, block in enumerate(blocks):
         cut = rows is not None and i == len(blocks) - 1
-        yield block, {"kmap": kmap, "rows": rows} if cut else {"kmap": kmap}
+        kwargs = {"kmap": kmap, "threads": threads}
+        yield block, kwargs | {"rows": rows} if cut else kwargs
 
 
-def backbone_forward(f_4d, weights, rows=None):
+def backbone_forward(f_4d, weights, rows=None, threads=1):
     """U-shaped encoder/decoder over coupling-block stacks.
 
     Spatial resolution halves between levels; skip connections add by active
@@ -453,7 +470,8 @@ def backbone_forward(f_4d, weights, rows=None):
     ``rows=(lo, hi)`` returns a tensor over those output rows only.  Just
     the last block run at level 0 and the outer residual are cut to the
     range: every earlier block feeds a temporal conv or ``downsample2``, and
-    both mix rows.
+    both mix rows.  ``threads`` is passed to every block (stdcb_forward);
+    the output's bytes do not depend on it.
 
     Every array is dropped once its last reader has run.  The input is read
     by level 0's encoder stack and then only by the outer residual: with a
@@ -473,7 +491,7 @@ def backbone_forward(f_4d, weights, rows=None):
     for level in range(n_levels):
         kmap = KernelMap(x.coords)
         cut = rows if n_levels == 1 else None
-        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
+        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut, threads):
             x = stdcb_forward(x, block, **kwargs)
         if level < n_levels - 1:
             if level == 0 and rows is not None:
@@ -490,7 +508,8 @@ def backbone_forward(f_4d, weights, rows=None):
         skip, kmap, pooling = skips.pop()
         x = upsample_into(x, skip, pooling)
         del skip, pooling  # x is the skip now; only the first decoder block reads it
-        for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
+        cut = rows if level == 0 else None
+        for block, kwargs in _cut_last(weights.decoder[level], kmap, cut, threads):
             x = stdcb_forward(x, block, **kwargs)
     return f_4d.with_features(f_4d.features + x.features)
 

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -690,3 +693,20 @@ def test_infer_flow_refuses_the_scan_workspace_before_voxelizing(monkeypatch):
     config = RunConfig(channels=64, state_size=65)
     with pytest.raises(InvalidConfig, match="got 17039360 for 1100 tokens"):
         pipeline.infer_flow(scene, init_pipeline_weights(config, 4), config)
+
+
+def test_cli_pins_blas_to_one_thread_unless_the_user_set_it():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    script = ("import os\nimport sfkit.cli\n"
+              f"print(','.join(os.environ[name] for name in {names!r}))")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+
+    def pinned(**preset):
+        proc = subprocess.run([sys.executable, "-c", script], env=env | preset,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    assert pinned() == "1,1,1"
+    assert pinned(OPENBLAS_NUM_THREADS="3") == "3,1,1"

@@ -860,6 +860,20 @@ def test_helper_error_is_raised_after_every_group_stops(three_cpus, monkeypatch)
     assert len(stopped) == 2
 
 
+def test_helper_groups_run_under_the_callers_errstate(three_cpus):
+    # np.errstate is a context variable: a helper that ran outside the
+    # caller's context would warn where the caller asked to raise.
+    rng = np.random.default_rng(42)
+    params, x, f_off = make_inputs(rng, 1, chunk_tokens(64) + 9, 32, 16, 16)
+    d = params.d.copy()
+    d[20] = 1e300
+    params = dataclasses.replace(params, d=d)
+    x[0, 50, 20] = 1e300  # d * x overflows in channel 20, in the upper of two groups
+    for threads in (1, 2):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            ssm.flow_ssm_layer(x, f_off, params, threads=threads)
+
+
 def test_streamed_layer_memory_at_two_groups_is_bounded_by_one_chunk(monkeypatch):
     # The bound of test_streamed_layer_memory_is_bounded_by_one_chunk, with
     # the helper thread's allocations traced as well.

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -9,7 +11,7 @@ from sfkit import pipeline, ssm
 from sfkit import pointcloud as pc
 from sfkit import stdcb
 from sfkit import voxelizer as vx
-from sfkit.errors import AlignmentError, ShapeError
+from sfkit.errors import AlignmentError, NumericError, ShapeError
 from sfkit.pipeline import InferenceTrace, RunConfig, infer_flow, init_pipeline_weights
 from sfkit.voxelizer import SparseTensor4D
 from sfkit.weights import MlpWeights, flatten_tree
@@ -606,6 +608,77 @@ def test_row_range_outside_the_tensor_rejected(rows):
         stdcb.sparse_conv(tensor, w.conv_spatial, rows=rows)
 
 
+@pytest.fixture()
+def three_cpus(monkeypatch):
+    """Let every block run on up to three threads, whatever this host has."""
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+
+
+def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
+    # Eight tiles, the last with the one-row tail joined to it.
+    rng = np.random.default_rng(68)
+    tensor = tiled_tensor(rng)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    expect = pinned_block(tensor, w, kmap)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    for threads in (1, 2, 3):
+        got = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=threads)
+        assert got.features.tobytes() == expect.tobytes(), threads
+        cut = stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=(100, 449), threads=threads)
+        assert cut.features.tobytes() == expect[100:].tobytes(), threads
+
+
+def test_block_numeric_error_names_the_lowest_row_of_the_block(three_cpus, monkeypatch):
+    rng = np.random.default_rng(66)
+    tensor = tiled_tensor(rng, n=300)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    spatial = w.conv_spatial
+    w = dataclasses.replace(w, conv_spatial=stdcb.ConvKernel4D(spatial.weights * 1e10,
+                                                               spatial.bias))
+    features = tensor.features.copy()
+    features[[131, 260]] = 1e300  # the spatial conv overflows near both rows
+    tensor = tensor.with_features(features)
+    with np.errstate(all="ignore"), pytest.raises(NumericError) as whole:
+        stdcb.stdcb_forward(tensor, w)
+    assert whole.value.index >= 64  # past the first 64-row tile
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    for threads in (1, 2, 3):
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+            stdcb.stdcb_forward(tensor, w, threads=threads)
+        assert err.value.index == whole.value.index, threads
+
+
+def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
+    # Each thread holds its (tile, 2C) buffer and the temporaries of the one
+    # tile it runs, about seven (tile, C) arrays in all, and no array of N
+    # rows: above its input the block holds its output and at most eight
+    # (tile, C) arrays per thread.
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 512)
+    rng = np.random.default_rng(69)
+    n, c = 6000, 16
+    cells = rng.choice(5 * 40 * 40 * 20, size=n, replace=False)
+    coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
+    tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
+    w = stdcb.StdcbWeights.seeded(c, rng)
+    kmap = vx.KernelMap(tensor.coords)
+    stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert out.n_active == n
+    tile = 512 * c * 8
+    assert peak <= n * c * 8 + 3 * 8 * tile, f"{(peak - n * c * 8) / tile:.1f} tiles per 3 threads"
+
+
 def test_stdcb_forward_tiled_peak_memory_bound(monkeypatch):
     # With 512-row tiles a block holds its output and a few tiles of scratch
     # above its input, about 1.6 (N, C) arrays at N = 6000.
@@ -669,15 +742,48 @@ def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, fr
     assert small_tiles.vectors.tobytes() == traced.vectors.tobytes()
 
 
-@pytest.mark.parametrize("layout", ["desk"])
+@pytest.mark.parametrize("layout", LAYOUTS)
 def test_infer_flow_bytes_do_not_depend_on_threads(monkeypatch, layout):
+    # 64-row tiles, so that every level's blocks split over the threads.
     monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
     monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
     scene = pc.synth_scene(pc.SceneConfig(n_background=1500, movers=()), 9)
     weights = init_pipeline_weights(RunConfig(**LAYOUTS[layout]), 9)
     flows = [infer_flow(scene, weights, RunConfig(threads=threads, **LAYOUTS[layout]))
              for threads in (1, 2, 3)]
     assert flows[0].vectors.tobytes() == flows[1].vectors.tobytes() == flows[2].vectors.tobytes()
+
+
+def test_concurrent_backbones_on_more_tiles_than_cores_keep_their_bytes(monkeypatch):
+    # Three callers share the one helper pool, each splitting its blocks
+    # over 8 threads, with the interpreter switching threads as often as it
+    # can.
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 16)
+    rng = np.random.default_rng(70)
+    cases = [(random_tensor(rng, channels=4), stdcb.BackboneWeights.seeded(4, (1, 1), (1,), rng))
+             for _ in range(3)]
+    expect = [stdcb.backbone_forward(tensor, weights) for tensor, weights in cases]
+    got = [None] * len(cases)
+
+    def run(i):
+        got[i] = stdcb.backbone_forward(*cases[i], threads=8)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(cases))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for want, result in zip(expect, got):
+        assert result is not None
+        assert result.features.tobytes() == want.features.tobytes()
 
 
 def test_run_config_threads_default_to_the_usable_cpus(monkeypatch):
@@ -790,13 +896,13 @@ def test_backbone_frees_skip_rows_before_decoder_blocks(monkeypatch):
     encoder_rows, alive, in_place = [], [], []
     real_block = stdcb.stdcb_forward
 
-    def block(x, w, *, kmap=None):
+    def block(x, w, **kwargs):
         if id(w) in decoder_blocks:
             live = [ref() for ref in encoder_rows if ref() is not None]
             alive.append(len(live))
             in_place.append(any(rows is x.features for rows in live))
             del live
-        out = real_block(x, w, kmap=kmap)
+        out = real_block(x, w, **kwargs)
         if id(w) not in decoder_blocks:
             encoder_rows.append(weakref.ref(out.features))
         return out
