@@ -371,10 +371,11 @@ def _check_thread_bytes():
 
 
 def _check_block_thread_bytes():
-    # The coupling blocks split their row tiles over threads as well; three
-    # tiles at two threads must give the one-thread bytes.
+    # The coupling blocks split their row tiles over threads as well, one
+    # thread per four tiles; nine tiles at two threads must give the
+    # one-thread bytes.
     rng = np.random.default_rng(23)
-    n, extent = 2 * stdcb.BLOCK_TILE + 5, (5, 40, 40, 20)
+    n, extent = 8 * stdcb.BLOCK_TILE + 5, (5, 40, 40, 20)
     cells = rng.choice(int(np.prod(extent)), size=n, replace=False)
     tensor = SparseTensor4D(np.stack(np.unravel_index(cells, extent), axis=1),
                             rng.normal(size=(n, 8)))

@@ -324,7 +324,8 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
     not depend on the tile size, the range or the thread count.
 
     The tiles run on this thread and helper threads (ssm.run_parallel, at
-    most ``threads`` in all).  This thread builds every kernel's taps
+    most ``threads`` in all and one per four tiles, so a block's scratch
+    stays under twice its output).  This thread builds every kernel's taps
     first, so the tiles only read the map, and makes each thread's buffer.
     A non-finite row raises NumericError naming its row of ``f_sparse``,
     the lowest such row at any thread count.
@@ -363,7 +364,12 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
         fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
         fused += w.fuse_b
 
-    run_parallel(run_tile, len(bounds) - 1, threads, scratch=lambda: np.empty(buf_shape))
+    # At least four tiles per thread: each thread holds about seven tiles of
+    # scratch, so the threads' scratch stays under twice the block's output,
+    # whatever the host's CPU count.
+    n_tiles = len(bounds) - 1
+    run_parallel(run_tile, n_tiles, min(threads, max(1, n_tiles // 4)),
+                 scratch=lambda: np.empty(buf_shape))
     return f_sparse.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
@@ -448,13 +454,12 @@ def upsample_into(coarse, fine, pooling):
     return fine
 
 
-def _cut_last(blocks, kmap, rows, threads):
+def _cut_last(blocks, kmap, rows):
     """(block, keyword arguments) per block of a stack, with ``rows`` passed
     to the last block only, and only when a range is given."""
     for i, block in enumerate(blocks):
         cut = rows is not None and i == len(blocks) - 1
-        kwargs = {"kmap": kmap, "threads": threads}
-        yield block, kwargs | {"rows": rows} if cut else kwargs
+        yield block, {"kmap": kmap, "rows": rows} if cut else {"kmap": kmap}
 
 
 def backbone_forward(f_4d, weights, rows=None, threads=1):
@@ -491,8 +496,8 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
     for level in range(n_levels):
         kmap = KernelMap(x.coords)
         cut = rows if n_levels == 1 else None
-        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut, threads):
-            x = stdcb_forward(x, block, **kwargs)
+        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
+            x = stdcb_forward(x, block, threads=threads, **kwargs)
         if level < n_levels - 1:
             if level == 0 and rows is not None:
                 # Only the outer residual reads the input from here on, and
@@ -508,8 +513,7 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
         skip, kmap, pooling = skips.pop()
         x = upsample_into(x, skip, pooling)
         del skip, pooling  # x is the skip now; only the first decoder block reads it
-        cut = rows if level == 0 else None
-        for block, kwargs in _cut_last(weights.decoder[level], kmap, cut, threads):
-            x = stdcb_forward(x, block, **kwargs)
+        for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
+            x = stdcb_forward(x, block, threads=threads, **kwargs)
     return f_4d.with_features(f_4d.features + x.features)
 

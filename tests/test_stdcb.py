@@ -615,13 +615,14 @@ def three_cpus(monkeypatch):
 
 
 def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
-    # Eight tiles, the last with the one-row tail joined to it.
+    # Fourteen tiles, the last with the one-row tail joined to it: enough
+    # for three threads at one thread per four tiles.
     rng = np.random.default_rng(68)
     tensor = tiled_tensor(rng)
     w = stdcb.StdcbWeights.seeded(4, rng)
     kmap = vx.KernelMap(tensor.coords)
     expect = pinned_block(tensor, w, kmap)
-    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 32)
     for threads in (1, 2, 3):
         got = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=threads)
         assert got.features.tobytes() == expect.tobytes(), threads
@@ -641,8 +642,8 @@ def test_block_numeric_error_names_the_lowest_row_of_the_block(three_cpus, monke
     tensor = tensor.with_features(features)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as whole:
         stdcb.stdcb_forward(tensor, w)
-    assert whole.value.index >= 64  # past the first 64-row tile
-    monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
+    assert whole.value.index >= 16  # past the first 16-row tile
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 16)  # 19 tiles, enough for three threads
     for threads in (1, 2, 3):
         with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
             stdcb.stdcb_forward(tensor, w, threads=threads)
@@ -1040,6 +1041,25 @@ def test_infer_flow_peak_memory_bound():
         if not was_tracing:
             tracemalloc.stop()
     assert peak <= 6 * n * c * 8
+
+
+@pytest.fixture(params=[8, 32])
+def many_cpus(request, monkeypatch):
+    """A host with many CPUs: RunConfig's default thread count and a fresh
+    helper pool follow the patched count."""
+    monkeypatch.setattr(ssm, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(pipeline, "usable_cpus", lambda: request.param)
+    monkeypatch.setattr(ssm, "_helpers", None)
+    yield request.param
+    if ssm._helpers is not None:
+        ssm._helpers.shutdown()
+
+
+def test_infer_flow_peak_memory_bound_on_many_cpus(many_cpus):
+    # Each block runs on one thread per four tiles at most, so the bound of
+    # the default-config test holds whatever the host's CPU count.
+    assert RunConfig().threads == many_cpus
+    test_infer_flow_peak_memory_bound()
 
 
 def test_backbone_parameter_count_matches_formula():
