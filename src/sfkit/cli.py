@@ -460,7 +460,7 @@ def _check_kernel_map():
     tensor = SparseTensor4D(np.stack(np.unravel_index(cells, extent), axis=1), np.zeros((800, 1)))
     taps = np.array([(0, a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]
                     + [(dt, 0, 0, 0) for dt in (-2, -1, 1, 2)])
-    for tap, pair in zip(taps, KernelMap(tensor.coords).pairs(taps)):
+    for tap, pair in zip(taps, KernelMap(tensor.coords, taps).pairs(taps)):
         idx, found = tensor.lookup(tensor.coords + tap)
         if pair is None:
             pair = (np.arange(tensor.n_active), np.arange(tensor.n_active))

@@ -509,13 +509,13 @@ def _helper_pool():
         return _helpers
 
 
-def run_parallel(run_item, n_items, threads, scratch=lambda: None):
-    """Call ``run_item(i, buf)`` once for each i in range(n_items), on this
+def run_parallel(run_item, n_items, threads):
+    """Call ``run_item(i)`` once for each i in range(n_items), on this
     thread and on up to ``min(threads, usable_cpus(), n_items) - 1`` threads
     of the helper pool.  Every thread pulls item numbers from one shared
     counter, so this thread works too and a busy pool cannot stall the
-    call.  ``buf`` is the thread's own ``scratch()``, made here.  Helpers
-    run in a copy of this thread's context, so ``np.errstate`` reaches them.
+    call.  Helpers run in a copy of this thread's context, so
+    ``np.errstate`` reaches them.
 
     Every item runs, whatever fails.  Returns once every item has stopped;
     then raises the error of the earliest bad index (NumericError.index), or
@@ -526,18 +526,17 @@ def run_parallel(run_item, n_items, threads, scratch=lambda: None):
     items = iter(range(n_items))  # the shared counter: next() is one call under the GIL
     errors = []
 
-    def work(buf):
+    def work():
         for i in items:
             try:
-                run_item(i, buf)
+                run_item(i)
             except Exception as exc:  # raised below, once every item has stopped
                 errors.append((i, exc))
 
-    bufs = [scratch() for _ in range(n_threads)]
-    futures = [_helper_pool().submit(contextvars.copy_context().run, work, buf)
-               for buf in bufs[1:]]
+    futures = [_helper_pool().submit(contextvars.copy_context().run, work)
+               for _ in range(n_threads - 1)]
     try:
-        work(bufs[0])
+        work()
     finally:
         for _ in items:  # interrupted here: take the items left, so the helpers stop
             pass
@@ -623,7 +622,7 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
                           a_bar=disc.a_bar, h_states=h_states)
     h_final = np.empty((batch, d_inner, state))
 
-    def scan_group(g, _):
+    def scan_group(g):
         group = groups[g]
         lanes = group.channels
         h = h0[:, lanes]

@@ -25,7 +25,7 @@ from .weights import MlpWeights, uniform_init
 # "Dilated by one" cross-timestep conv: neighbors at t-2, t, t+2.
 GAP1_DILATION = 2
 
-# Output rows per tile of a coupling block.  A tile's scratch, about seven
+# Output rows per tile of a coupling block.  A tile's scratch, about six
 # (tile, C) arrays, stays cache-sized while the per-tile Python overhead
 # stays small against the tile's work.
 BLOCK_TILE = 4096
@@ -126,8 +126,8 @@ def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
 
     Absent neighbors contribute zero, so the active set is preserved exactly.
     The tap order is fixed, keeping floating-point sums deterministic.
-    ``kmap`` is a KernelMap of the tensor's active set, shared by convs over
-    that set; without one the neighbour rows are built for this call only.
+    ``kmap`` is a KernelMap of the tensor's active set holding this kernel's
+    taps; without one the neighbour rows are built for this call only.
     ``rows=(lo, hi)`` evaluates output rows lo..hi-1 only and returns a
     tensor over those rows, byte for byte the same rows of the full output.
     """
@@ -136,7 +136,7 @@ def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
             f"kernel expects {kernel.c_in} channels, tensor has {tensor.n_channels}"
         )
     if kmap is None:
-        kmap = KernelMap(tensor.coords)
+        kmap = KernelMap(tensor.coords, kernel.offsets())
     elif not kmap.matches(tensor):
         raise AlignmentError("kernel map was built for a different active set")
     lo, hi, a, b = _computed_rows(tensor.n_active, rows)
@@ -245,15 +245,14 @@ class SfsmWeights:
         return sigmoid(z, out=z)
 
 
-def sfsm(f_main, f_aux, w, *, buf=None):
+def sfsm(f_main, f_aux, w):
     """Soft feature selection: alpha * main + (1 - alpha) * aux, element-wise.
 
-    ``buf`` is an (N, 2C) scratch array for the concatenated branches, which
-    the blend reuses once the gate has read them; with ``buf`` given, the
-    gate's result is the only array allocated here.
+    The blend reuses the concatenated branches once the gate has read them, so
+    they and the gate's result are the only arrays allocated here.
     """
     _require_aligned(f_main, f_aux, "sfsm")
-    stacked = np.concatenate([f_main.features, f_aux.features], axis=1, out=buf)
+    stacked = np.concatenate([f_main.features, f_aux.features], axis=1)
     out = w.gate(stacked)  # alpha
     main = np.multiply(out, f_main.features, out=_scratch(stacked, out.shape))
     np.subtract(1.0, out, out=out)
@@ -262,14 +261,14 @@ def sfsm(f_main, f_aux, w, *, buf=None):
     return f_main.with_features(out)
 
 
-def temporal_gated_block(f_spatial, f_temporal, f_temporal_ct, sfsm_w, gate_w, *, buf=None):
+def temporal_gated_block(f_spatial, f_temporal, f_temporal_ct, sfsm_w, gate_w):
     """Fuse the temporal branches, then scale the spatial branch by (1 + beta).
 
     Returns (modulated spatial features, fused temporal features); the
     multiplier stays in (1, 2) so spatial magnitudes never shrink and at most
-    double.  ``buf`` is the temporal SFSM's concatenation scratch.
+    double.
     """
-    f_temporal_fused = sfsm(f_temporal, f_temporal_ct, sfsm_w, buf=buf)
+    f_temporal_fused = sfsm(f_temporal, f_temporal_ct, sfsm_w)
     # Consumed: a caller that passed the branches inline frees them here.
     del f_temporal, f_temporal_ct
     _require_aligned(f_spatial, f_temporal_fused, "temporal gate")
@@ -308,42 +307,41 @@ class StdcbWeights:
             fuse_b=uniform_init(rng, (channels,)),
         )
 
+    def taps(self):
+        """The (n_taps, 4) taps of the block's three convs."""
+        kernels = (self.conv_spatial, self.conv_temporal, self.conv_cross)
+        return np.concatenate([kernel.offsets() for kernel in kernels])
+
 
 def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
     """One coupling block; the active set is preserved end to end.
 
     The block runs in tiles of ``BLOCK_TILE`` output rows.  For each tile
     it runs the three convs, which share one KernelMap (``kmap`` if given,
-    else one built for this block), the temporal gate, the fuse gate and
-    the fuse matmul on that tile alone, and writes the tile into the
-    block's one output array.  Above its input the block therefore holds
-    its output and O(BLOCK_TILE · C) scratch per thread: one (tile, 2C)
-    buffer serves the concatenations of every tile a thread runs.
+    else one built here from the block's taps), the temporal gate, the fuse
+    gate and the fuse matmul on that tile alone, and writes the tile into
+    the block's one output array.  Above its input the block therefore
+    holds its output and about six (tile, C) arrays of scratch per thread.
     ``rows=(lo, hi)`` computes output rows lo..hi-1 only and returns a
     tensor over them; the full call is the range (0, N).  A row's bytes do
     not depend on the tile size, the range or the thread count.
 
     The tiles run on this thread and helper threads (ssm.run_parallel, at
     most ``threads`` in all and one per four tiles, so a block's scratch
-    stays under twice its output).  This thread builds every kernel's taps
-    first, so the tiles only read the map, and makes each thread's buffer.
-    A non-finite row raises NumericError naming its row of ``f_sparse``,
-    the lowest such row at any thread count.
+    stays under twice its output), sharing the read-only map.  A non-finite
+    row raises NumericError naming its row of ``f_sparse``, the lowest such
+    row at any thread count.
     """
     lo, hi, a, b = _computed_rows(f_sparse.n_active, rows)
     if kmap is None:
-        kmap = KernelMap(f_sparse.coords)
+        kmap = KernelMap(f_sparse.coords, w.taps())
     out = np.empty((b - a, w.fuse_w.shape[1]))
-    for kernel in (w.conv_spatial, w.conv_temporal, w.conv_cross):
-        kmap.pairs(kernel.offsets())
     bounds = [*range(a, b, BLOCK_TILE), b]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row tail tile joins the one before it
-    buf_shape = (min(b - a, BLOCK_TILE + 1), 2 * f_sparse.n_channels)
 
-    def run_tile(i, buf):
-        t0, t1 = bounds[i], bounds[i + 1]
-        tile, tile_buf = (t0, t1), buf[: t1 - t0]
+    def run_tile(i):
+        t0, t1 = tile = bounds[i], bounds[i + 1]
         try:
             # The conv outputs are passed inline, so the gate frees each as
             # soon as it is consumed.
@@ -353,23 +351,21 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
                 sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=tile),
                 w.sfsm_temporal,
                 w.gate,
-                buf=tile_buf,
             )
-            f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse, buf=tile_buf)
+            f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse)
         except NumericError as err:
             raise NumericError("non-finite coupling-block feature", index=t0 + err.index) from err
         del f_spatial_mod, f_temporal_fused
-        stacked = np.concatenate([f_fused.features, f_sparse.features[t0:t1]], axis=1, out=tile_buf)
+        stacked = np.concatenate([f_fused.features, f_sparse.features[t0:t1]], axis=1)
         del f_fused
         fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
         fused += w.fuse_b
 
-    # At least four tiles per thread: each thread holds about seven tiles of
+    # At least four tiles per thread: each thread holds about six tiles of
     # scratch, so the threads' scratch stays under twice the block's output,
     # whatever the host's CPU count.
     n_tiles = len(bounds) - 1
-    run_parallel(run_tile, n_tiles, min(threads, max(1, n_tiles // 4)),
-                 scratch=lambda: np.empty(buf_shape))
+    run_parallel(run_tile, n_tiles, min(threads, max(1, n_tiles // 4)))
     return f_sparse.rows(a, b).with_features(out).rows(lo - a, hi - a)
 
 
@@ -486,15 +482,16 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
     adds the upsampled coarse features into its skip's rows in place.
     """
     n_levels = len(weights.encoder)
-    # One KernelMap per level serves that level's encoder and decoder blocks,
-    # and one pool2 index per transition serves its downsample and upsample.
-    # Both live only in these locals, so each is dropped once its level's
-    # decoder stack or upsample has run and none survives the return.
+    # One KernelMap per level, of every kernel's taps, serves the level's
+    # encoder and decoder blocks, and one pool2 index per transition its
+    # downsample and upsample.  Both live only in these locals, so each is
+    # dropped once its level's decoder stack or upsample has run.
+    taps = np.concatenate([b.taps() for stack in weights.encoder + weights.decoder for b in stack])
     x, skips = f_4d, []
     if n_levels == 1:
         del f_4d
     for level in range(n_levels):
-        kmap = KernelMap(x.coords)
+        kmap = KernelMap(x.coords, taps)
         cut = rows if n_levels == 1 else None
         for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
             x = stdcb_forward(x, block, threads=threads, **kwargs)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, RangeError, ShapeError, check_config
+from .errors import AlignmentError, NumericError, RangeError, ShapeError, check_config
 
 OUT_OF_BOUNDS = -1
 
@@ -266,19 +266,22 @@ TABLE_CELLS_PER_SITE = 64
 
 
 class KernelMap:
-    """Neighbour rows of one active set, built once per kernel tap.
+    """Neighbour rows of one active set for the taps it is built with.
 
-    pairs(taps) gives, for each (t, x, y, z) displacement, int32 row arrays
-    (dst, src) with coords[dst] + tap == coords[src] and dst ascending: the
-    rows, in order, where a per-tap ``lookup`` of coords + tap hits.  The
-    zero tap, which maps every row to itself, gives None.  Maps live as long
-    as the KernelMap; whoever runs convolutions over one active set creates
-    it and drops it when done.
+    The constructor builds every non-zero tap in one pass, and the map never
+    changes afterwards, so threads share it as it is.  pairs(taps) gives,
+    for each (t, x, y, z) displacement, int32 row arrays (dst, src) with
+    coords[dst] + tap == coords[src] and dst ascending: the rows, in order,
+    where a per-tap ``lookup`` of coords + tap hits.  The zero tap, which
+    maps every row to itself, gives None; a tap the map was built without
+    raises AlignmentError.
     """
 
-    def __init__(self, coords):
+    def __init__(self, coords, taps):
         self.coords = coords
-        self._pairs = {}
+        unique = dict.fromkeys(map(tuple, np.asarray(taps).tolist()))
+        built = [tap for tap in unique if any(tap)]
+        self._pairs = dict(zip(built, _neighbour_pairs(coords, built))) if built else {}
 
     def matches(self, tensor):
         return self.coords is tensor.coords or np.array_equal(self.coords, tensor.coords)
@@ -287,8 +290,8 @@ class KernelMap:
         taps = [tuple(tap) for tap in np.asarray(taps).tolist()]
         missing = [tap for tap in taps if any(tap) and tap not in self._pairs]
         if missing:
-            self._pairs.update(zip(missing, _neighbour_pairs(self.coords, missing)))
-        return [self._pairs[tap] if any(tap) else None for tap in taps]
+            raise AlignmentError(f"kernel map was built without taps {missing}")
+        return [self._pairs.get(tap) for tap in taps]
 
 
 def _dense_table(keys, cells):

@@ -155,7 +155,7 @@ def test_sparse_conv_rejects_foreign_kernel_map():
     other = random_tensor(rng, channels=2)
     kernel = stdcb.ConvKernel4D.seeded((1, 1, 1, 3), 2, 2, rng)
     with pytest.raises(AlignmentError):
-        stdcb.sparse_conv(tensor, kernel, kmap=vx.KernelMap(other.coords))
+        stdcb.sparse_conv(tensor, kernel, kmap=vx.KernelMap(other.coords, kernel.offsets()))
 
 
 def test_conv_channel_mismatch():
@@ -468,8 +468,6 @@ def test_sfsm_bytes_match_expression_form(seed, leaky_slope):
     for w in (seeded, signed_zero_sfsm(4, rng, leaky_slope)):
         expect = pinned_sfsm(main.features, aux.features, w).tobytes()
         assert stdcb.sfsm(main, aux, w).features.tobytes() == expect
-        buf = np.full((main.n_active, 8), np.nan)
-        assert stdcb.sfsm(main, aux, w, buf=buf).features.tobytes() == expect
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -500,7 +498,7 @@ def test_stdcb_forward_bytes_match_expression_form(seed):
         signed_zero_sfsm(4, rng), signed_zero_gate(4, rng), signed_zero_sfsm(4, rng),
         seeded.fuse_w, seeded.fuse_b,
     )
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, seeded.taps())
     for w in (seeded, zeros):
         got = stdcb.stdcb_forward(tensor, w, kmap=kmap)
         assert got.features.tobytes() == pinned_block(tensor, w, kmap).tobytes()
@@ -525,7 +523,7 @@ def test_stdcb_forward_peak_memory_bound():
     coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
     tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
     w = stdcb.StdcbWeights.seeded(c, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     stdcb.stdcb_forward(tensor, w, kmap=kmap)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -568,7 +566,7 @@ def test_tiled_block_bytes_match_expression_form(monkeypatch, tile):
     tensor = tiled_tensor(rng)
     assert tensor.n_active % tile == 1  # the tail tile has one row
     w = stdcb.StdcbWeights.seeded(4, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     kernels = (w.conv_spatial, w.conv_temporal, w.conv_cross)
     assert taps_with_one_pair_in_a_tile(kmap, kernels, tensor.n_active, tile) > 0
     expect = pinned_block(tensor, w, kmap)
@@ -584,7 +582,7 @@ def test_row_range_bytes_match_full_output(monkeypatch, rows):
     rng = np.random.default_rng(64)
     tensor = tiled_tensor(rng)
     w = stdcb.StdcbWeights.seeded(4, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     lo, hi = rows
     full_conv = stdcb.sparse_conv(tensor, w.conv_spatial, kmap=kmap)
     cut_conv = stdcb.sparse_conv(tensor, w.conv_spatial, kmap=kmap, rows=rows)
@@ -620,7 +618,7 @@ def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
     rng = np.random.default_rng(68)
     tensor = tiled_tensor(rng)
     w = stdcb.StdcbWeights.seeded(4, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     expect = pinned_block(tensor, w, kmap)
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 32)
     for threads in (1, 2, 3):
@@ -628,6 +626,22 @@ def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
         assert got.features.tobytes() == expect.tobytes(), threads
         cut = stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=(100, 449), threads=threads)
         assert cut.features.tobytes() == expect[100:].tobytes(), threads
+
+
+def test_block_with_a_prebuilt_map_builds_nothing(three_cpus, monkeypatch):
+    rng = np.random.default_rng(71)
+    tensor = tiled_tensor(rng)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
+    expect = pinned_block(tensor, w, kmap)
+
+    def refuse(coords, taps):
+        raise AssertionError(f"{len(taps)} taps built after the map")
+
+    monkeypatch.setattr(vx, "_neighbour_pairs", refuse)
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", 32)
+    got = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+    assert got.features.tobytes() == expect.tobytes()
 
 
 def test_block_numeric_error_names_the_lowest_row_of_the_block(three_cpus, monkeypatch):
@@ -651,10 +665,9 @@ def test_block_numeric_error_names_the_lowest_row_of_the_block(three_cpus, monke
 
 
 def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
-    # Each thread holds its (tile, 2C) buffer and the temporaries of the one
-    # tile it runs, about seven (tile, C) arrays in all, and no array of N
-    # rows: above its input the block holds its output and at most eight
-    # (tile, C) arrays per thread.
+    # Each thread holds only the temporaries of the one tile it runs, about
+    # six (tile, C) arrays, and no array of N rows: above its input the block
+    # holds its output and at most eight (tile, C) arrays per thread.
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 512)
     rng = np.random.default_rng(69)
     n, c = 6000, 16
@@ -662,7 +675,7 @@ def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
     coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
     tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
     w = stdcb.StdcbWeights.seeded(c, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -690,7 +703,7 @@ def test_stdcb_forward_tiled_peak_memory_bound(monkeypatch):
     coords = np.stack(np.unravel_index(cells, (5, 40, 40, 20)), axis=1)
     tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
     w = stdcb.StdcbWeights.seeded(c, rng)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, w.taps())
     stdcb.stdcb_forward(tensor, w, kmap=kmap)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
@@ -868,8 +881,8 @@ def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
     maps, builds = [], []
 
     class TrackedMap(vx.KernelMap):
-        def __init__(self, coords):
-            super().__init__(coords)
+        def __init__(self, coords, taps):
+            super().__init__(coords, taps)
             maps.append(weakref.ref(self))
 
     real_build = vx._neighbour_pairs
@@ -879,11 +892,11 @@ def test_backbone_shares_and_releases_kernel_maps(monkeypatch):
     rng = np.random.default_rng(45)
     tensor = random_tensor(rng, channels=4)
     out = stdcb.backbone_forward(tensor, stdcb.BackboneWeights.seeded(4, (2, 2, 1), (2, 1), rng))
-    # One map per level, shared by its encoder and decoder blocks; within a
-    # block the spatial kernel builds 26 taps and each temporal kernel 2, as
-    # all three share the centre tap.
+    # One map per level, shared by its encoder and decoder blocks and built
+    # in one pass: the spatial kernel's 26 non-zero taps and each temporal
+    # kernel's 2, as all three share the centre tap.
     assert len(maps) == 3
-    assert builds == [26, 2, 2] * 3
+    assert builds == [30] * 3
     # Nothing, the input and the output tensors included, keeps a map alive.
     assert all(ref() is None for ref in maps)
     assert out.same_active_set(tensor)

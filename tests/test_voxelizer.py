@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from sfkit import voxelizer as vx
-from sfkit.errors import InvalidConfig, NumericError, RangeError, ShapeError
+from sfkit.errors import AlignmentError, InvalidConfig, NumericError, RangeError, ShapeError
 from sfkit.pointcloud import PointCloud
 from sfkit.weights import MlpWeights
 
@@ -350,7 +352,7 @@ def test_keys_that_would_wrap_int64_raise_range_error():
     with pytest.raises(RangeError, match=r"\[2, 4194304, 4194304, 4194304\]"):
         tensor.lookup(tensor.coords)
     with pytest.raises(RangeError):
-        vx.KernelMap(tensor.coords).pairs(SPATIAL_TAPS)
+        vx.KernelMap(tensor.coords, SPATIAL_TAPS).pairs(SPATIAL_TAPS)
     # A quarter of that span per axis still packs, and every row finds itself.
     fits = vx.SparseTensor4D(coords // (1, 4, 4, 4), tensor.features)
     idx, found = fits.lookup(fits.coords)
@@ -392,7 +394,7 @@ def kernel_map_cases():
 
 
 def assert_maps_match_lookup(tensor, taps=TAPS):
-    pairs = vx.KernelMap(tensor.coords).pairs(np.array(taps))
+    pairs = vx.KernelMap(tensor.coords, taps).pairs(np.array(taps))
     for tap, pair in zip(taps, pairs):
         idx, found = tensor.lookup(tensor.coords + np.array(tap))
         if pair is None:
@@ -415,7 +417,8 @@ def test_kernel_map_matches_lookup_oracle(case, cells_per_site, monkeypatch):
 def test_kernel_map_dilated_time_taps_at_sequence_ends():
     coords = np.array([[0, 1, 1, 1], [2, 1, 1, 1], [4, 1, 1, 1], [4, 2, 1, 1]])
     tensor = vx.SparseTensor4D(coords, np.zeros((4, 1)))
-    back, fwd = vx.KernelMap(tensor.coords).pairs([(-2, 0, 0, 0), (2, 0, 0, 0)])
+    taps = [(-2, 0, 0, 0), (2, 0, 0, 0)]
+    back, fwd = vx.KernelMap(tensor.coords, taps).pairs(taps)
     assert back[0].tolist() == [1, 2] and back[1].tolist() == [0, 1]
     assert fwd[0].tolist() == [0, 1] and fwd[1].tolist() == [1, 2]
 
@@ -426,10 +429,10 @@ def test_kernel_map_table_and_sorted_paths_agree(monkeypatch):
     real_table = vx._dense_table
     monkeypatch.setattr(vx, "_dense_table", lambda *a: tables.append(a) or real_table(*a))
     monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", 10**9)
-    from_table = vx.KernelMap(tensor.coords).pairs(TAPS)
+    from_table = vx.KernelMap(tensor.coords, TAPS).pairs(TAPS)
     assert len(tables) == 1
     monkeypatch.setattr(vx, "TABLE_CELLS_PER_SITE", 0)
-    from_search = vx.KernelMap(tensor.coords).pairs(TAPS)
+    from_search = vx.KernelMap(tensor.coords, TAPS).pairs(TAPS)
     assert len(tables) == 1
     for a, b in zip(from_table, from_search):
         assert (a is None) == (b is None)
@@ -449,10 +452,28 @@ def test_far_flung_active_set_builds_no_table(monkeypatch):
 
 def test_kernel_map_builds_each_tap_once():
     tensor = random_sparse(np.random.default_rng(32), 200)
-    kmap = vx.KernelMap(tensor.coords)
+    kmap = vx.KernelMap(tensor.coords, SPATIAL_TAPS)
     first = kmap.pairs(SPATIAL_TAPS)
     again = kmap.pairs(SPATIAL_TAPS[::-1])
     assert all(a is b for a, b in zip(first, again[::-1]))
+
+
+def test_a_tap_the_map_was_built_without_is_an_alignment_error(monkeypatch):
+    from sfkit.stdcb import ConvKernel4D, sparse_conv
+
+    rng = np.random.default_rng(34)
+    tensor = random_sparse(rng, 200)
+    kmap = vx.KernelMap(tensor.coords, SPATIAL_TAPS)
+    with pytest.raises(AlignmentError, match=re.escape("(-1, 0, 0, 0)")):
+        kmap.pairs(SPATIAL_TAPS + [(-1, 0, 0, 0)])
+    temporal = ConvKernel4D.seeded((1, 1, 1, 3), 2, 2, rng)
+    with pytest.raises(AlignmentError, match=re.escape("(-1, 0, 0, 0)")):
+        sparse_conv(tensor, temporal, kmap=kmap)
+    # The centre tap needs no neighbour search.
+    calls = []
+    monkeypatch.setattr(vx, "_neighbour_pairs", lambda *args: calls.append(args))
+    assert vx.KernelMap(tensor.coords, [(0, 0, 0, 0)]).pairs([(0, 0, 0, 0)]) == [None]
+    assert calls == []
 
 
 @pytest.mark.parametrize("cells_per_site", [0, vx.TABLE_CELLS_PER_SITE])
@@ -464,7 +485,7 @@ def test_mirrored_taps_share_their_pairs_and_match_lookup(cells_per_site, monkey
     taps = ConvKernel4D.seeded((3, 1, 5, 3), 1, 1, rng, dilation_t=2).offsets()
     tensor = random_sparse(rng, 900, extent=(5, 9, 6, 9))
     assert_maps_match_lookup(tensor, taps.tolist())
-    pairs = dict(zip(map(tuple, taps.tolist()), vx.KernelMap(tensor.coords).pairs(taps)))
+    pairs = dict(zip(map(tuple, taps.tolist()), vx.KernelMap(tensor.coords, taps).pairs(taps)))
     for tap, pair in pairs.items():
         if any(tap):
             mirror = pairs[tuple(-v for v in tap)]
