@@ -259,14 +259,13 @@ def cmd_bench(args):
             h0 = np.zeros((batch, d_inner, state))
 
             y_seq, _ = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
-            y_blk, _ = ssm.scan_blocked(disc, c_tok, params.d, x, h0, config.block_size)
+            y_blk, _ = ssm.scan_blocked(disc, c_tok, params.d, x, h0)
             scale = max(np.abs(y_seq).max(), 1.0)
             assert np.abs(y_seq - y_blk).max() <= 1e-10 * scale, "scan outputs diverged"
 
             for name, fn in (
                 ("sequential", lambda: ssm.scan_sequential(disc, c_tok, params.d, x, h0)),
-                ("blocked", lambda: ssm.scan_blocked(disc, c_tok, params.d, x, h0,
-                                                     config.block_size)),
+                ("blocked", lambda: ssm.scan_blocked(disc, c_tok, params.d, x, h0)),
             ):
                 start = time.perf_counter()
                 reps = 0

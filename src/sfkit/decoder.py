@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .pointcloud import FlowField
 from .serialization import deserialize, serialize
-from .ssm import DEFAULT_BLOCK_SIZE, ZohMode, flow_ssm_layer
+from .ssm import ZohMode, flow_ssm_layer
 from .voxelizer import devoxelize_coarse
 from .weights import MlpWeights
 
@@ -61,12 +61,12 @@ class DecoderWeights:
 
 
 def decode(voxel_features, point_features, p_offset, assignment, weights,
-           mode=ZohMode.SIMPLIFIED, block_size=DEFAULT_BLOCK_SIZE, threads=1):
+           mode=ZohMode.SIMPLIFIED, threads=1):
     """Run the full decoder for one scene's prediction frame.
 
     The cascade runs one scan layer per entry of ``weights.ssm_layers``;
-    ``mode``, ``block_size`` and ``threads`` are passed to each as in
-    ``flow_ssm_layer``.
+    ``mode`` and ``threads`` are passed to each as in ``flow_ssm_layer``,
+    which scans in blocks of ``ssm.DEFAULT_BLOCK_SIZE``.
 
     Output row i is the flow of input point i regardless of the serialized
     processing order.  The scan layers refine the serialized sequence in
@@ -87,7 +87,7 @@ def decode(voxel_features, point_features, p_offset, assignment, weights,
     for params in weights.ssm_layers:
         hidden = flow_ssm_layer(
             tokens, offset_tokens, params, hidden,
-            mode=mode, block_size=block_size, out=tokens, threads=threads,
+            mode=mode, out=tokens, threads=threads,
         )[1]
     del tokens
 

@@ -109,7 +109,6 @@ CONFIG_RULES = {
     # 2**20 bins bounds the loss histogram at 8 MB
     "k_bins": _count(2, 20),
     "dynamic_threshold": _NON_NEGATIVE,
-    "block_size": _count(1, 20),
     "threads": _COUNT,
 }
 

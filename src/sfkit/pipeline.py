@@ -13,7 +13,7 @@ import numpy as np
 from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, DEFAULT_DYNAMIC_THRESHOLD, FRAME_T
-from .ssm import DEFAULT_BLOCK_SIZE, SsmParams, scan_layout, usable_cpus
+from .ssm import SsmParams, scan_layout, usable_cpus
 from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
@@ -53,7 +53,6 @@ class RunConfig:
     dt: float = DEFAULT_DT
     k_bins: int = 100
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
-    block_size: int = DEFAULT_BLOCK_SIZE
     # Threads per coupling block and per decoder scan layer (ssm.run_parallel);
     # flows never depend on it.
     threads: int = field(default_factory=lambda: min(usable_cpus(), 1 << 10))
@@ -234,8 +233,7 @@ def infer_flow(scene, weights, config, trace=None):
     grid = config.grid()
     layer = weights.decoder.ssm_layers[0]
     # The decoder scans every point of the prediction frame, in one batch.
-    scan_layout(1, len(scene.prediction_frame), layer.d_inner, layer.state_size,
-                   config.block_size)
+    scan_layout(1, len(scene.prediction_frame), layer.d_inner, layer.state_size)
     results, voxel_feats = [], []
     point_feats_t = None
     for frame in scene.frames:
@@ -276,5 +274,5 @@ def infer_flow(scene, weights, config, trace=None):
     del f3d_t, point_feats_t
     return decode(
         features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
-        mode=config.zoh_mode, block_size=config.block_size, threads=config.threads,
+        mode=config.zoh_mode, threads=config.threads,
     )

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
 from .weights import ZeroRng, uniform_init
 
+# Tokens per scan block: every scan layer's block, and scan_blocked's default.
 DEFAULT_BLOCK_SIZE = 64
 # Tokens per streamed scan chunk, rounded up to whole blocks.  Only one chunk
 # of (D, S) scan terms is alive at a time, so scan memory is O(chunk * D * S).
@@ -416,25 +417,22 @@ def project_token_params(f_offset, params):
     return z_delta, delta, b_tokens, c_tokens
 
 
-def scan_layout(batch, length, d_inner, state, block_size):
-    """(block_size, chunks, work_shape) of a scan over (batch, L, D) tokens
-    with S states: the block size capped at L, the chunks of _chunk_bounds,
+def scan_layout(batch, length, d_inner, state):
+    """(chunks, work_shape) of a scan over (batch, L, D) tokens with S
+    states in blocks of ``DEFAULT_BLOCK_SIZE``: the chunks of _chunk_bounds,
     and the shape of the block-major (2, batch, block, n_blocks, D, S) pair
     that every chunk is discretized into and scanned in.  A pair of more
     than ``MAX_FLOATS`` floats raises InvalidConfig; nothing is allocated.
     """
-    # A block at least as long as the sequence scans it sequentially either
-    # way; capping it at L keeps the scan's memory O(L), not O(block).
-    block_size = min(block_size, max(length, 1))
-    chunks = _chunk_bounds(length, block_size)
+    chunks = _chunk_bounds(length, DEFAULT_BLOCK_SIZE)
     longest = max((stop - start for start, stop in chunks), default=0)
-    work_shape = (2, batch, block_size, -(-longest // block_size), d_inner, state)
+    work_shape = (2, batch, DEFAULT_BLOCK_SIZE, -(-longest // DEFAULT_BLOCK_SIZE), d_inner, state)
     if (floats := math.prod(work_shape)) > MAX_FLOATS:
         raise InvalidConfig(
-            "channels, state_size and block_size must give a scan workspace of at most "
+            "channels and state_size must give a scan workspace of at most "
             f"{MAX_FLOATS} floats, got {floats} for {length} tokens"
         )
-    return block_size, chunks, work_shape
+    return chunks, work_shape
 
 
 @dataclass(frozen=True)
@@ -550,18 +548,18 @@ def run_parallel(run_item, n_items, threads):
 
 
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                     keep_intermediates=False, block_size=DEFAULT_BLOCK_SIZE, out=None,
-                     threads=1):
+                     keep_intermediates=False, out=None, threads=1):
     """Run one offset-conditioned scan layer over a serialized sequence.
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
     L, C_off) offset features that parameterize (Delta, B, C) per token.
 
     Each chunk of _chunk_bounds is projected, then discretized straight into
-    a block-major pair of terms, which is allocated here once for the
-    longest chunk; the scan composes the terms there.  A pair of more than
-    ``MAX_FLOATS`` floats raises InvalidConfig before anything is allocated
-    (see scan_layout).  A streamed run makes no token-order (D, S) term.
+    a block-major pair of terms in blocks of ``DEFAULT_BLOCK_SIZE`` tokens,
+    which is allocated here once for the longest chunk; the scan composes
+    the terms there.  A pair of more than ``MAX_FLOATS`` floats raises
+    InvalidConfig before anything is allocated (see scan_layout).  A
+    streamed run makes no token-order (D, S) term.
     The refined sequence goes to ``out``, a (batch, L, D) float64 array, or
     a new one; ``out`` may be ``f_coarse`` itself, since each chunk's input
     is read before its output is written.
@@ -608,13 +606,12 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         raise StateError("a recorded run keeps f_coarse; out must not overwrite it")
 
     a = params.a
-    block_size, chunks, work_shape = scan_layout(batch, length, d_inner, state, block_size)
+    chunks, work_shape = scan_layout(batch, length, d_inner, state)
     if keep_intermediates:
         z_delta, delta, b_tokens, c_tokens = project_token_params(f_offset, params)
         disc = zoh_discretize(a, b_tokens, delta, mode)
         h_states = np.empty(disc.a_bar.shape)
-        y, h_final = scan_blocked(disc, c_tokens, params.d, f_coarse, h0, block_size,
-                                  states=h_states)
+        y, h_final = scan_blocked(disc, c_tokens, params.d, f_coarse, h0, states=h_states)
         out[...] = y
         return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode),
                           inputs=(f_coarse, f_offset, params, h0), z_delta=z_delta,
@@ -628,8 +625,8 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
         h = h0[:, lanes]
         for start, stop in chunks:
             part, n_tokens = slice(start, stop), stop - start
-            n_blocks = -(-n_tokens // block_size)
-            rows, pad = slice(0, n_tokens), slice(n_tokens, n_blocks * block_size)
+            n_blocks = -(-n_tokens // DEFAULT_BLOCK_SIZE)
+            rows, pad = slice(0, n_tokens), slice(n_tokens, n_blocks * DEFAULT_BLOCK_SIZE)
             # The projections of project_token_params, written in place;
             # rows past the chunk fill the last block with zeros.
             f_part = f_offset[:, part]
@@ -640,13 +637,13 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
             c_tokens = np.matmul(f_part, params.w_c, out=group.c[:, rows])
             group.delta[:, pad] = 0.0
             group.b[:, pad] = 0.0
-            blocked = (_by_block(t[:, :n_blocks * block_size], block_size)
+            blocked = (_by_block(t[:, :pad.stop], DEFAULT_BLOCK_SIZE)
                        for t in (group.b, group.delta))
             disc = zoh_discretize(a[lanes], *blocked, mode,
                                   out=Discretized(*group.work[:, :, :, :n_blocks]))
             try:
                 y, h = scan_blocked(disc, c_tokens, params.d[lanes], f_coarse[:, part, lanes], h,
-                                    block_size, buffers=group.buffers)
+                                    buffers=group.buffers)
             except NumericError as err:
                 raise NumericError("non-finite hidden state", index=start + err.index) from err
             out[:, part, lanes] = y
@@ -658,14 +655,13 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
 
 def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                   block_size=DEFAULT_BLOCK_SIZE, out=None, threads=1):
+                   out=None, threads=1):
     """Convenience wrapper returning just (refined sequence, new hidden state).
 
     ``out`` and ``threads`` are as in flow_ssm_forward: ``out=f_coarse``
-    refines in place.
+    refines in place, and the scan runs in blocks of ``DEFAULT_BLOCK_SIZE``.
     """
-    run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, block_size=block_size,
-                           out=out, threads=threads)
+    run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, out=out, threads=threads)
     return run.refined, run.h_final
 
 

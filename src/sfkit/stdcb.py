@@ -450,14 +450,6 @@ def upsample_into(coarse, fine, pooling):
     return fine
 
 
-def _cut_last(blocks, kmap, rows):
-    """(block, keyword arguments) per block of a stack, with ``rows`` passed
-    to the last block only, and only when a range is given."""
-    for i, block in enumerate(blocks):
-        cut = rows is not None and i == len(blocks) - 1
-        yield block, {"kmap": kmap, "rows": rows} if cut else {"kmap": kmap}
-
-
 def backbone_forward(f_4d, weights, rows=None, threads=1):
     """U-shaped encoder/decoder over coupling-block stacks.
 
@@ -492,9 +484,10 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
         del f_4d
     for level in range(n_levels):
         kmap = KernelMap(x.coords, taps)
-        cut = rows if n_levels == 1 else None
-        for block, kwargs in _cut_last(weights.encoder[level], kmap, cut):
-            x = stdcb_forward(x, block, threads=threads, **kwargs)
+        stack = weights.encoder[level]
+        for i, block in enumerate(stack):
+            cut = rows if n_levels == 1 and i == len(stack) - 1 else None
+            x = stdcb_forward(x, block, kmap=kmap, rows=cut, threads=threads)
         if level < n_levels - 1:
             if level == 0 and rows is not None:
                 # Only the outer residual reads the input from here on, and
@@ -510,7 +503,9 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
         skip, kmap, pooling = skips.pop()
         x = upsample_into(x, skip, pooling)
         del skip, pooling  # x is the skip now; only the first decoder block reads it
-        for block, kwargs in _cut_last(weights.decoder[level], kmap, rows if level == 0 else None):
-            x = stdcb_forward(x, block, threads=threads, **kwargs)
+        stack = weights.decoder[level]
+        for i, block in enumerate(stack):
+            cut = rows if level == 0 and i == len(stack) - 1 else None
+            x = stdcb_forward(x, block, kmap=kmap, rows=cut, threads=threads)
     return f_4d.with_features(f_4d.features + x.features)
 

@@ -199,17 +199,23 @@ def test_eval_refuses_an_output_that_is_an_input_before_any_work(scene_path, tmp
     ("eval", "{scene}", "{flow}", "--seed", 1),
     ("infer", "{scene}", "--set", "decode_frame=t", "--out", "{tmp}/f.sffl"),
     ("infer", "{scene}", "--config", "{config}", "--out", "{tmp}/f.sffl"),
+    ("infer", "{scene}", "--set", "block_size=64", "--out", "{tmp}/f.sffl"),
+    ("infer", "{scene}", "--config", "{block_config}", "--out", "{tmp}/f.sffl"),
 ], ids=["selftest-config", "selftest-seed-out", "infer-seed", "eval-seed", "set-decode-frame",
-        "config-decode-frame"])
+        "config-decode-frame", "set-block-size", "config-block-size"])
 def test_settings_that_nothing_reads_exit_2(scene_path, tmp_path, argv, capsys):
     flow, config = tmp_path / "flow.sffl", tmp_path / "run.json"
     config.write_text(json.dumps({"decode_frame": "t"}))
+    block_config = tmp_path / "block.json"
+    block_config.write_text(json.dumps({"block_size": 64}))
     assert run("infer", scene_path, "--out", flow) == 0
     capsys.readouterr()
-    paths = {"scene": scene_path, "flow": flow, "config": config, "tmp": tmp_path}
+    paths = {"scene": scene_path, "flow": flow, "config": config, "block_config": block_config,
+             "tmp": tmp_path}
     assert run_or_usage_error(*(str(arg).format(**paths) for arg in argv)) == 2
     err = capsys.readouterr().err
-    assert "unrecognized arguments" in err or "unknown config keys: ['decode_frame']" in err
+    key = "block_size" if {"block_size=64", "{block_config}"} & set(argv) else "decode_frame"
+    assert "unrecognized arguments" in err or f"unknown config keys: ['{key}']" in err
     assert not (tmp_path / "f.sffl").exists()
 
 
@@ -532,7 +538,6 @@ def test_dump_features_runs_inference_once(scene_path, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command,override", [
     ("infer", "decoder_layers=1.5"),
-    ("infer", "block_size=2.5"),
     ("eval", "k_bins=2.5"),
     ("infer", "threads=true"),
     ("infer", "dynamic_threshold=-1"),
@@ -676,7 +681,7 @@ def test_sizes_above_max_floats_exit_2_naming_their_inputs(scene_path, tmp_path,
     capsys.readouterr()
     assert run("infer", scene, "--set", "channels=64", "--set", "state_size=65",
                "--out", out) == 2
-    assert ("channels, state_size and block_size must give a scan workspace of at most "
+    assert ("channels and state_size must give a scan workspace of at most "
             "16777216 floats, got 17039360" in capsys.readouterr().err)
     assert not out.exists()
 

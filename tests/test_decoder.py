@@ -182,14 +182,10 @@ def test_decode_layer_count_changes_values_not_shape():
     assert not np.allclose(f1.vectors, f3.vectors)
 
 
-def test_decoder_refuses_an_empty_cascade_and_block_size_0():
-    rng = np.random.default_rng(10)
-    vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (5, 3)))
-    w = seeded_weights(rng)
+def test_decoder_refuses_an_empty_cascade():
+    w = seeded_weights(np.random.default_rng(10))
     with pytest.raises(ShapeError, match="at least one scan layer"):
         dec.DecoderWeights(offset_encoder=w.offset_encoder, ssm_layers=(), head=w.head)
-    with pytest.raises(ShapeError, match="block_size must be >= 1"):
-        dec.decode(vf, pf, res.offsets, res, w, block_size=0)
 
 
 def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights):

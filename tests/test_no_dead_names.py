@@ -1,5 +1,6 @@
-"""Every function, class and method that src/sfkit defines is named again
-somewhere in src/sfkit or perfbench, and every field of the settings
+"""Every function, class and method that src/sfkit defines, and every
+UPPER_CASE constant that a module of it assigns at module level, is named
+again somewhere in src/sfkit or perfbench, and every field of the settings
 dataclasses is read there as ``.<field>``: a name that no library or
 benchmark code reads is dead.
 
@@ -28,11 +29,19 @@ ALLOWED = {"to_dense", "warp_to_frame", "zeros", "identity"}
 
 
 def definitions(path):
-    """The function, class and method names defined in one file, dunders aside."""
-    for node in ast.walk(ast.parse(path.read_text())):
+    """The function, class and method names defined in one file, dunders
+    aside, and the UPPER_CASE names that its module level assigns."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
                 yield node.name
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in ast.walk(node):
+                if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                        and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", name.id)):
+                    yield name.id
 
 
 def test_every_library_name_is_read_outside_its_definition():

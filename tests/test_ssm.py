@@ -527,7 +527,7 @@ def stream_lengths(block_size):
     return [0, 1, b, b + 1, c - 1, c, c + 1, c + b, c + b + 1, 3 * c + 5]
 
 
-@pytest.mark.parametrize("block_size", [64, 48])
+@pytest.mark.parametrize("block_size", [ssm.DEFAULT_BLOCK_SIZE])
 @pytest.mark.parametrize("mode", list(ssm.ZohMode))
 def test_streamed_layer_byte_identical_to_one_shot(block_size, mode):
     for length in stream_lengths(block_size):
@@ -535,7 +535,7 @@ def test_streamed_layer_byte_identical_to_one_shot(block_size, mode):
         params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
         h0 = rng.normal(size=(2, 3, 4))
         y_ref, h_ref, _ = one_shot_layer(x, f_off, params, h0, mode, block_size)
-        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode, block_size)
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode)
         assert np.array_equal(y, y_ref), length
         assert np.array_equal(h, h_ref), length
 
@@ -667,21 +667,6 @@ def test_streamed_layer_memory_is_bounded_by_one_chunk():
     assert peak <= bound, f"peak {peak / 1e6:.1f} MB > {bound / 1e6:.1f} MB"
 
 
-def test_layer_memory_does_not_grow_with_a_block_longer_than_the_sequence():
-    rng = np.random.default_rng(38)
-    params, x, f_off = make_inputs(rng, 1, 30, 32, 16, 16)
-    expect = ssm.flow_ssm_layer(x, f_off, params, block_size=30)
-    tracemalloc.start()
-    try:
-        got = ssm.flow_ssm_layer(x, f_off, params, block_size=20_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # One (D, S) term pair padded to 20,000 tokens would be 164 MB.
-    assert peak <= 1e6, f"peak {peak / 1e6:.1f} MB"
-    assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
-
-
 def test_scan_workspace_above_max_floats_is_refused_before_it_is_allocated():
     # One 1024-token chunk at D = 128, S = 65: the term pair is 2*1024*128*65
     # floats, just above MAX_FLOATS, so a missing check allocates ~136 MB.
@@ -690,7 +675,8 @@ def test_scan_workspace_above_max_floats_is_refused_before_it_is_allocated():
     assert 2 * 1024 * 128 * 65 > MAX_FLOATS
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidConfig, match="channels, state_size and block_size") as err:
+        with pytest.raises(InvalidConfig,
+                           match="channels and state_size must give a scan workspace") as err:
             ssm.flow_ssm_layer(x, f_off, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -699,16 +685,16 @@ def test_scan_workspace_above_max_floats_is_refused_before_it_is_allocated():
     assert peak <= 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("block_size", [64, 48])
+@pytest.mark.parametrize("block_size", [ssm.DEFAULT_BLOCK_SIZE])
 @pytest.mark.parametrize("mode", list(ssm.ZohMode))
 def test_in_place_layer_bytes_match_out_of_place(block_size, mode):
     for length in stream_lengths(block_size):
         rng = np.random.default_rng(length)
         params, x, f_off = make_inputs(rng, 2, length, 3, 4, 2)
         h0 = rng.normal(size=(2, 3, 4))
-        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode, block_size)
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, mode)
         buf = x.copy()
-        got, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, mode, block_size, out=buf)
+        got, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, mode, out=buf)
         assert got is buf, length
         assert np.array_equal(buf, y), length
         assert np.array_equal(h_in, h), length
