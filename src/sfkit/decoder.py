@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .pointcloud import FlowField
 from .serialization import deserialize, serialize
-from .ssm import ZohMode, flow_ssm_layer
+from .ssm import flow_ssm_layer
 from .voxelizer import devoxelize_coarse
 from .weights import MlpWeights
 
@@ -60,13 +60,12 @@ class DecoderWeights:
             raise ShapeError("a decoder needs at least one scan layer")
 
 
-def decode(voxel_features, point_features, p_offset, assignment, weights,
-           mode=ZohMode.SIMPLIFIED, threads=1):
+def decode(voxel_features, point_features, p_offset, assignment, weights, threads=1):
     """Run the full decoder for one scene's prediction frame.
 
     The cascade runs one scan layer per entry of ``weights.ssm_layers``;
-    ``mode`` and ``threads`` are passed to each as in ``flow_ssm_layer``,
-    which scans in blocks of ``ssm.DEFAULT_BLOCK_SIZE``.
+    ``threads`` is passed to each as in ``flow_ssm_layer``, which scans in
+    blocks of ``ssm.DEFAULT_BLOCK_SIZE``.
 
     Output row i is the flow of input point i regardless of the serialized
     processing order.  The scan layers refine the serialized sequence in
@@ -85,10 +84,8 @@ def decode(voxel_features, point_features, p_offset, assignment, weights,
     tokens = seq.rows[None]  # batch of one scene
     hidden = None
     for params in weights.ssm_layers:
-        hidden = flow_ssm_layer(
-            tokens, offset_tokens, params, hidden,
-            mode=mode, out=tokens, threads=threads,
-        )[1]
+        hidden = flow_ssm_layer(tokens, offset_tokens, params, hidden, out=tokens,
+                                threads=threads)[1]
     del tokens
 
     refined, rank = deserialize(seq), seq.rank

@@ -103,8 +103,6 @@ CONFIG_RULES = {
     "decoder_depths": ((Integral, _ANY_LENGTH), lambda v: v >= 1, "a list of integers >= 1"),
     "decoder_layers": _COUNT,
     "state_size": _COUNT,
-    "zoh_mode": (str, ("exact", "simplified").__contains__, "exact|simplified"),
-    "dilation": (str, ("gap1", "literal").__contains__, "gap1|literal"),
     "dt": _POSITIVE,
     # 2**20 bins bounds the loss histogram at 8 MB
     "k_bins": _count(2, 20),

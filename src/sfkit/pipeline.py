@@ -14,7 +14,7 @@ from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, DEFAULT_DYNAMIC_THRESHOLD, FRAME_T
 from .ssm import SsmParams, scan_layout, usable_cpus
-from .stdcb import GAP1_DILATION, BackboneWeights, StdcbWeights, backbone_forward
+from .stdcb import BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
     DEFAULT_CHANNELS,
@@ -48,8 +48,6 @@ class RunConfig:
     decoder_depths: tuple = (1,)
     decoder_layers: int = 1
     state_size: int = 16
-    zoh_mode: str = "simplified"
-    dilation: str = "gap1"  # gap1 -> taps at {t-2, t, t+2}; literal -> {t-1, t, t+1}
     dt: float = DEFAULT_DT
     k_bins: int = 100
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
@@ -107,10 +105,7 @@ def init_pipeline_weights(config, seed):
 def _build_pipeline_weights(config, rng):
     c = config.channels
     point_encoder = MlpWeights.seeded(3, c, c, rng)
-    backbone = BackboneWeights.seeded(
-        c, config.encoder_depths, config.decoder_depths, rng,
-        cross_dilation=GAP1_DILATION if config.dilation == "gap1" else 1,
-    )
+    backbone = BackboneWeights.seeded(c, config.encoder_depths, config.decoder_depths, rng)
     offset_encoder = MlpWeights.seeded(3, c, c, rng)
     ssm_layers = tuple(
         SsmParams.seeded(2 * c, config.state_size, c, rng)
@@ -171,9 +166,9 @@ def pipeline_weights_from_dict(flat, config):
     """Rebuild the bundle for ``config`` from {section: array}.
 
     The sections must be exactly the config's: a missing or extra section, a
-    shape unlike the config's, or a stored ``dilation_t`` unlike the config's
-    raises ShapeError naming the section.  A section holding a non-finite
-    value raises InvalidInput naming it.
+    shape unlike the config's, or a stored ``dilation_t`` unlike the
+    template's raises ShapeError naming the section.  A section holding a
+    non-finite value raises InvalidInput naming it.
     """
     template = _build_pipeline_weights(config, ZeroRng())
     leaves = flatten_tree(template)
@@ -272,7 +267,5 @@ def infer_flow(scene, weights, config, trace=None):
     del refined
     features = [f3d_t, point_feats_t]
     del f3d_t, point_feats_t
-    return decode(
-        features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
-        mode=config.zoh_mode, threads=config.threads,
-    )
+    return decode(features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
+                  threads=config.threads)

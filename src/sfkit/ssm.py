@@ -396,7 +396,6 @@ class FlowSsmRun:
 
     refined: np.ndarray
     h_final: np.ndarray
-    mode: ZohMode
     inputs: tuple = None  # (x, f_offset, params, h0)
     z_delta: np.ndarray = None
     delta: np.ndarray = None
@@ -547,12 +546,13 @@ def run_parallel(run_item, n_items, threads):
         raise exc
 
 
-def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                     keep_intermediates=False, out=None, threads=1):
+def flow_ssm_forward(f_coarse, f_offset, params, h0=None, *, keep_intermediates=False,
+                     out=None, threads=1):
     """Run one offset-conditioned scan layer over a serialized sequence.
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
     L, C_off) offset features that parameterize (Delta, B, C) per token.
+    B is discretized with Mamba's first-order shortcut, ZohMode.SIMPLIFIED.
 
     Each chunk of _chunk_bounds is projected, then discretized straight into
     a block-major pair of terms in blocks of ``DEFAULT_BLOCK_SIZE`` tokens,
@@ -609,13 +609,12 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
     chunks, work_shape = scan_layout(batch, length, d_inner, state)
     if keep_intermediates:
         z_delta, delta, b_tokens, c_tokens = project_token_params(f_offset, params)
-        disc = zoh_discretize(a, b_tokens, delta, mode)
+        disc = zoh_discretize(a, b_tokens, delta, ZohMode.SIMPLIFIED)
         h_states = np.empty(disc.a_bar.shape)
         y, h_final = scan_blocked(disc, c_tokens, params.d, f_coarse, h0, states=h_states)
         out[...] = y
-        return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode),
-                          inputs=(f_coarse, f_offset, params, h0), z_delta=z_delta,
-                          delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
+        return FlowSsmRun(refined=out, h_final=h_final, inputs=(f_coarse, f_offset, params, h0),
+                          z_delta=z_delta, delta=delta, b_tokens=b_tokens, c_tokens=c_tokens,
                           a_bar=disc.a_bar, h_states=h_states)
     h_final = np.empty((batch, d_inner, state))
 
@@ -639,7 +638,7 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
             group.b[:, pad] = 0.0
             blocked = (_by_block(t[:, :pad.stop], DEFAULT_BLOCK_SIZE)
                        for t in (group.b, group.delta))
-            disc = zoh_discretize(a[lanes], *blocked, mode,
+            disc = zoh_discretize(a[lanes], *blocked, ZohMode.SIMPLIFIED,
                                   out=Discretized(*group.work[:, :, :, :n_blocks]))
             try:
                 y, h = scan_blocked(disc, c_tokens, params.d[lanes], f_coarse[:, part, lanes], h,
@@ -651,17 +650,16 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIE
 
     groups = _channel_groups(split_groups(threads, length, d_inner, state), work_shape)
     run_parallel(scan_group, len(groups), len(groups))
-    return FlowSsmRun(refined=out, h_final=h_final, mode=ZohMode(mode))
+    return FlowSsmRun(refined=out, h_final=h_final)
 
 
-def flow_ssm_layer(f_coarse, f_offset, params, h0=None, mode=ZohMode.SIMPLIFIED,
-                   out=None, threads=1):
+def flow_ssm_layer(f_coarse, f_offset, params, h0=None, *, out=None, threads=1):
     """Convenience wrapper returning just (refined sequence, new hidden state).
 
     ``out`` and ``threads`` are as in flow_ssm_forward: ``out=f_coarse``
     refines in place, and the scan runs in blocks of ``DEFAULT_BLOCK_SIZE``.
     """
-    run = flow_ssm_forward(f_coarse, f_offset, params, h0, mode, out=out, threads=threads)
+    run = flow_ssm_forward(f_coarse, f_offset, params, h0, out=out, threads=threads)
     return run.refined, run.h_final
 
 
@@ -684,13 +682,10 @@ def ssm_backward(run, dy, dh_final=None):
     """Adjoint of the recorded forward pass, run right to left.
 
     ``dy`` is dLoss/d(refined).  Requires a run from
-    flow_ssm_forward(..., keep_intermediates=True); supports the simplified
-    discretization (the layer default).
+    flow_ssm_forward(..., keep_intermediates=True).
     """
     if run.h_states is None or run.inputs is None:
         raise StateError("forward run was not recorded; pass keep_intermediates=True")
-    if run.mode is not ZohMode.SIMPLIFIED:
-        raise StateError("adjoint implemented for the simplified discretization only")
     x, f_offset, params, h0 = run.inputs
     dy = np.asarray(dy, dtype=np.float64)
     if dy.shape != run.refined.shape:

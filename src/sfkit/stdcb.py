@@ -293,13 +293,12 @@ class StdcbWeights:
     fuse_b: np.ndarray
 
     @classmethod
-    def seeded(cls, channels, rng, cross_dilation=GAP1_DILATION):
+    def seeded(cls, channels, rng):
         return cls(
             conv_spatial=ConvKernel4D.seeded((3, 3, 3, 1), channels, channels, rng),
             conv_temporal=ConvKernel4D.seeded((1, 1, 1, 3), channels, channels, rng),
-            conv_cross=ConvKernel4D.seeded(
-                (1, 1, 1, 3), channels, channels, rng, dilation_t=cross_dilation
-            ),
+            conv_cross=ConvKernel4D.seeded((1, 1, 1, 3), channels, channels, rng,
+                                           dilation_t=GAP1_DILATION),
             sfsm_temporal=SfsmWeights.seeded(channels, rng),
             gate=MlpWeights.seeded(channels, channels, channels, rng),
             sfsm_fuse=SfsmWeights.seeded(channels, rng),
@@ -389,11 +388,10 @@ class BackboneWeights:
             )
 
     @classmethod
-    def seeded(cls, channels, encoder_depths, decoder_depths, rng,
-               cross_dilation=GAP1_DILATION):
+    def seeded(cls, channels, encoder_depths, decoder_depths, rng):
         def stacks(depths):
             return tuple(
-                tuple(StdcbWeights.seeded(channels, rng, cross_dilation) for _ in range(depth))
+                tuple(StdcbWeights.seeded(channels, rng) for _ in range(depth))
                 for depth in depths
             )
 

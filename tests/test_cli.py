@@ -192,30 +192,31 @@ def test_eval_refuses_an_output_that_is_an_input_before_any_work(scene_path, tmp
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
-@pytest.mark.parametrize("argv", [
-    ("selftest", "--config", "{config}"),
-    ("selftest", "--seed", 9, "--out", "{tmp}/nowhere"),
-    ("infer", "{scene}", "--seed", 1, "--out", "{tmp}/f.sffl"),
-    ("eval", "{scene}", "{flow}", "--seed", 1),
-    ("infer", "{scene}", "--set", "decode_frame=t", "--out", "{tmp}/f.sffl"),
-    ("infer", "{scene}", "--config", "{config}", "--out", "{tmp}/f.sffl"),
-    ("infer", "{scene}", "--set", "block_size=64", "--out", "{tmp}/f.sffl"),
-    ("infer", "{scene}", "--config", "{block_config}", "--out", "{tmp}/f.sffl"),
-], ids=["selftest-config", "selftest-seed-out", "infer-seed", "eval-seed", "set-decode-frame",
-        "config-decode-frame", "set-block-size", "config-block-size"])
-def test_settings_that_nothing_reads_exit_2(scene_path, tmp_path, argv, capsys):
+# Config keys that no code reads, each with a value it once took.
+UNREAD_KEYS = {"decode_frame": "t", "block_size": 64, "zoh_mode": "exact", "dilation": "literal"}
+
+
+@pytest.mark.parametrize("argv,key", [
+    (("selftest", "--config", "{config}"), None),
+    (("selftest", "--seed", 9, "--out", "{tmp}/nowhere"), None),
+    (("infer", "{scene}", "--seed", 1, "--out", "{tmp}/f.sffl"), None),
+    (("eval", "{scene}", "{flow}", "--seed", 1), None),
+    *((("infer", "{scene}", "--set", f"{key}={json.dumps(value)}", "--out", "{tmp}/f.sffl"), key)
+      for key, value in UNREAD_KEYS.items()),
+    *((("infer", "{scene}", "--config", "{config}", "--out", "{tmp}/f.sffl"), key)
+      for key in UNREAD_KEYS),
+], ids=["selftest-config", "selftest-seed-out", "infer-seed", "eval-seed",
+        "set-decode-frame", "set-block-size", "set-zoh-mode", "set-dilation",
+        "config-decode-frame", "config-block-size", "config-zoh-mode", "config-dilation"])
+def test_settings_that_nothing_reads_exit_2(scene_path, tmp_path, argv, key, capsys):
     flow, config = tmp_path / "flow.sffl", tmp_path / "run.json"
-    config.write_text(json.dumps({"decode_frame": "t"}))
-    block_config = tmp_path / "block.json"
-    block_config.write_text(json.dumps({"block_size": 64}))
+    config.write_text(json.dumps({key: UNREAD_KEYS[key]} if key else {}))
     assert run("infer", scene_path, "--out", flow) == 0
     capsys.readouterr()
-    paths = {"scene": scene_path, "flow": flow, "config": config, "block_config": block_config,
-             "tmp": tmp_path}
+    paths = {"scene": scene_path, "flow": flow, "config": config, "tmp": tmp_path}
     assert run_or_usage_error(*(str(arg).format(**paths) for arg in argv)) == 2
     err = capsys.readouterr().err
-    key = "block_size" if {"block_size=64", "{block_config}"} & set(argv) else "decode_frame"
-    assert "unrecognized arguments" in err or f"unknown config keys: ['{key}']" in err
+    assert (f"unknown config keys: ['{key}']" if key else "unrecognized arguments") in err
     assert not (tmp_path / "f.sffl").exists()
 
 
@@ -296,12 +297,16 @@ def test_corrupt_weight_file_exit_code(scene_path, tmp_path):
 
 
 def test_weight_file_for_another_dilation_exit_2(scene_path, tmp_path, capsys):
-    wpath = tmp_path / "gap1.sfwt"
+    from sfkit.weights import load_weight_dict, save_weight_dict
+
+    wpath = tmp_path / "literal.sfwt"
     assert run("infer", scene_path, "--seed-weights", 1, "--out", tmp_path / "f.sffl",
                "--save-weights", wpath) == 0
-    assert run("infer", scene_path, "--weights", wpath, "--set", "dilation=literal",
-               "--out", tmp_path / "g.sffl") == 2
-    assert "conv_cross.dilation_t" in capsys.readouterr().err
+    flat = load_weight_dict(wpath)
+    flat["backbone.encoder.0.0.conv_cross.dilation_t"] = np.float64(1.0)  # {t-1, t, t+1}
+    save_weight_dict(flat, wpath)
+    assert run("infer", scene_path, "--weights", wpath, "--out", tmp_path / "g.sffl") == 2
+    assert "'backbone.encoder.0.0.conv_cross.dilation_t' holds 1.0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section", [
@@ -370,6 +375,40 @@ def test_bench_times_the_run_configs_scan_layer(tmp_path):
     assert [r[:4] for r in body] == [["sequential", "32", "16", "4"], ["blocked", "32", "16", "4"]]
 
 
+def test_bench_scan_divergence_exits_3_before_writing(tmp_path, monkeypatch, capsys):
+    scan_blocked = cli.ssm.scan_blocked
+
+    def off_by_one(*args, **kwargs):
+        y, h = scan_blocked(*args, **kwargs)
+        return y + 1.0, h
+
+    monkeypatch.setattr(cli.ssm, "scan_blocked", off_by_one)
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--lengths", "32", "--min-time", "0.01", "--out", out) == 3
+    assert "numeric error: scan outputs diverged by 1 at L=32" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_selftest_refuses_to_run_with_asserts_off():
+    env = os.environ | {"PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "sfkit", "selftest", "--filter", "loss"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "run it without -O" in proc.stderr
+
+
+def test_out_of_memory_exits_2_and_leaves_no_file(scene_path, tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 96.0 GiB")
+
+    monkeypatch.setattr(cli, "infer_flow", out_of_memory)
+    before = sorted(tmp_path.iterdir())
+    assert run("infer", scene_path, "--out", tmp_path / "f.sffl") == 2
+    assert "error: out of memory: Unable to allocate 96.0 GiB" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_selftest_passes_and_filter(capsys):
     assert run("selftest") == 0
     out = capsys.readouterr().out
@@ -406,7 +445,7 @@ def test_set_overrides_any_config_key(scene_path, tmp_path):
     flow = tmp_path / "f.sffl"
     assert run("infer", scene_path, "--out", flow,
                "--set", "channels=8", "--set", "encoder_depths=[1]",
-               "--set", "decoder_depths=[]", "--set", "zoh_mode=exact") == 0
+               "--set", "decoder_depths=[]", "--set", "state_size=4") == 0
     assert run("infer", scene_path, "--set", "bogus_key=1") == 2
     assert run("infer", scene_path, "--set", "no_equals_sign") == 2
 
@@ -458,7 +497,7 @@ def test_run_config_validation():
     from sfkit.errors import CONFIG_RULES, InvalidConfig
 
     with pytest.raises(InvalidConfig):
-        RunConfig(zoh_mode="banana")
+        RunConfig(threads="banana")
     with pytest.raises(InvalidConfig):
         RunConfig(decoder_layers=0)
     with pytest.raises(InvalidConfig):

@@ -136,9 +136,11 @@ PAPER5 = dict(encoder_depths=(2, 2, 2, 2, 2), decoder_depths=(1, 1, 1, 1))
 
 
 @pytest.mark.parametrize(
-    "saved, loaded, section",
+    "saved, rewritten, section",
     [
-        ({}, {"dilation": "literal"}, "backbone.encoder.0.0.conv_cross.dilation_t"),
+        # a file drawn with taps at {t-1, t, t+1}
+        ({}, {"backbone.encoder.0.0.conv_cross.dilation_t": np.float64(1.0)},
+         "backbone.encoder.0.0.conv_cross.dilation_t"),
         ({"state_size": 4}, {}, "decoder.ssm.0.a_log"),
         ({"decoder_layers": 2}, {}, "decoder.ssm.1.a_log"),
         ({"channels": 8}, {}, "point_encoder.w1"),
@@ -146,11 +148,12 @@ PAPER5 = dict(encoder_depths=(2, 2, 2, 2, 2), decoder_depths=(1, 1, 1, 1))
     ],
     ids=["dilation", "state_size", "extra_layer", "channels", "extra_levels"],
 )
-def test_pipeline_weights_must_match_config(tmp_path, saved, loaded, section):
+def test_pipeline_weights_must_match_config(tmp_path, saved, rewritten, section):
     path = tmp_path / "w.sfwt"
-    save_pipeline_weights(init_pipeline_weights(RunConfig(**saved), 0), path)
+    flat = pipeline_weights_to_dict(init_pipeline_weights(RunConfig(**saved), 0))
+    save_weight_dict(flat | rewritten, path)
     with pytest.raises(ShapeError, match=re.escape(repr(section))):
-        load_pipeline_weights(path, RunConfig(**loaded))
+        load_pipeline_weights(path, RunConfig())
 
 
 @pytest.mark.parametrize(
@@ -160,10 +163,8 @@ def test_pipeline_weights_must_match_config(tmp_path, saved, loaded, section):
         (PAPER5, "a0130300b6a562b6d4af24751fe0611a6387d724c3023a464f7263aa5fba66df"),
         ({"channels": 8, "state_size": 4, "decoder_layers": 2},
          "ee75b505a1f2d3ea01ba2d88fe84603f8e4472d4f959c0e77b2eede69a38534b"),
-        ({"dilation": "literal"},
-         "42f0065d3d9c05d07e2324471c67319d140ab06d8ddccd90c7c95abdda55184b"),
     ],
-    ids=["desk", "paper5", "small_two_layer", "literal"],
+    ids=["desk", "paper5", "small_two_layer"],
 )
 def test_pipeline_weights_bytes_pinned(tmp_path, config, digest):
     config = RunConfig(**config)
@@ -207,7 +208,7 @@ def test_loading_weights_does_not_import_numpy_random(tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [{}, PAPER5, {"channels": 3, "state_size": 5, "decoder_layers": 3, "dilation": "literal"}],
+    [{}, PAPER5, {"channels": 3, "state_size": 5, "decoder_layers": 3}],
     ids=["desk", "paper5", "small_three_layer"],
 )
 def test_bundle_floats_count_the_whole_template(config):
