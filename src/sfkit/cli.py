@@ -250,7 +250,7 @@ def cmd_bench(args):
         out_tmp = stage(args.out) if args.out is not None else None  # before any timing
         for length in args.lengths:
             if length == 0:
-                print("skipping L=0 (nothing to scan)")
+                print("skipping L=0 (nothing to scan)", file=sys.stderr)
                 continue
             params = ssm.SsmParams.seeded(d_inner, state, channels, rng)
             x = rng.normal(size=(batch, length, d_inner))
@@ -309,7 +309,7 @@ def _check_scan_equivalence():
         f_off = rng.normal(size=(2, length, 3))
         x = rng.normal(size=(2, length, d_inner))
         _, delta, b_tok, c_tok = ssm.project_token_params(f_off, params)
-        disc = ssm.zoh_discretize(params.a, b_tok, delta)
+        disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
         h0 = rng.normal(size=(2, d_inner, state))
         y1, h1 = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
         y2, h2 = ssm.scan_blocked(disc, c_tok, params.d, x, h0, block_size=16)
@@ -526,10 +526,11 @@ def cmd_selftest(args):
         print("selftest checks are asserts, which python -O skips; "
               "run it without -O", file=sys.stderr)
         return 1
+    checks = [(name, check) for name, check in SELFTEST_CHECKS if args.filter in name]
+    if not checks:
+        raise InvalidConfig(f"no selftest check matches {args.filter!r}")
     failures = []
-    for name, check in SELFTEST_CHECKS:
-        if args.filter and args.filter not in name:
-            continue
+    for name, check in checks:
         try:
             check()
         except Exception as exc:  # noqa: BLE001 - report, don't mask

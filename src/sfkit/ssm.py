@@ -143,7 +143,7 @@ class Discretized:
     b_bar: np.ndarray
 
 
-def zoh_discretize(a, b, delta, mode=ZohMode.EXACT, out=None):
+def zoh_discretize(a, b, delta, mode, out=None):
     """Discretize diagonal-per-channel dynamics via zero-order hold.
 
     a: (D, S) strictly the continuous decay; b: (..., S) per-token input
@@ -200,12 +200,9 @@ def _check_scan_shapes(disc, c, d, x, h0, block_size=None):
     return batch, length, d_inner, state
 
 
-def scan_sequential(disc, c, d, x, h0, states=None):
-    """Exact left-to-right recurrence. Returns (y, h_final).
-
-    When ``states`` is a (batch, L, D, S) array, every per-token hidden state
-    is written into it.
-    """
+def scan_sequential(disc, c, d, x, h0):
+    """Exact left-to-right recurrence, the oracle of scan_blocked.  Returns
+    (y, h_final)."""
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -217,8 +214,6 @@ def scan_sequential(disc, c, d, x, h0, states=None):
         h = disc.a_bar[:, t] * h + disc.b_bar[:, t] * x[:, t, :, None]
         if not np.all(np.isfinite(h)):
             raise NumericError("non-finite hidden state", index=t)
-        if states is not None:
-            states[:, t] = h
         y[:, t] = np.einsum("bds,bs->bd", h, c[:, t]) + d * x[:, t]
     return y, h
 
@@ -252,18 +247,18 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
     Scans what it is given in one pass: it forms within-block prefix
     composites of the transition pairs (vectorized across blocks), carries
     the state across block boundaries, then reconstructs every per-token
-    state.  Degenerates to the sequential path when one block covers the
-    whole sequence.  ``states`` is filled as in scan_sequential.  Callers
-    that bound memory scan one chunk at a time, as flow_ssm_forward does.
+    state.  When ``states`` is a (batch, L, D, S) array, every per-token
+    hidden state is written into it.  Callers that bound memory scan one
+    chunk at a time, as flow_ssm_forward does.
 
     The terms are token-order (batch, L, D, S), or block-major (batch, block,
     n_blocks, D, S) with token i * block + k at [:, k, i].  Block-major terms
     are composed where they lie, and the scan overwrites them; token-order
     terms are first laid out block-major in a copy.  The readout, ``states``
-    and the returned state read the composed pairs through views.  The
-    blocked path writes every other array into ``buffers`` (ScanBuffers of
-    at least this many blocks and tokens, made here when None) and returns
-    a view of its readout.
+    and the returned state read the composed pairs through views.  Every
+    other array is written into ``buffers`` (ScanBuffers of at least this
+    many blocks and tokens, made here when None), and the readout returned
+    is a view of it.
     """
     c = np.asarray(c, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
@@ -274,14 +269,9 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
     batch, length, d_inner, state = _check_scan_shapes(disc, c, d, x, h0, block_size)
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
-    if block_size >= length:
-        if disc.a_bar.ndim == 5:
-            disc = Discretized(disc.a_bar[:, :length, 0], disc.b_bar[:, :length, 0])
-        return scan_sequential(disc, c, d, x, h0, states)
     if disc.a_bar.ndim == 4:
         # A copy even when _by_block gives a view: the scan overwrites its terms.
-        disc = Discretized(*(np.ascontiguousarray(_by_block(t, block_size))
-                             for t in (disc.a_bar, disc.b_bar)))
+        disc = Discretized(*(_by_block(t, block_size).copy() for t in (disc.a_bar, disc.b_bar)))
     n_blocks = disc.a_bar.shape[2]
     if buffers is None:
         buffers = ScanBuffers.empty(batch, block_size, n_blocks, d_inner, state, length)
@@ -304,19 +294,18 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
     return y, h[:, (length - 1) % block_size, -1].copy()
 
 
-def _chunk_bounds(length, block_size):
+def _chunk_bounds(length):
     """Token ranges [start, stop) that the scan visits one at a time.
 
-    Chunks hold a whole number of blocks, at least two, so every block is
-    composed exactly as in one full-length pass.  A tail of at most one block
-    joins the chunk before it: scanned on its own it would take scan_blocked's
-    one-block sequential shortcut, whose rounding differs.
+    Chunks hold a whole number of ``DEFAULT_BLOCK_SIZE`` blocks, so every
+    block is composed exactly as in one full-length pass.  A tail of at most
+    one block joins the chunk before it: a one-row tail would be projected
+    through another BLAS path and round differently from the recorded run's
+    full-length projection.
     """
-    if block_size < 1:
-        raise ShapeError(f"block_size must be >= 1, got {block_size}")
-    chunk = max(2, -(-SCAN_CHUNK // block_size)) * block_size
+    chunk = -(-SCAN_CHUNK // DEFAULT_BLOCK_SIZE) * DEFAULT_BLOCK_SIZE
     starts = list(range(0, length, chunk))
-    if len(starts) > 1 and length - starts[-1] <= block_size:
+    if len(starts) > 1 and length - starts[-1] <= DEFAULT_BLOCK_SIZE:
         starts.pop()
     return list(zip(starts, starts[1:] + [length]))
 
@@ -423,7 +412,7 @@ def scan_layout(batch, length, d_inner, state):
     that every chunk is discretized into and scanned in.  A pair of more
     than ``MAX_FLOATS`` floats raises InvalidConfig; nothing is allocated.
     """
-    chunks = _chunk_bounds(length, DEFAULT_BLOCK_SIZE)
+    chunks = _chunk_bounds(length)
     longest = max((stop - start for start, stop in chunks), default=0)
     work_shape = (2, batch, DEFAULT_BLOCK_SIZE, -(-longest // DEFAULT_BLOCK_SIZE), d_inner, state)
     if (floats := math.prod(work_shape)) > MAX_FLOATS:

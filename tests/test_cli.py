@@ -367,6 +367,13 @@ def test_bench_csv_rows(tmp_path):
     assert {(r[2], r[3]) for r in body} == {("32", "16")}  # RunConfig(): 2 * 16 channels, S 16
 
 
+def test_bench_stdout_is_the_csv_alone(capsys):
+    assert run("bench", "--lengths", "0,64", "--min-time", "0.01") == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("impl,L,D_inner,S,tokens_per_second\n")
+    assert captured.err == "skipping L=0 (nothing to scan)\n"
+
+
 def test_bench_times_the_run_configs_scan_layer(tmp_path):
     out = tmp_path / "bench.csv"
     assert run("bench", "--lengths", "32", "--min-time", "0.01", "--set", "channels=8",
@@ -422,6 +429,13 @@ def test_selftest_passes_and_filter(capsys):
     assert capsys.readouterr().out.splitlines() == ["ssm.stream: ok"]
     assert run("selftest", "--filter", "downsample") == 0
     assert capsys.readouterr().out.splitlines() == ["stdcb.downsample: ok"]
+
+
+def test_selftest_filter_that_matches_no_check_exits_2(capsys):
+    assert run("selftest", "--filter", "ssm.stram") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no selftest check matches 'ssm.stram'\n"
 
 
 def test_selftest_checks_upsample(capsys):

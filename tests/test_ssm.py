@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sfkit import pointcloud as pc
 from sfkit import ssm
 from sfkit.errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
+from sfkit.pipeline import RunConfig, infer_flow, init_pipeline_weights
 
 
 def make_inputs(rng, batch, length, d_inner, state, c_off):
@@ -25,11 +27,11 @@ def token_terms(params, f_off):
     return delta, f_off @ params.w_b, f_off @ params.w_c
 
 
-def chunked_token_terms(params, f_off, block_size):
+def chunked_token_terms(params, f_off):
     """token_terms projected one chunk of _chunk_bounds at a time, as the
     streamed layer projects them, and joined along the sequence."""
     length = f_off.shape[1]
-    bounds = ssm._chunk_bounds(length, block_size) or [(0, 0)]
+    bounds = ssm._chunk_bounds(length) or [(0, 0)]
     parts = [token_terms(params, f_off[:, start:stop]) for start, stop in bounds]
     return tuple(np.concatenate(terms, axis=1) for terms in zip(*parts))
 
@@ -72,7 +74,7 @@ def test_zoh_small_delta_approaches_identity():
 def test_zoh_scalar_example():
     # a = -1, delta = ln 2  ->  a_bar = exp(-ln 2) = 0.5
     disc = ssm.zoh_discretize(
-        np.array([[-1.0]]), np.array([[[1.0]]]), np.array([[[np.log(2.0)]]])
+        np.array([[-1.0]]), np.array([[[1.0]]]), np.array([[[np.log(2.0)]]]), ssm.ZohMode.EXACT
     )
     assert np.allclose(disc.a_bar, 0.5, atol=1e-15)
 
@@ -149,7 +151,7 @@ def test_zoh_out_shape_mismatch_rejected():
     out = ssm.Discretized(np.empty((1, 4, 2, 3)), np.empty((1, 5, 2, 3)))
     with pytest.raises(ShapeError):
         ssm.zoh_discretize(-np.ones((2, 3)), rng.normal(size=(1, 4, 3)),
-                           np.ones((1, 4, 2)), out=out)
+                           np.ones((1, 4, 2)), ssm.ZohMode.EXACT, out=out)
 
 
 # --- sequential scan -------------------------------------------------------------
@@ -218,7 +220,7 @@ def test_scan_shape_errors():
     rng = np.random.default_rng(7)
     params, x, f_off = make_inputs(rng, 1, 4, 3, 4, 2)
     delta, b_tok, c_tok = token_terms(params, f_off)
-    disc = ssm.zoh_discretize(params.a, b_tok, delta)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
     with pytest.raises(ShapeError):
         ssm.scan_sequential(disc, c_tok, params.d, x[:, :, :2], np.zeros((1, 3, 4)))
     with pytest.raises(ShapeError):
@@ -229,7 +231,7 @@ def test_scan_numeric_error_names_token():
     rng = np.random.default_rng(8)
     params, x, f_off = make_inputs(rng, 1, 5, 2, 2, 2)
     delta, b_tok, c_tok = token_terms(params, f_off)
-    disc = ssm.zoh_discretize(params.a, b_tok, delta)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
     x = x.copy()
     x[0, 3, 0] = np.inf
     with pytest.raises(NumericError) as err:
@@ -240,7 +242,7 @@ def test_scan_numeric_error_names_token():
 # --- blocked scan ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("length", [1, 2, 255, 4096])
+@pytest.mark.parametrize("length", [1, 2, 64, 65, 255, 4096])
 def test_blocked_equals_sequential(length):
     rng = np.random.default_rng(length)
     params, x, f_off = make_inputs(rng, 2, length, 4, 8, 3)
@@ -254,16 +256,20 @@ def test_blocked_equals_sequential(length):
     assert np.abs(h_seq - h_blk).max() <= 1e-10 * max(np.abs(h_seq).max(), 1.0)
 
 
-def test_blocked_degenerates_to_sequential_exactly():
-    rng = np.random.default_rng(9)
-    params, x, f_off = make_inputs(rng, 1, 37, 3, 5, 2)
-    delta, b_tok, c_tok = token_terms(params, f_off)
-    disc = ssm.zoh_discretize(params.a, b_tok, delta)
-    h0 = rng.normal(size=(1, 3, 5))
-    y_seq, h_seq = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
-    y_blk, h_blk = ssm.scan_blocked(disc, c_tok, params.d, x, h0, block_size=64)
-    assert np.array_equal(y_seq, y_blk)
-    assert np.array_equal(h_seq, h_blk)
+def test_no_run_reaches_the_sequential_oracle(monkeypatch):
+    monkeypatch.setattr(ssm, "scan_sequential", lambda *a, **k: pytest.fail("oracle ran"))
+    for length in (1, 37, 64, 65):
+        rng = np.random.default_rng(length)
+        params, x, f_off = make_inputs(rng, 1, length, 3, 5, 2)
+        delta, b_tok, c_tok = token_terms(params, f_off)
+        disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
+        ssm.scan_blocked(disc, c_tok, params.d, x, np.zeros((1, 3, 5)), 64)
+        ssm.flow_ssm_layer(x, f_off, params)
+        ssm.flow_ssm_forward(x, f_off, params, keep_intermediates=True)
+    config = RunConfig()
+    scene = pc.synth_scene(pc.SceneConfig(n_background=20, movers=()), 9)
+    assert len(scene.prediction_frame) == 20
+    infer_flow(scene, init_pipeline_weights(config, 9), config)
 
 
 def test_blocked_empty_sequence():
@@ -280,7 +286,7 @@ def test_blocked_deterministic_per_block_size():
     rng = np.random.default_rng(11)
     params, x, f_off = make_inputs(rng, 1, 200, 4, 4, 3)
     delta, b_tok, c_tok = token_terms(params, f_off)
-    disc = ssm.zoh_discretize(params.a, b_tok, delta)
+    disc = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
     h0 = np.zeros((1, 4, 4))
     runs = [
         ssm.scan_blocked(disc, c_tok, params.d, x, h0, block_size=32)[0]
@@ -495,9 +501,6 @@ def one_shot_layer(x, f_off, params, h0, mode, block_size):
     batch, length, d_inner, state = disc.a_bar.shape
     if length == 0:
         return np.empty(x.shape), h0, None
-    if length <= block_size:
-        y, h = ssm.scan_sequential(disc, c_tok, params.d, x, h0)
-        return y, h, None
     a, u = disc.a_bar, disc.b_bar * x[..., None]
     n_blocks = -(-length // block_size)
     pad = n_blocks * block_size - length
@@ -519,7 +522,7 @@ def one_shot_layer(x, f_off, params, h0, mode, block_size):
 
 
 def chunk_tokens(block_size):
-    return max(2, -(-ssm.SCAN_CHUNK // block_size)) * block_size
+    return -(-ssm.SCAN_CHUNK // block_size) * block_size
 
 
 def stream_lengths(block_size):
@@ -541,18 +544,18 @@ def test_streamed_layer_byte_identical_to_one_shot(block_size, mode):
 
 
 def test_chunk_bounds_tile_whole_blocks():
-    for block_size in (1, 7, 64, 1000, 5000):
-        chunk = chunk_tokens(block_size)
-        for length in stream_lengths(block_size) + [2 * chunk + block_size]:
-            bounds = ssm._chunk_bounds(length, block_size)
-            edges = [0] + [stop for _, stop in bounds]
-            assert [start for start, _ in bounds] == edges[:-1]
-            assert edges[-1] == length
-            for start, stop in bounds:
-                assert start % block_size == 0
-                assert stop - start <= chunk + block_size
-                # only a sequence of one block or less is scanned as one short chunk
-                assert stop - start > block_size or length <= block_size
+    block_size = ssm.DEFAULT_BLOCK_SIZE
+    chunk = chunk_tokens(block_size)
+    for length in stream_lengths(block_size) + [2 * chunk + block_size]:
+        bounds = ssm._chunk_bounds(length)
+        edges = [0] + [stop for _, stop in bounds]
+        assert [start for start, _ in bounds] == edges[:-1]
+        assert edges[-1] == length
+        for start, stop in bounds:
+            assert start % block_size == 0
+            assert stop - start <= chunk + block_size
+            # only a sequence of one block or less is scanned as one short chunk
+            assert stop - start > block_size or length <= block_size
 
 
 @pytest.mark.parametrize("mode", [ssm.ZohMode.SIMPLIFIED])
@@ -567,7 +570,7 @@ def test_recorded_run_matches_streamed_run(three_cpus, mode):
             streamed = ssm.flow_ssm_forward(x, f_off, params, h0, threads=threads)
             assert np.array_equal(run.refined, streamed.refined), (length, batch, threads)
             assert np.array_equal(run.h_final, streamed.h_final), (length, batch, threads)
-        delta, b_tok, _ = chunked_token_terms(params, f_off, block_size)
+        delta, b_tok, _ = chunked_token_terms(params, f_off)
         a_bar = ssm.zoh_discretize(params.a, b_tok, delta, mode).a_bar
         assert np.array_equal(run.a_bar, a_bar), length
         _, _, states = one_shot_layer(x, f_off, params, h0, mode, block_size)
@@ -589,7 +592,8 @@ def test_backward_unchanged_against_one_shot_record():
     reference = ssm.FlowSsmRun(
         refined=y, h_final=h_final, inputs=(x, f_off, params, h0), z_delta=z_delta, delta=delta,
         b_tokens=b_tok, c_tokens=c_tok,
-        a_bar=ssm.zoh_discretize(params.a, b_tok, delta).a_bar, h_states=states,
+        a_bar=ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED).a_bar,
+        h_states=states,
     )
     got, expect = ssm.ssm_backward(run, gy), ssm.ssm_backward(reference, gy)
     for field in dataclasses.fields(got):
@@ -639,7 +643,7 @@ def test_streamed_layer_bytes_at_pipeline_widths(mode):
     streamed = ssm.flow_ssm_forward(x, f_off, params, h0)
     assert np.array_equal(run.refined, streamed.refined)
     assert np.array_equal(run.h_final, streamed.h_final)
-    delta, b_tok, c_tok = chunked_token_terms(params, f_off, block_size)
+    delta, b_tok, c_tok = chunked_token_terms(params, f_off)
     for got, expect in ((run.delta, delta), (run.b_tokens, b_tok), (run.c_tokens, c_tok)):
         assert np.array_equal(got, expect)
     y_ref, h_ref, _ = one_shot_layer(x, f_off, params, h0, mode, block_size)
@@ -728,7 +732,7 @@ def test_layer_discretizes_each_chunk_into_the_block_major_workspace(monkeypatch
     seen = []
     discretize = ssm.zoh_discretize
 
-    def spy(a, b, delta, mode=ssm.ZohMode.EXACT, out=None):
+    def spy(a, b, delta, mode, out=None):
         seen.append(out)
         return discretize(a, b, delta, mode, out)
 
@@ -751,13 +755,14 @@ def test_scan_blocked_block_major_terms_match_token_order(length):
     delta, b_tok, c_tok = token_terms(params, f_off)
     h0 = rng.normal(size=(2, 3, 4))
     expect_states, got_states = np.empty((2, 2, length, 3, 4))
-    tokens = ssm.zoh_discretize(params.a, b_tok, delta)
+    tokens = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
     before = (tokens.a_bar.copy(), tokens.b_bar.copy())
     expect = ssm.scan_blocked(tokens, c_tok, params.d, x, h0, 48, states=expect_states)
     # The block-major copy of a whole number of blocks is made from a view,
     # so only the copy protects the caller's terms from the scan.
     assert np.array_equal(tokens.a_bar, before[0]) and np.array_equal(tokens.b_bar, before[1])
-    blocked = ssm.zoh_discretize(params.a, ssm._by_block(b_tok, 48), ssm._by_block(delta, 48))
+    blocked = ssm.zoh_discretize(params.a, ssm._by_block(b_tok, 48), ssm._by_block(delta, 48),
+                                 ssm.ZohMode.SIMPLIFIED)
     got = ssm.scan_blocked(blocked, c_tok, params.d, x, h0, 48, states=got_states)
     assert np.array_equal(got[0], expect[0])
     assert np.array_equal(got[1], expect[1])
