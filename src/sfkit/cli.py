@@ -76,7 +76,7 @@ def _load_config(args):
 
 
 def cmd_synth(args):
-    check_config(args, seed="--seed")
+    check_config(args, seed="--seed", ego_speed="--ego-speed")
     config = _load_config(args)
     movers = pc.sample_mover_specs(args.movers, args.seed, n_points=args.mover_points)
     scene_cfg = pc.SceneConfig(
@@ -202,7 +202,8 @@ def cmd_eval(args):
             raise SceneFlowError(
                 f"flow file has {len(flow)} vectors, scene expects {len(scene.gt_flow)}"
             )
-        report = metrics_mod.evaluate(flow, scene.gt_flow, scene.mask, config.dt)
+        report = metrics_mod.evaluate(flow, scene.gt_flow, scene.mask, config.dt,
+                                      iou_threshold=config.dynamic_threshold)
         breakdown = loss_mod.scene_adaptive_loss(flow, scene.gt_flow, config.k_bins)
         bucket = loss_mod.three_bucket_loss(flow, scene.gt_flow, config.dt)
 

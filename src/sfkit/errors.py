@@ -119,13 +119,13 @@ INPUT_RULES = {
     "--min-time": (Real, lambda v: 0 < v <= 60, "a number of seconds in (0, 60]"),
     "--seed": _SEED,
     "--seed-weights": _SEED,
+    "--ego-speed": (Real, _finite, "a finite number"),
     # at most 2**22 + 64 * 2**16 = 2**23 points per synthetic frame
     "n_background": _count(0, 22),
     "n_movers": _count(0, 6),
     "mover n_points": _count(1, 16),
     "jitter_sigma": _NON_NEGATIVE,
-    "bucket_width": _POSITIVE,
-    "iou_threshold": _POSITIVE,
+    "iou_threshold": _NON_NEGATIVE,
 }
 
 _RULES = CONFIG_RULES | INPUT_RULES

@@ -19,7 +19,7 @@ from .errors import EmptyInput, InvalidConfig, ShapeError, check_config
 from .pointcloud import DEFAULT_DYNAMIC_THRESHOLD, MotionClass
 
 NORMALIZATION_FLOOR = 1e-6  # meters; guards the EPE/|gt| ratio
-DEFAULT_BUCKET_WIDTH = 0.4  # m/s
+BUCKET_WIDTH = 0.4  # m/s
 DEFAULT_IOU_THRESHOLD = DEFAULT_DYNAMIC_THRESHOLD  # meters per frame pair, as in mask generation
 
 
@@ -107,16 +107,16 @@ class BucketedNormalizedEpe:
     n_static: int
 
 
-def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
-                            bucket_width=DEFAULT_BUCKET_WIDTH):
+def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None):
     """Normalized dynamic error per object class plus the plain static mean.
 
-    Dynamic points (mask FOREGROUND_DYNAMIC) are grouped by object class and
-    by speed bucket [k*w, (k+1)*w); each group contributes
+    Dynamic points (mask FOREGROUND_DYNAMIC) are grouped by object class
+    (all cars when ``object_classes`` is None) and by speed bucket
+    [k*w, (k+1)*w) with w = BUCKET_WIDTH; each group contributes
     mean(EPE / max(|gt|, floor)), buckets average into the class entry, and
     non-empty classes average into the dynamic mean.
     """
-    check_config(SimpleNamespace(dt=dt, bucket_width=bucket_width), "dt", "bucket_width")
+    check_config(SimpleNamespace(dt=dt), "dt")
     errors = epe(pred, gt)
     mask = np.asarray(mask)
     if mask.shape != (len(errors),):
@@ -131,7 +131,7 @@ def bucketed_normalized_epe(pred, gt, mask, dt, object_classes=None,
 
     gt_mag = magnitudes(gt)
     with np.errstate(over="ignore"):  # infinite bucket positions are refused below
-        bucket_pos = gt_mag / dt / bucket_width
+        bucket_pos = gt_mag / dt / BUCKET_WIDTH
     dynamic = mask == MotionClass.FOREGROUND_DYNAMIC
     normalized = errors / np.maximum(gt_mag, NORMALIZATION_FLOOR)
 
@@ -236,11 +236,11 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def evaluate(pred, gt, mask, dt, object_classes=None, iou_threshold=DEFAULT_IOU_THRESHOLD):
-    """Full metric suite for one scene."""
+def evaluate(pred, gt, mask, dt, iou_threshold=DEFAULT_IOU_THRESHOLD):
+    """Full metric suite for one scene; dynamic points count as cars."""
     return MetricsReport(
         avg_epe=average_epe(pred, gt),
         threeway=threeway_epe(pred, gt, mask),
-        bucketed=bucketed_normalized_epe(pred, gt, mask, dt, object_classes),
+        bucketed=bucketed_normalized_epe(pred, gt, mask, dt),
         iou=dynamic_iou(pred, gt, iou_threshold),
     )

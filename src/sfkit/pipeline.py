@@ -126,7 +126,7 @@ def _floats(tree):
 
 
 def _bundle_floats(config):
-    """Floats in ``config``'s weight bundle, leaves such as ``bn_eps``
+    """Floats in ``config``'s weight bundle, a kernel's ``dilation_t``
     counted as one.  Every block and every scan layer has one shape, so one
     of each is built from ZeroRng, for free, and no depth is looped over."""
     c, zero = config.channels, ZeroRng()
@@ -143,23 +143,13 @@ def _bundle_floats(config):
 
 
 def _section_name(path):
-    """The SFWT section holding a weight-tree field path, or None if unstored.
-
-    Sections are the field paths except that scan layers are stored as
-    ``decoder.ssm.N``; the SFSM gates' ``bn_eps`` and ``leaky_slope`` are
-    fixed constants and are not stored.
-    """
-    if path.rpartition(".")[2] in ("bn_eps", "leaky_slope"):
-        return None
+    """The SFWT section holding a weight-tree field path: the path itself,
+    except that scan layers are stored as ``decoder.ssm.N``."""
     return path.replace("decoder.ssm_layers.", "decoder.ssm.", 1)
 
 
 def pipeline_weights_to_dict(weights):
-    return {
-        name: leaf
-        for path, leaf in flatten_tree(weights).items()
-        if (name := _section_name(path)) is not None
-    }
+    return {_section_name(path): leaf for path, leaf in flatten_tree(weights).items()}
 
 
 def pipeline_weights_from_dict(flat, config):
@@ -175,8 +165,6 @@ def pipeline_weights_from_dict(flat, config):
     expected = set()
     for path, leaf in leaves.items():
         name = _section_name(path)
-        if name is None:
-            continue
         expected.add(name)
         if name not in flat:
             raise ShapeError(f"weight file is missing section {name!r}")

@@ -222,22 +222,19 @@ def scan_sequential(disc, c, d, x, h0):
 class ScanBuffers:
     """What a blocked scan of up to ``n_blocks`` blocks writes besides its
     terms: one prefix step's product and the block entry states, (batch,
-    n_blocks, D, S); the finiteness mask of the states, shaped like the
-    terms; and the skip term and the readout, (batch, tokens, D)."""
+    n_blocks, D, S); and the skip term and the readout, (batch, tokens, D)."""
 
     step: np.ndarray
     enter: np.ndarray
-    finite: np.ndarray
     skip: np.ndarray
     y: np.ndarray
 
     @classmethod
-    def empty(cls, batch, block_size, n_blocks, d_inner, state, tokens):
+    def empty(cls, batch, n_blocks, d_inner, state, tokens):
         per_block = (batch, n_blocks, d_inner, state)
         per_token = (batch, tokens, d_inner)
-        return cls(np.empty(per_block), np.empty(per_block),
-                   np.empty((batch, block_size, n_blocks, d_inner, state), dtype=bool),
-                   np.empty(per_token), np.empty(per_token))
+        return cls(np.empty(per_block), np.empty(per_block), np.empty(per_token),
+                   np.empty(per_token))
 
 
 def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
@@ -270,16 +267,11 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
     if length == 0:
         return np.empty((batch, 0, d_inner)), h0.copy()
     if disc.a_bar.ndim == 4:
-        # A copy even when _by_block gives a view: the scan overwrites its terms.
-        disc = Discretized(*(_by_block(t, block_size).copy() for t in (disc.a_bar, disc.b_bar)))
+        disc = Discretized(*(_block_major_copy(t, block_size) for t in (disc.a_bar, disc.b_bar)))
     n_blocks = disc.a_bar.shape[2]
     if buffers is None:
-        buffers = ScanBuffers.empty(batch, block_size, n_blocks, d_inner, state, length)
+        buffers = ScanBuffers.empty(batch, n_blocks, d_inner, state, length)
     h = _blocked_states(disc, x, h0, block_size, buffers)
-    finite = np.isfinite(h, out=buffers.finite[:, :, :n_blocks])
-    if not finite.all():
-        finite = finite.all(axis=(0, 3, 4)).T.reshape(-1)[:length]
-        raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
     # The skip term is formed before the readout is written, so ``x`` is
     # read in full before anything is written.
     skip = np.multiply(d, x, out=buffers.skip[:, :length])
@@ -287,6 +279,13 @@ def scan_blocked(disc, c, d, x, h0, block_size=DEFAULT_BLOCK_SIZE, states=None,
     for h_tok, c_tok, y_tok in zip(_token_blocks(h, length), _blocks(c, block_size),
                                    _blocks(y, block_size)):
         np.einsum("...ds,...s->...d", h_tok, c_tok, out=y_tok)
+    # With finite output gates a token's readout is finite exactly when all
+    # its states are, and einsum raises no FP warning; the skip add could
+    # (inf - inf), so the check comes first.  min and max propagate NaN and
+    # allocate nothing.
+    if not (np.isfinite(y.min()) and np.isfinite(y.max())):
+        finite = np.isfinite(y).all(axis=(0, 2))
+        raise NumericError("non-finite hidden state", index=int(np.flatnonzero(~finite)[0]))
     y += skip
     if states is not None:
         for h_tok, s_tok in zip(_token_blocks(h, length), _blocks(states, block_size)):
@@ -331,14 +330,20 @@ def _token_blocks(blocked, n_tokens):
 
 def _by_block(tokens, block_size):
     """The block-major (batch, block, n_blocks, ...) view of a (batch, L, ...)
-    token array; a partial last block is first zero-padded in a copy."""
+    token array of whole blocks."""
     batch, length = tokens.shape[:2]
-    n_blocks = -(-length // block_size)
-    if length % block_size:
-        padded = np.zeros((batch, n_blocks * block_size) + tokens.shape[2:])
-        padded[:, :length] = tokens
-        tokens = padded
-    return tokens.reshape(batch, n_blocks, block_size, *tokens.shape[2:]).swapaxes(1, 2)
+    return tokens.reshape(batch, length // block_size, block_size,
+                          *tokens.shape[2:]).swapaxes(1, 2)
+
+
+def _block_major_copy(tokens, block_size):
+    """A (batch, L, ...) token array written once into a zeroed block-major
+    (batch, block, n_blocks, ...) array; a partial last block ends in zeros."""
+    batch, length = tokens.shape[:2]
+    out = np.zeros((batch, block_size, -(-length // block_size)) + tokens.shape[2:])
+    for dst, src in zip(_token_blocks(out, length), _blocks(tokens, block_size)):
+        dst[...] = src
+    return out
 
 
 def _blocked_states(disc, x, h0, block_size, buffers):
@@ -457,7 +462,7 @@ def _channel_groups(n_groups, work_shape):
             delta=np.empty((batch, tokens, hi - lo)),
             b=np.empty((batch, tokens, state)),
             c=np.empty((batch, tokens, state)),
-            buffers=ScanBuffers.empty(batch, block_size, n_blocks, hi - lo, state, tokens),
+            buffers=ScanBuffers.empty(batch, n_blocks, hi - lo, state, tokens),
         )
         for lo, hi in zip(edges, edges[1:])
     ]

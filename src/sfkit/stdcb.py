@@ -14,6 +14,7 @@ connections are always well defined.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -188,7 +189,8 @@ class SfsmWeights:
     """Sigmoid gate for blending a main and an auxiliary branch.
 
     The gate is sigmoid(LeakyReLU(BN(pointwise(concat(main, aux))))) with
-    inference-mode batch norm; the running statistics travel with the weights.
+    inference-mode batch norm; the running statistics travel with the weights,
+    while the norm's epsilon and the slope are fixed parts of the gate.
     """
 
     conv_w: np.ndarray  # (2C, C)
@@ -197,8 +199,8 @@ class SfsmWeights:
     bn_shift: np.ndarray
     bn_mean: np.ndarray
     bn_var: np.ndarray
-    bn_eps: float = 1e-5
-    leaky_slope: float = 0.01
+    bn_eps: ClassVar[float] = 1e-5
+    leaky_slope: ClassVar[float] = 0.01
 
     def __post_init__(self):
         c = self.conv_w.shape[1]
@@ -207,12 +209,8 @@ class SfsmWeights:
         for name in ("conv_b", "bn_scale", "bn_shift", "bn_mean", "bn_var"):
             if getattr(self, name).shape != (c,):
                 raise ShapeError(f"SFSM {name} must be ({c},)")
-        if self.bn_eps <= 0:
-            raise ShapeError("bn_eps must be positive")
         if not np.all(self.bn_var >= 0):  # a variance; the gate takes its root
             raise ShapeError(f"SFSM bn_var must be >= 0, got {np.min(self.bn_var)}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ShapeError(f"leaky_slope must be in [0, 1], got {self.leaky_slope}")
 
     @classmethod
     def seeded(cls, channels, rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sfkit import cli
+from sfkit import metrics
 from sfkit import pointcloud as pc
 from sfkit.cli import main
 from sfkit.errors import InvalidConfig
@@ -484,9 +485,25 @@ def test_bench_min_time_must_be_finite_and_positive_exit_2(tmp_path, value, caps
     assert not out.exists()
 
 
+def test_eval_iou_uses_the_configs_dynamic_threshold(tmp_path, capsys):
+    scene, flow = tmp_path / "s.sfsc", tmp_path / "f.sffl"
+    threshold = ("--set", "dynamic_threshold=0.15")
+    assert run("synth", "--points", 300, "--movers", 1, "--mover-points", 40, "--seed", 11,
+               *threshold, "--out", scene) == 0
+    assert run("infer", scene, *threshold, "--out", flow) == 0
+    capsys.readouterr()
+    assert run("eval", scene, flow, *threshold) == 0
+    printed = capsys.readouterr().out
+    pred, gt = pc.load_flow(flow), pc.load_scene(scene).gt_flow
+    expect = metrics.dynamic_iou(pred, gt, 0.15)
+    assert expect != metrics.dynamic_iou(pred, gt, metrics.DEFAULT_IOU_THRESHOLD)
+    assert f"dynamic IoU  {expect:.4f}" in printed
+
+
 @pytest.mark.parametrize("flag,value,rule", [
     ("--jitter", "nan", "jitter_sigma must be"), ("--jitter", "inf", "jitter_sigma must be"),
     ("--jitter", "-0.1", "jitter_sigma must be"), ("--movers", "-1", "n_movers must be"),
+    ("--ego-speed", "nan", "--ego-speed must be a finite number"),
 ])
 def test_synth_malformed_arguments_exit_2(tmp_path, flag, value, rule, capsys):
     out = tmp_path / "s.sfsc"
@@ -667,12 +684,11 @@ def run_or_usage_error(*argv):
         return exc.code
 
 
-# Each swept flag and the rule its value is checked by, or None for a flag
-# whose bad values are refused further in.
+# Each swept flag and the rule its value is checked by.
 SWEPT_FLAGS = {
     "synth": {"--points": "n_background", "--movers": "n_movers",
               "--mover-points": "mover n_points", "--jitter": "jitter_sigma",
-              "--ego-speed": None, "--seed": "--seed"},
+              "--ego-speed": "--ego-speed", "--seed": "--seed"},
     "infer": {"--seed-weights": "--seed-weights"},
     "bench": {"--lengths": "--lengths", "--batch": "--batch", "--min-time": "--min-time",
               "--seed": "--seed"},

@@ -301,10 +301,8 @@ def test_bucketed_tiny_dt_ignored_for_static_points():
     (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=float("inf")), "dt"),
     (lambda f, mask: metrics.dynamic_iou(f, f, threshold=float("nan")), "iou_threshold"),
     (lambda f, mask: loss.build_histogram(f, k=2.5), "k_bins"),
-    (lambda f, mask: metrics.bucketed_normalized_epe(f, f, mask, dt=0.1,
-                                                     bucket_width=float("nan")), "bucket_width"),
 ], ids=["three_bucket_dt", "bucketed_dt_nan", "bucketed_dt_inf", "iou_threshold",
-        "histogram_k", "bucket_width"])
+        "histogram_k"])
 def test_metric_and_loss_parameters_are_checked_by_the_rule_table(call, key):
     gt = flow_of([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(InvalidConfig, match=f"^{key} must be "):

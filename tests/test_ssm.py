@@ -758,11 +758,10 @@ def test_scan_blocked_block_major_terms_match_token_order(length):
     tokens = ssm.zoh_discretize(params.a, b_tok, delta, ssm.ZohMode.SIMPLIFIED)
     before = (tokens.a_bar.copy(), tokens.b_bar.copy())
     expect = ssm.scan_blocked(tokens, c_tok, params.d, x, h0, 48, states=expect_states)
-    # The block-major copy of a whole number of blocks is made from a view,
-    # so only the copy protects the caller's terms from the scan.
+    # The scan composes a block-major copy, never the caller's terms.
     assert np.array_equal(tokens.a_bar, before[0]) and np.array_equal(tokens.b_bar, before[1])
-    blocked = ssm.zoh_discretize(params.a, ssm._by_block(b_tok, 48), ssm._by_block(delta, 48),
-                                 ssm.ZohMode.SIMPLIFIED)
+    blocked = ssm.zoh_discretize(params.a, ssm._block_major_copy(b_tok, 48),
+                                 ssm._block_major_copy(delta, 48), ssm.ZohMode.SIMPLIFIED)
     got = ssm.scan_blocked(blocked, c_tok, params.d, x, h0, 48, states=got_states)
     assert np.array_equal(got[0], expect[0])
     assert np.array_equal(got[1], expect[1])
@@ -771,6 +770,30 @@ def test_scan_blocked_block_major_terms_match_token_order(length):
         short = ssm.Discretized(blocked.a_bar[:, :, :-1], blocked.b_bar[:, :, :-1])
         with pytest.raises(ShapeError):
             ssm.scan_blocked(short, c_tok, params.d, x, h0, 48)
+
+
+def test_token_order_scan_of_a_partial_block_peaks_as_whole_blocks():
+    # L = 4095 and 4096 both take 64 blocks; a partial last block must not
+    # cost a padded copy of each term on top of the block-major one.
+    d_inner, state = 32, 16
+
+    def peak(length):
+        rng = np.random.default_rng(38)
+        disc = ssm.Discretized(rng.uniform(0.5, 1.0, (1, length, d_inner, state)),
+                               rng.normal(size=(1, length, d_inner, state)))
+        c = rng.normal(size=(1, length, state))
+        x = rng.normal(size=(1, length, d_inner))
+        tracemalloc.start()
+        try:
+            ssm.scan_blocked(disc, c, np.ones(d_inner), x, np.zeros((1, d_inner, state)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    term = 4096 * d_inner * state * 8
+    partial, whole = peak(4095), peak(4096)
+    # Slack of 1% of a term for the views and lists of the partial block.
+    assert partial <= whole + 0.01 * term, f"{partial / term:.2f} vs {whole / term:.2f} terms"
 
 
 # --- channel groups on parallel threads ---------------------------------------------

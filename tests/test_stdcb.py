@@ -408,15 +408,14 @@ def pinned_block(tensor, w, kmap):
     return np.concatenate([fused, tensor.features], axis=1) @ w.fuse_w + w.fuse_b
 
 
-def signed_zero_sfsm(channels, rng, leaky_slope=0.01):
+def signed_zero_sfsm(channels, rng):
     """Seeded SFSM weights whose last two pre-activation columns are zero:
     one all +0.0, one +0.0 or -0.0 by the sign of the normalised value."""
     w = stdcb.SfsmWeights.seeded(channels, rng)
     scale, shift = w.bn_scale.copy(), w.bn_shift.copy()
     scale[-2:] = 0.0
     shift[-2:] = (0.0, -0.0)
-    return stdcb.SfsmWeights(w.conv_w, w.conv_b, scale, shift, w.bn_mean, w.bn_var,
-                             leaky_slope=leaky_slope)
+    return stdcb.SfsmWeights(w.conv_w, w.conv_b, scale, shift, w.bn_mean, w.bn_var)
 
 
 def signed_zero_gate(channels, rng):
@@ -426,13 +425,6 @@ def signed_zero_gate(channels, rng):
     w1[:, 0], b1[0] = 0.0, -0.0
     w2[:, -1], b2[-1] = 0.0, -0.0
     return MlpWeights(w1, b1, w2, b2)
-
-
-@pytest.mark.parametrize("leaky_slope", [-0.01, 1.5, float("nan")])
-def test_sfsm_rejects_leaky_slope_outside_unit_interval(leaky_slope):
-    w = stdcb.SfsmWeights.seeded(3, np.random.default_rng(47))
-    with pytest.raises(ShapeError, match="leaky_slope"):
-        dataclasses.replace(w, leaky_slope=leaky_slope)
 
 
 @pytest.mark.parametrize("bn_var", [-65536.0, -1e-300, float("nan")])
@@ -459,13 +451,12 @@ def test_signed_zero_weights_reach_the_preactivation():
     assert not np.any(np.signbit(norm[:, -2]))
 
 
-@pytest.mark.parametrize("seed,leaky_slope", [(0, 0.01), (1, 0.01), (2, 0.0), (3, 0.5), (4, 1.0)])
-def test_sfsm_bytes_match_expression_form(seed, leaky_slope):
+@pytest.mark.parametrize("seed", range(5))
+def test_sfsm_bytes_match_expression_form(seed):
     rng = np.random.default_rng(50 + seed)
     main = random_tensor(rng, channels=4)
     aux = main.with_features(rng.normal(size=main.features.shape))
-    seeded = dataclasses.replace(stdcb.SfsmWeights.seeded(4, rng), leaky_slope=leaky_slope)
-    for w in (seeded, signed_zero_sfsm(4, rng, leaky_slope)):
+    for w in (stdcb.SfsmWeights.seeded(4, rng), signed_zero_sfsm(4, rng)):
         expect = pinned_sfsm(main.features, aux.features, w).tobytes()
         assert stdcb.sfsm(main, aux, w).features.tobytes() == expect
 

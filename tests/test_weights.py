@@ -16,6 +16,7 @@ from sfkit.pipeline import (
     RunConfig,
     _build_pipeline_weights,
     _bundle_floats,
+    _section_name,
     init_pipeline_weights,
     load_pipeline_weights,
     pipeline_weights_to_dict,
@@ -77,6 +78,16 @@ def test_pipeline_weights_roundtrip(tmp_path):
     assert set(flat_a) == set(flat_b)
     for name in flat_a:
         assert np.array_equal(np.asarray(flat_a[name], float), np.asarray(flat_b[name], float)), name
+
+
+def test_every_weight_tree_leaf_is_a_stored_section():
+    # The weight tree holds only what an SFWT file stores: a leaf without a
+    # section would be a setting that no weight file can carry.
+    weights = init_pipeline_weights(RunConfig(), 0)
+    leaves = flatten_tree(weights)
+    sections = pipeline_weights_to_dict(weights)
+    assert [path for path in leaves if _section_name(path) not in sections] == []
+    assert len(sections) == len(leaves)
 
 
 def test_pipeline_weights_missing_section(tmp_path):
@@ -230,7 +241,7 @@ def test_oversized_bundle_is_refused_before_any_array_exists():
         tracemalloc.stop()
     assert str(err.value) == (
         "channels, encoder_depths, decoder_depths, decoder_layers and state_size must give "
-        f"a weight bundle of at most {MAX_FLOATS} floats, got 38154853"
+        f"a weight bundle of at most {MAX_FLOATS} floats, got 38154797"
     )
     assert peak < 8e6
 
