@@ -201,7 +201,6 @@ class EgoMotion:
 
     velocity: tuple = (0.0, 0.0, 0.0)
     yaw_rate: float = 0.0
-    start: tuple = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -233,15 +232,12 @@ def _yaw_matrix(theta):
 def _ego_pose(ego, time):
     """Ego-to-world pose at an absolute scene time."""
     rot = _yaw_matrix(ego.yaw_rate * time)
-    trans = np.asarray(ego.start, dtype=np.float64) + np.asarray(
-        ego.velocity, dtype=np.float64
-    ) * time
-    return Pose.from_rt(rot, trans)
+    return Pose.from_rt(rot, np.asarray(ego.velocity, dtype=np.float64) * time)
 
 
-def _f32_round(arr):
+def _f32_round(rows, what):
     # Stored precision is float32; quantizing here makes save/load bit-exact.
-    return np.asarray(arr, dtype=np.float32).astype(np.float64)
+    return _sfsc_f32(rows, what).astype(np.float64)
 
 
 def synth_scene(config, seed):
@@ -252,7 +248,8 @@ def synth_scene(config, seed):
     timestamp, then warped into the last frame's coordinates using the exact
     relative poses.  Ground-truth flow for the prediction frame is the mover
     displacement over one frame interval expressed in the reference frame;
-    background flow is exactly zero.
+    background flow is exactly zero.  Frames and flow are rounded to f32, as
+    SFSC files store them; a row outside the f32 range raises RangeError.
     """
     config.validate()
     rng = np.random.default_rng(seed)
@@ -290,7 +287,7 @@ def synth_scene(config, seed):
 
         warp = ref_pose.inverse().compose(ego_pose)
         warped = warp.apply(measured)
-        frames.append(PointCloud(_f32_round(warped), frame_index=i))
+        frames.append(PointCloud(_f32_round(warped, f"synthesized frame {i}"), frame_index=i))
 
     n_t = len(frames[FRAME_T])
     flow = np.zeros((n_t, 3))
@@ -308,7 +305,7 @@ def synth_scene(config, seed):
 
     return SceneSequence(
         frames=frames,
-        gt_flow=FlowField(_f32_round(flow)),
+        gt_flow=FlowField(_f32_round(flow, "synthesized ground-truth flow")),
         mask=mask,
         seed=seed,
     )
@@ -383,6 +380,15 @@ def _as_f32(rows):
     return out, int(bad[0]) if bad.size else None
 
 
+def _sfsc_f32(rows, what):
+    """``rows`` as _as_f32 gives them; RangeError names ``what`` and the
+    first row outside the f32 range of SFSC files."""
+    raw, bad = _as_f32(rows)
+    if bad is not None:
+        raise RangeError(f"{what} row {bad} is outside the f32 range of SFSC files")
+    return raw
+
+
 def save_scene(seq, path):
     """Write a SceneSequence in the SFSC binary format (coordinates as f32).
 
@@ -391,16 +397,10 @@ def save_scene(seq, path):
     """
     chunks = [SCENE_MAGIC, struct.pack("<H", SCENE_VERSION), struct.pack("<H", N_FRAMES)]
     for i, frame in enumerate(seq.frames):
-        raw, bad = _as_f32(frame.points)
-        if bad is not None:
-            raise RangeError(f"frame {i} row {bad} is outside the f32 range of SFSC files")
         chunks.append(struct.pack("<Q", len(frame)))
-        chunks.append(raw.tobytes())
-    raw, bad = _as_f32(seq.gt_flow.vectors)
-    if bad is not None:
-        raise RangeError(f"ground-truth flow row {bad} is outside the f32 range of SFSC files")
+        chunks.append(_sfsc_f32(frame.points, f"frame {i}").tobytes())
     chunks.append(struct.pack("<Q", len(seq.gt_flow)))
-    chunks.append(raw.tobytes())
+    chunks.append(_sfsc_f32(seq.gt_flow.vectors, "ground-truth flow").tobytes())
     chunks.append(struct.pack("<Q", len(seq.mask)))
     chunks.append(seq.mask.astype(np.uint8).tobytes())
     chunks.append(struct.pack("<Q", seq.seed))

@@ -504,6 +504,8 @@ def test_eval_iou_uses_the_configs_dynamic_threshold(tmp_path, capsys):
     ("--jitter", "nan", "jitter_sigma must be"), ("--jitter", "inf", "jitter_sigma must be"),
     ("--jitter", "-0.1", "jitter_sigma must be"), ("--movers", "-1", "n_movers must be"),
     ("--ego-speed", "nan", "--ego-speed must be a finite number"),
+    ("--ego-speed", "1e200", "synthesized frame 0 row 0 is outside the f32 range of SFSC files"),
+    ("--jitter", "1e200", "synthesized frame 0 row 0 is outside the f32 range of SFSC files"),
 ])
 def test_synth_malformed_arguments_exit_2(tmp_path, flag, value, rule, capsys):
     out = tmp_path / "s.sfsc"

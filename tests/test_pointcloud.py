@@ -249,3 +249,14 @@ def test_scene_outside_f32_refused_before_writing(tmp_path):
         with pytest.raises(RangeError, match="flow row 3"):
             pc.save_scene(bad_gt, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("setting", [
+    {"ego": pc.EgoMotion(velocity=(1e200, 0.0, 0.0))}, {"jitter_sigma": 1e200},
+], ids=["ego-speed", "jitter"])
+def test_synth_scene_outside_f32_raises_range_error(setting):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="synthesized frame 0 row 0 is outside the f32 "
+                                             "range of SFSC files"):
+            pc.synth_scene(basic_config(**setting), seed=3)
