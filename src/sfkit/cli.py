@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 # One BLAS thread unless the user set another count: the coupling blocks and
-# the scan already run on sfkit's own threads (RunConfig.threads), and BLAS
+# the scan already run on sfkit's own threads (ssm.run_parallel), and BLAS
 # threads on top of those compete for the same cores.  This must run before
 # numpy loads its BLAS.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -334,57 +334,44 @@ def _check_streamed_scan():
     assert np.abs(h - h_ref).max() <= 1e-10 * max(np.abs(h_ref).max(), 1.0)
 
 
-def _check_chunk_bytes():
+def _check_thread_bytes():
     # At the decoder's widths the streamed layer projects each chunk on its
-    # own, and the recorded run the whole sequence at once; their bytes
-    # match only if this BLAS rounds a row range like the whole matrix.  The
-    # decoder runs the layer in place, so that run must match too.
+    # own and scans one channel group per usable CPU; the recorded run is one
+    # pass over the whole sequence and every channel.  Their bytes match only
+    # if this BLAS rounds a row range like the whole matrix.  The decoder
+    # runs the layer in place, so that run must match too.
     rng = np.random.default_rng(17)
-    length = 2 * ssm.SCAN_CHUNK + 5
+    length = 2 * ssm.SCAN_CHUNK + 5  # two chunks and a tail shorter than a block
     params = ssm.SsmParams.seeded(32, 16, 16, rng)
     x = rng.normal(size=(1, length, 32))
     f_off = rng.normal(size=(1, length, 16))
     h0 = rng.normal(size=(1, 32, 16))
     run = ssm.flow_ssm_forward(x, f_off, params, h0, keep_intermediates=True)
     refined, h = ssm.flow_ssm_layer(x, f_off, params, h0)
-    assert np.array_equal(refined, run.refined), "streamed output differs from recorded run"
-    assert np.array_equal(h, run.h_final), "streamed state differs from recorded run"
+    assert refined.tobytes() == run.refined.tobytes(), "streamed output differs from recorded run"
+    assert h.tobytes() == run.h_final.tobytes(), "streamed state differs from recorded run"
     in_place = x.copy()
     _, h = ssm.flow_ssm_layer(in_place, f_off, params, h0, out=in_place)
-    assert np.array_equal(in_place, run.refined), "in-place output differs from recorded run"
-    assert np.array_equal(h, run.h_final), "in-place state differs from recorded run"
-
-
-def _check_thread_bytes():
-    # The decoder scans channel groups on parallel threads, so its flows do
-    # not depend on the thread count only if every group rounds like one
-    # group over all channels.  On a host with one usable CPU both runs are
-    # one group.
-    rng = np.random.default_rng(19)
-    length = 2 * ssm.SCAN_CHUNK + 5  # two chunks and a tail shorter than a block
-    params = ssm.SsmParams.seeded(32, 16, 16, rng)
-    x = rng.normal(size=(1, length, 32))
-    f_off = rng.normal(size=(1, length, 16))
-    h0 = rng.normal(size=(1, 32, 16))
-    y1, h1 = ssm.flow_ssm_layer(x, f_off, params, h0, threads=1)
-    y2, h2 = ssm.flow_ssm_layer(x, f_off, params, h0, threads=2)
-    assert y1.tobytes() == y2.tobytes(), "two-group output differs from one group"
-    assert h1.tobytes() == h2.tobytes(), "two-group state differs from one group"
+    assert in_place.tobytes() == run.refined.tobytes(), "in-place output differs from recorded run"
+    assert h.tobytes() == run.h_final.tobytes(), "in-place state differs from recorded run"
 
 
 def _check_block_thread_bytes():
     # The coupling blocks split their row tiles over threads as well, one
-    # thread per four tiles; nine tiles at two threads must give the
-    # one-thread bytes.
+    # thread per four tiles: nine tiles on up to two threads must give the
+    # bytes of the tiles computed one at a time, each on this thread.
     rng = np.random.default_rng(23)
     n, extent = 8 * stdcb.BLOCK_TILE + 5, (5, 40, 40, 20)
     cells = rng.choice(int(np.prod(extent)), size=n, replace=False)
     tensor = SparseTensor4D(np.stack(np.unravel_index(cells, extent), axis=1),
                             rng.normal(size=(n, 8)))
     w = stdcb.StdcbWeights.seeded(8, rng)
-    one = stdcb.stdcb_forward(tensor, w, threads=1)
-    two = stdcb.stdcb_forward(tensor, w, threads=2)
-    assert one.features.tobytes() == two.features.tobytes(), "two-thread block differs"
+    kmap = KernelMap(tensor.coords, w.taps())
+    whole = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+    tiles = [stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=(t0, min(t0 + stdcb.BLOCK_TILE, n)))
+             for t0 in range(0, n, stdcb.BLOCK_TILE)]
+    assert whole.features.tobytes() == np.concatenate([t.features for t in tiles]).tobytes(), \
+        "threaded block differs from its tiles"
 
 
 def _check_ssm_gradients():
@@ -509,7 +496,6 @@ SELFTEST_CHECKS = (
     ("serialization.roundtrip", _check_serialization_roundtrip),
     ("ssm.scan_equivalence", _check_scan_equivalence),
     ("ssm.stream", _check_streamed_scan),
-    ("ssm.chunk_bytes", _check_chunk_bytes),
     ("ssm.thread_bytes", _check_thread_bytes),
     ("stdcb.thread_bytes", _check_block_thread_bytes),
     ("ssm.gradients", _check_ssm_gradients),

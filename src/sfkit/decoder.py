@@ -60,12 +60,13 @@ class DecoderWeights:
             raise ShapeError("a decoder needs at least one scan layer")
 
 
-def decode(voxel_features, point_features, p_offset, assignment, weights, threads=1):
+def decode(voxel_features, point_features, assignment, weights):
     """Run the full decoder for one scene's prediction frame.
 
-    The cascade runs one scan layer per entry of ``weights.ssm_layers``;
-    ``threads`` is passed to each as in ``flow_ssm_layer``, which scans in
-    blocks of ``ssm.DEFAULT_BLOCK_SIZE``.
+    ``assignment`` is the frame's voxelization result; its in-cell offsets
+    condition the scan.  The cascade runs one scan layer per entry of
+    ``weights.ssm_layers`` (``flow_ssm_layer``, which scans in blocks of
+    ``ssm.DEFAULT_BLOCK_SIZE``).
 
     Output row i is the flow of input point i regardless of the serialized
     processing order.  The scan layers refine the serialized sequence in
@@ -80,12 +81,11 @@ def decode(voxel_features, point_features, p_offset, assignment, weights, thread
     del voxel_features, point_features
     seq = serialize(f_coarse, assignment.clamped_coords())
     del f_coarse
-    offset_tokens = encode_offsets(p_offset, weights.offset_encoder)[seq.order][None]
+    offset_tokens = encode_offsets(assignment.offsets, weights.offset_encoder)[seq.order][None]
     tokens = seq.rows[None]  # batch of one scene
     hidden = None
     for params in weights.ssm_layers:
-        hidden = flow_ssm_layer(tokens, offset_tokens, params, hidden, out=tokens,
-                                threads=threads)[1]
+        hidden = flow_ssm_layer(tokens, offset_tokens, params, hidden, out=tokens)[1]
     del tokens
 
     refined, rank = deserialize(seq), seq.rank

@@ -107,7 +107,6 @@ CONFIG_RULES = {
     # 2**20 bins bounds the loss histogram at 8 MB
     "k_bins": _count(2, 20),
     "dynamic_threshold": _NON_NEGATIVE,
-    "threads": _COUNT,
 }
 
 # The rules of every other input, keyed by the name its error prints: the

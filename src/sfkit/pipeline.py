@@ -6,14 +6,14 @@ features, stack along time, run the sparse backbone, pull the prediction
 frame's voxel features back out, and decode them to per-point flow.
 """
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .decoder import DecoderWeights, decode
 from .errors import CONFIG_RULES, MAX_FLOATS, InvalidConfig, InvalidInput, ShapeError, check_config
 from .pointcloud import DEFAULT_DT, DEFAULT_DYNAMIC_THRESHOLD, FRAME_T
-from .ssm import SsmParams, scan_layout, usable_cpus
+from .ssm import SsmParams, scan_layout
 from .stdcb import BackboneWeights, StdcbWeights, backbone_forward
 from .voxelizer import (
     DEFAULT_CELL_SIZE,
@@ -51,9 +51,6 @@ class RunConfig:
     dt: float = DEFAULT_DT
     k_bins: int = 100
     dynamic_threshold: float = DEFAULT_DYNAMIC_THRESHOLD
-    # Threads per coupling block and per decoder scan layer (ssm.run_parallel);
-    # flows never depend on it.
-    threads: int = field(default_factory=lambda: min(usable_cpus(), 1 << 10))
 
     def __post_init__(self):
         check_config(self, *CONFIG_RULES)
@@ -239,7 +236,7 @@ def infer_flow(scene, weights, config, trace=None):
     lo = sum(res.n_voxels for res in results[:FRAME_T])
     rows = None if trace is not None else (lo, lo + res_t.n_voxels)
     del results, res, pf, voxel_feats  # the stacked tensor holds copies of the features
-    refined = backbone_forward(stacked.pop(), weights.backbone, rows, config.threads)
+    refined = backbone_forward(stacked.pop(), weights.backbone, rows)
 
     keys = np.empty((res_t.n_voxels, 4), dtype=np.int64)
     keys[:, 0] = FRAME_T
@@ -255,5 +252,4 @@ def infer_flow(scene, weights, config, trace=None):
     del refined
     features = [f3d_t, point_feats_t]
     del f3d_t, point_feats_t
-    return decode(features.pop(0), features.pop(0), res_t.offsets, res_t, weights.decoder,
-                  threads=config.threads)
+    return decode(features.pop(0), features.pop(0), res_t, weights.decoder)

@@ -427,13 +427,13 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def split_groups(threads, length, d_inner, state):
+def split_groups(length, d_inner, state):
     """How many channel groups a layer of (L, D, S) scans on parallel threads:
-    ``min(threads, usable_cpus(), D)`` once the sequence holds SPLIT_MIN_TERMS
+    ``min(usable_cpus(), D)`` once the sequence holds SPLIT_MIN_TERMS
     (token, channel, state) lanes, and one below that."""
     if length * d_inner * state < SPLIT_MIN_TERMS:
         return 1
-    return max(1, min(threads, usable_cpus(), d_inner))
+    return max(1, min(usable_cpus(), d_inner))
 
 
 _helpers = None
@@ -451,20 +451,20 @@ def _helper_pool():
         return _helpers
 
 
-def run_parallel(run_item, n_items, threads):
+def run_parallel(run_item, n_items, per_thread=1):
     """Call ``run_item(i)`` once for each i in range(n_items), on this
-    thread and on up to ``min(threads, usable_cpus(), n_items) - 1`` threads
-    of the helper pool.  Every thread pulls item numbers from one shared
-    counter, so this thread works too and a busy pool cannot stall the
-    call.  Helpers run in a copy of this thread's context, so
-    ``np.errstate`` reaches them.
+    thread and helper threads of the one pool, ``max(1, min(usable_cpus(),
+    n_items // per_thread))`` in all: the CPU set sizes every split.  Every
+    thread pulls item numbers from one shared counter, so this thread works
+    too and a busy pool cannot stall the call.  Helpers run in a copy of
+    this thread's context, so ``np.errstate`` reaches them.
 
     Every item runs, whatever fails.  Returns once every item has stopped;
     then raises the error of the earliest bad index (NumericError.index), or
     another error before that, the lowest item's first, so the outcome is
     the same at any thread count.
     """
-    n_threads = max(1, min(threads, usable_cpus(), n_items))
+    n_threads = max(1, min(usable_cpus(), n_items // per_thread))
     items = iter(range(n_items))  # the shared counter: next() is one call under the GIL
     errors = []
 
@@ -492,7 +492,7 @@ def run_parallel(run_item, n_items, threads):
 
 
 def flow_ssm_forward(f_coarse, f_offset, params, h0=None, *, keep_intermediates=False,
-                     out=None, threads=1):
+                     out=None):
     """Run one offset-conditioned scan layer over a serialized sequence.
 
     f_coarse: (batch, L, D) token features being refined; f_offset: (batch,
@@ -512,10 +512,10 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, *, keep_intermediates=
     is read before its output is written.
 
     A is diagonal, so every channel runs its own recurrence: the layer scans
-    split_groups(threads, L, D, S) contiguous channel groups, each over the
-    whole sequence, on this thread and helper threads (run_parallel), and
-    joins them once.  Each group's bytes are those of a
-    one-group run, at any thread count.
+    split_groups(L, D, S) contiguous channel groups, each over the whole
+    sequence, on this thread and helper threads (run_parallel), and joins
+    them once.  Each group's bytes are those of a one-group run, at any
+    thread count.
 
     A recorded run (``keep_intermediates``) is one pass on this thread,
     with the streamed run's bytes: project_token_params, zoh_discretize and
@@ -597,18 +597,18 @@ def flow_ssm_forward(f_coarse, f_offset, params, h0=None, *, keep_intermediates=
             out[:, part, lanes] = y
         h_final[:, lanes] = h
 
-    groups = _channel_groups(split_groups(threads, length, d_inner, state), work_shape)
-    run_parallel(scan_group, len(groups), len(groups))
+    groups = _channel_groups(split_groups(length, d_inner, state), work_shape)
+    run_parallel(scan_group, len(groups))
     return FlowSsmRun(refined=out, h_final=h_final)
 
 
-def flow_ssm_layer(f_coarse, f_offset, params, h0=None, *, out=None, threads=1):
+def flow_ssm_layer(f_coarse, f_offset, params, h0=None, *, out=None):
     """Convenience wrapper returning just (refined sequence, new hidden state).
 
-    ``out`` and ``threads`` are as in flow_ssm_forward: ``out=f_coarse``
-    refines in place, and the scan runs in blocks of ``DEFAULT_BLOCK_SIZE``.
+    ``out`` is as in flow_ssm_forward: ``out=f_coarse`` refines in place,
+    and the scan runs in blocks of ``DEFAULT_BLOCK_SIZE``.
     """
-    run = flow_ssm_forward(f_coarse, f_offset, params, h0, out=out, threads=threads)
+    run = flow_ssm_forward(f_coarse, f_offset, params, h0, out=out)
     return run.refined, run.h_final
 
 

@@ -171,7 +171,7 @@ def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
         acc = out.take(hit, axis=0, out=_scratch(scratch, (stop - first, c_out)), mode="clip")
         # ``out[hit] += prod`` minus its temporary
         out[hit] = np.add(acc, prod[first - p : stop - p], out=acc)
-    return tensor.rows(a, b).with_features(out).rows(lo - a, hi - a)
+    return tensor.rows(lo, hi).with_features(out[lo - a : hi - a])
 
 
 def _require_aligned(a, b, what):
@@ -310,7 +310,7 @@ class StdcbWeights:
         return np.concatenate([kernel.offsets() for kernel in kernels])
 
 
-def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
+def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
     """One coupling block; the active set is preserved end to end.
 
     The block runs in tiles of ``BLOCK_TILE`` output rows.  For each tile
@@ -323,11 +323,11 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
     tensor over them; the full call is the range (0, N).  A row's bytes do
     not depend on the tile size, the range or the thread count.
 
-    The tiles run on this thread and helper threads (ssm.run_parallel, at
-    most ``threads`` in all and one per four tiles, so a block's scratch
-    stays under twice its output), sharing the read-only map.  A non-finite
-    row raises NumericError naming its row of ``f_sparse``, the lowest such
-    row at any thread count.
+    The tiles run on this thread and helper threads (ssm.run_parallel, one
+    thread per four tiles, so a block's scratch stays under twice its
+    output), sharing the read-only map.  A row that turns non-finite in any
+    stage raises NumericError naming its row of ``f_sparse``, the lowest
+    such row of the range at any tile size and thread count.
     """
     lo, hi, a, b = _computed_rows(f_sparse.n_active, rows)
     if kmap is None:
@@ -337,33 +337,44 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None, threads=1):
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row tail tile joins the one before it
 
-    def run_tile(i):
-        t0, t1 = tile = bounds[i], bounds[i + 1]
-        try:
-            # The conv outputs are passed inline, so the gate frees each as
-            # soon as it is consumed.
-            f_spatial_mod, f_temporal_fused = temporal_gated_block(
-                sparse_conv(f_sparse, w.conv_spatial, kmap=kmap, rows=tile),
-                sparse_conv(f_sparse, w.conv_temporal, kmap=kmap, rows=tile),
-                sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=tile),
-                w.sfsm_temporal,
-                w.gate,
-            )
-            f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse)
-        except NumericError as err:
-            raise NumericError("non-finite coupling-block feature", index=t0 + err.index) from err
+    def fill(t0, t1):
+        """Write output rows t0..t1-1; a non-finite row raises, indexed from t0."""
+        # The conv outputs are passed inline, so the gate frees each as soon
+        # as it is consumed.
+        f_spatial_mod, f_temporal_fused = temporal_gated_block(
+            sparse_conv(f_sparse, w.conv_spatial, kmap=kmap, rows=(t0, t1)),
+            sparse_conv(f_sparse, w.conv_temporal, kmap=kmap, rows=(t0, t1)),
+            sparse_conv(f_sparse, w.conv_cross, kmap=kmap, rows=(t0, t1)),
+            w.sfsm_temporal,
+            w.gate,
+        )
+        f_fused = sfsm(f_temporal_fused, f_spatial_mod, w.sfsm_fuse)
         del f_spatial_mod, f_temporal_fused
         stacked = np.concatenate([f_fused.features, f_sparse.features[t0:t1]], axis=1)
         del f_fused
         fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
         fused += w.fuse_b
+        finite = np.isfinite(fused).all(axis=1)
+        if not finite.all():
+            raise NumericError("non-finite fused feature", index=int(np.argmin(finite)))
+
+    def run_tile(i):
+        t0, t1 = bounds[i], bounds[i + 1]
+        failed = None
+        while t1 > t0:  # rows below a stage's first bad row may fail a later stage
+            try:
+                fill(t0, t1)
+                break
+            except NumericError as err:
+                failed, t1 = err, t0 + err.index
+        if failed is not None:
+            raise NumericError("non-finite coupling-block feature", index=t1) from failed
 
     # At least four tiles per thread: each thread holds about six tiles of
     # scratch, so the threads' scratch stays under twice the block's output,
     # whatever the host's CPU count.
-    n_tiles = len(bounds) - 1
-    run_parallel(run_tile, n_tiles, min(threads, max(1, n_tiles // 4)))
-    return f_sparse.rows(a, b).with_features(out).rows(lo - a, hi - a)
+    run_parallel(run_tile, len(bounds) - 1, per_thread=4)
+    return f_sparse.rows(lo, hi).with_features(out[lo - a : hi - a])
 
 
 @dataclass(frozen=True)
@@ -446,7 +457,7 @@ def upsample_into(coarse, fine, pooling):
     return fine
 
 
-def backbone_forward(f_4d, weights, rows=None, threads=1):
+def backbone_forward(f_4d, weights, rows=None):
     """U-shaped encoder/decoder over coupling-block stacks.
 
     Spatial resolution halves between levels; skip connections add by active
@@ -459,8 +470,7 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
     ``rows=(lo, hi)`` returns a tensor over those output rows only.  Just
     the last block run at level 0 and the outer residual are cut to the
     range: every earlier block feeds a temporal conv or ``downsample2``, and
-    both mix rows.  ``threads`` is passed to every block (stdcb_forward);
-    the output's bytes do not depend on it.
+    both mix rows.
 
     Every array is dropped once its last reader has run.  The input is read
     by level 0's encoder stack and then only by the outer residual: with a
@@ -483,7 +493,7 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
         stack = weights.encoder[level]
         for i, block in enumerate(stack):
             cut = rows if n_levels == 1 and i == len(stack) - 1 else None
-            x = stdcb_forward(x, block, kmap=kmap, rows=cut, threads=threads)
+            x = stdcb_forward(x, block, kmap=kmap, rows=cut)
         if level < n_levels - 1:
             if level == 0 and rows is not None:
                 # Only the outer residual reads the input from here on, and
@@ -502,6 +512,6 @@ def backbone_forward(f_4d, weights, rows=None, threads=1):
         stack = weights.decoder[level]
         for i, block in enumerate(stack):
             cut = rows if level == 0 and i == len(stack) - 1 else None
-            x = stdcb_forward(x, block, kmap=kmap, rows=cut, threads=threads)
+            x = stdcb_forward(x, block, kmap=kmap, rows=cut)
     return f_4d.with_features(f_4d.features + x.features)
 

@@ -367,25 +367,26 @@ def test_criterion_11_devoxelization_refinement():
         ssm_layers=(SsmParams.seeded(2 * channels, 8, channels, rng),),
         head=MlpWeights.seeded(3 * channels, channels, 3, rng),
     )
-    flow = decode(voxel_features, point_features, res.offsets, res, weights)
+    flow = decode(voxel_features, point_features, res, weights)
     separation = np.linalg.norm(flow.vectors[0] - flow.vectors[1])
     assert separation > 1e-9, f"co-voxel outputs separated by only {separation:.2e}"
     _pass(11, "refined devoxelization separates co-voxel points")
 
 
-def test_criterion_12_end_to_end_determinism(tmp_path):
+def test_criterion_12_end_to_end_determinism(tmp_path, set_cpus):
     start = time.perf_counter()
     outputs = []
-    for run_idx, threads in ((0, 1), (1, 4), (2, 1)):
+    for run_idx, cpus in ((0, 1), (1, 4), (2, 1)):
+        set_cpus(cpus)
         base = tmp_path / f"run_{run_idx}"
         base.mkdir()
         scene = base / "scene.sfsc"
         flow = base / "flow.sffl"
         report = base / "report.csv"
         _cli("synth", "--points", 4600, "--movers", 2, "--mover-points", 200,
-             "--seed", 12, "--set", f"threads={threads}", "--out", scene)
-        _cli("infer", scene, "--seed-weights", 12, "--set", f"threads={threads}", "--out", flow)
-        _cli("eval", scene, flow, "--set", f"threads={threads}", "--out", report)
+             "--seed", 12, "--out", scene)
+        _cli("infer", scene, "--seed-weights", 12, "--out", flow)
+        _cli("eval", scene, flow, "--out", report)
         outputs.append(
             (scene.read_bytes(), flow.read_bytes(), report.read_bytes(),
              report.with_name(report.stem + "_loss.csv").read_bytes())

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,7 +195,8 @@ def test_eval_refuses_an_output_that_is_an_input_before_any_work(scene_path, tmp
 
 
 # Config keys that no code reads, each with a value it once took.
-UNREAD_KEYS = {"decode_frame": "t", "block_size": 64, "zoh_mode": "exact", "dilation": "literal"}
+UNREAD_KEYS = {"decode_frame": "t", "block_size": 64, "zoh_mode": "exact", "dilation": "literal",
+               "threads": 1}
 
 
 @pytest.mark.parametrize("argv,key", [
@@ -207,8 +209,9 @@ UNREAD_KEYS = {"decode_frame": "t", "block_size": 64, "zoh_mode": "exact", "dila
     *((("infer", "{scene}", "--config", "{config}", "--out", "{tmp}/f.sffl"), key)
       for key in UNREAD_KEYS),
 ], ids=["selftest-config", "selftest-seed-out", "infer-seed", "eval-seed",
-        "set-decode-frame", "set-block-size", "set-zoh-mode", "set-dilation",
-        "config-decode-frame", "config-block-size", "config-zoh-mode", "config-dilation"])
+        "set-decode-frame", "set-block-size", "set-zoh-mode", "set-dilation", "set-threads",
+        "config-decode-frame", "config-block-size", "config-zoh-mode", "config-dilation",
+        "config-threads"])
 def test_settings_that_nothing_reads_exit_2(scene_path, tmp_path, argv, key, capsys):
     flow, config = tmp_path / "flow.sffl", tmp_path / "run.json"
     config.write_text(json.dumps({key: UNREAD_KEYS[key]} if key else {}))
@@ -530,8 +533,6 @@ def test_run_config_validation():
     from sfkit.errors import CONFIG_RULES, InvalidConfig
 
     with pytest.raises(InvalidConfig):
-        RunConfig(threads="banana")
-    with pytest.raises(InvalidConfig):
         RunConfig(decoder_layers=0)
     with pytest.raises(InvalidConfig):
         RunConfig.from_mapping({"nope": 3})
@@ -611,7 +612,6 @@ def test_dump_features_runs_inference_once(scene_path, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,override", [
     ("infer", "decoder_layers=1.5"),
     ("eval", "k_bins=2.5"),
-    ("infer", "threads=true"),
     ("infer", "dynamic_threshold=-1"),
     ("infer", "state_size=-3"),
     ("infer", "grid_origin=[0,0]"),
@@ -676,6 +676,31 @@ def test_no_flag_sets_a_run_config_key():
     flagged = [(name, action.option_strings) for name, sub in commands.items()
                for action in sub._actions if action.dest in RunConfig.__dataclass_fields__]
     assert flagged == []
+
+
+def test_readme_rule_table_names_every_rule():
+    # The README's input-rule table names each key of CONFIG_RULES and
+    # INPUT_RULES, a flag as "<command> --flag" and any other key as
+    # itself, and names no key that no rule holds.
+    from sfkit.errors import CONFIG_RULES, INPUT_RULES
+
+    parser = cli.build_parser()
+    (commands,) = (a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme[readme.index("| input | rule |"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    flags, bare = set(), set()
+    for row in rows:
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            command, _, flag = name.partition(" ")
+            if command in commands:
+                flags.add(flag)
+            else:
+                bare.add(name)
+    rules = CONFIG_RULES.keys() | INPUT_RULES.keys()
+    assert sorted(rules - flags - bare) == [], "rules with no row"
+    assert sorted(bare - rules) == [], "rows with no rule"
 
 
 def run_or_usage_error(*argv):

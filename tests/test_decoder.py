@@ -121,7 +121,7 @@ def test_covoxel_points_get_distinct_flow():
     vf = rng.normal(size=(1, 4))
     pf = np.tile(rng.normal(size=(1, 4)), (2, 1))  # identical point features too
     w = seeded_weights(rng)
-    flow = dec.decode(vf, pf, res.offsets, res, w)
+    flow = dec.decode(vf, pf, res, w)
     assert np.linalg.norm(flow.vectors[0] - flow.vectors[1]) > 1e-9
 
 
@@ -133,7 +133,7 @@ def test_all_zero_weights_give_zero_flow():
         ssm_layers=(SsmParams.zeros(8, 4, 4),),
         head=MlpWeights.zeros(12, 4, 3),
     )
-    flow = dec.decode(vf, pf, res.offsets, res, w)
+    flow = dec.decode(vf, pf, res, w)
     assert np.array_equal(flow.vectors, np.zeros((20, 3)))
 
 
@@ -141,8 +141,8 @@ def test_decode_deterministic():
     rng = np.random.default_rng(5)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (100, 3)))
     w = seeded_weights(np.random.default_rng(42))
-    a = dec.decode(vf, pf, res.offsets, res, w)
-    b = dec.decode(vf, pf, res.offsets, res, w)
+    a = dec.decode(vf, pf, res, w)
+    b = dec.decode(vf, pf, res, w)
     assert np.array_equal(a.vectors, b.vectors)
 
 
@@ -154,7 +154,7 @@ def test_decode_output_follows_input_order():
     vf = rng.normal(size=(res.n_voxels, 4))
     pf = rng.normal(size=(12, 4))
     w = seeded_weights(np.random.default_rng(7))
-    base = dec.decode(vf, pf, res.offsets, res, w)
+    base = dec.decode(vf, pf, res, w)
 
     perm = rng.permutation(12)
     res_p = make_assignment(pts[perm])
@@ -163,7 +163,7 @@ def test_decode_output_follows_input_order():
     for i, coord in enumerate(res_p.voxel_coords):
         match = np.flatnonzero((res.voxel_coords == coord).all(axis=1))[0]
         vf_p[i] = vf[match]
-    out = dec.decode(vf_p, pf[perm], res_p.offsets, res_p, w)
+    out = dec.decode(vf_p, pf[perm], res_p, w)
     assert np.allclose(out.vectors, base.vectors[perm], atol=1e-12)
 
 
@@ -176,8 +176,8 @@ def test_decode_layer_count_changes_values_not_shape():
         ssm_layers=w1.ssm_layers * 3,
         head=w1.head,
     )
-    f1 = dec.decode(vf, pf, res.offsets, res, w1)
-    f3 = dec.decode(vf, pf, res.offsets, res, w3)
+    f1 = dec.decode(vf, pf, res, w1)
+    f3 = dec.decode(vf, pf, res, w3)
     assert f1.vectors.shape == f3.vectors.shape
     assert not np.allclose(f1.vectors, f3.vectors)
 
@@ -188,11 +188,11 @@ def test_decoder_refuses_an_empty_cascade():
         dec.DecoderWeights(offset_encoder=w.offset_encoder, ssm_layers=(), head=w.head)
 
 
-def two_serialize_decode(voxel_features, point_features, p_offset, assignment, weights):
+def two_serialize_decode(voxel_features, point_features, assignment, weights):
     """decode with both feature sets serialized separately and the offsets
     deserialized back before the head."""
     f_coarse = dec.assemble_coarse(voxel_features, point_features, assignment)
-    f_offset = dec.encode_offsets(p_offset, weights.offset_encoder)
+    f_offset = dec.encode_offsets(assignment.offsets, weights.offset_encoder)
     coords = assignment.clamped_coords()
     seq_coarse = serialize(f_coarse, coords)
     seq_offset = serialize(f_offset, coords)
@@ -209,26 +209,27 @@ def test_decode_serializes_once_byte_identical(n_layers, monkeypatch):
     rng = np.random.default_rng(11)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (3000, 3)))
     w = seeded_weights(np.random.default_rng(12), n_layers=n_layers)
-    expect = two_serialize_decode(vf, pf, res.offsets, res, w)
+    expect = two_serialize_decode(vf, pf, res, w)
     calls = []
     monkeypatch.setattr(dec, "serialize", lambda *a: calls.append(1) or serialize(*a))
-    flow = dec.decode(vf, pf, res.offsets, res, w)
+    flow = dec.decode(vf, pf, res, w)
     assert np.array_equal(flow.vectors, expect)
     assert len(calls) == 1
 
 
-def test_decode_bytes_do_not_depend_on_threads(monkeypatch):
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+def test_decode_bytes_do_not_depend_on_threads(set_cpus):
     rng = np.random.default_rng(13)
     vf, pf, res = decode_inputs(rng, rng.uniform(0, 16, (3000, 3)), channels=16)
     w = seeded_weights(np.random.default_rng(14), channels=16, state=16, n_layers=2)
-    assert ssm.split_groups(3, 3000, 32, 16) == 3
-    flows = [dec.decode(vf, pf, res.offsets, res, w, threads=threads).vectors.tobytes()
-             for threads in (1, 2, 3)]
+    flows = []
+    for cpus in (1, 2, 3):
+        set_cpus(cpus)
+        assert ssm.split_groups(3000, 32, 16) == cpus
+        flows.append(dec.decode(vf, pf, res, w).vectors.tobytes())
     assert flows[0] == flows[1] == flows[2]
 
 
-def test_decode_peak_memory_bound_on_dense_scene():
+def test_decode_peak_memory_bound_on_dense_scene(one_cpu):
     # 32.4k points over 4096 cells (~7.9 per voxel) at the pipeline widths:
     # the serialized sequence, not the voxels, sets the decoder's memory.
     rng = np.random.default_rng(13)
@@ -238,7 +239,7 @@ def test_decode_peak_memory_bound_on_dense_scene():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        dec.decode(vf, pf, res.offsets, res, w)
+        dec.decode(vf, pf, res, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,7 +247,7 @@ def test_decode_peak_memory_bound_on_dense_scene():
     assert peak - entry <= 7 * sequence, f"{(peak - entry) / sequence:.2f} x L*2C*8"
 
 
-def test_decode_refines_in_place_within_tight_memory_bound():
+def test_decode_refines_in_place_within_tight_memory_bound(one_cpu):
     # The inputs of test_decode_peak_memory_bound_on_dense_scene.  With the
     # sequence refined in place, each chunk discretized into the scan
     # workspace and one copy of each per-point array, the head's input and
@@ -258,7 +259,7 @@ def test_decode_refines_in_place_within_tight_memory_bound():
     tracemalloc.start()
     try:
         entry, _ = tracemalloc.get_traced_memory()
-        dec.decode(vf, pf, res.offsets, res, w)
+        dec.decode(vf, pf, res, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

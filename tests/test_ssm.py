@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -559,17 +560,18 @@ def test_chunk_bounds_tile_whole_blocks():
 
 
 @pytest.mark.parametrize("mode", [ssm.ZohMode.SIMPLIFIED])
-def test_recorded_run_matches_streamed_run(three_cpus, mode):
+def test_recorded_run_matches_streamed_run(three_cpus, set_cpus, mode):
     block_size = 64
     for length, batch in itertools.product(stream_lengths(block_size), (1, 2)):
         rng = np.random.default_rng(length + 1)
         params, x, f_off = make_inputs(rng, batch, length, 3, 4, 2)
         h0 = rng.normal(size=(batch, 3, 4))
         run = ssm.flow_ssm_forward(x, f_off, params, h0, keep_intermediates=True)
-        for threads in (1, 2):  # one group, and two on parallel threads
-            streamed = ssm.flow_ssm_forward(x, f_off, params, h0, threads=threads)
-            assert np.array_equal(run.refined, streamed.refined), (length, batch, threads)
-            assert np.array_equal(run.h_final, streamed.h_final), (length, batch, threads)
+        for cpus in (1, 2):  # one group, and two on parallel threads
+            set_cpus(cpus)
+            streamed = ssm.flow_ssm_forward(x, f_off, params, h0)
+            assert np.array_equal(run.refined, streamed.refined), (length, batch, cpus)
+            assert np.array_equal(run.h_final, streamed.h_final), (length, batch, cpus)
         delta, b_tok, _ = chunked_token_terms(params, f_off)
         a_bar = ssm.zoh_discretize(params.a, b_tok, delta, mode).a_bar
         assert np.array_equal(run.a_bar, a_bar), length
@@ -613,7 +615,7 @@ def test_numeric_error_in_third_chunk_names_global_token(keep):
     assert err.value.index == bad
 
 
-def test_streamed_layer_memory_is_bounded():
+def test_streamed_layer_memory_is_bounded(one_cpu):
     rng = np.random.default_rng(32)
     length, d_inner, state, c_off = 32_400, 32, 16, 16
     params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
@@ -651,7 +653,7 @@ def test_streamed_layer_bytes_at_pipeline_widths(mode):
     assert np.array_equal(streamed.h_final, h_ref)
 
 
-def test_streamed_layer_memory_is_bounded_by_one_chunk():
+def test_streamed_layer_memory_is_bounded_by_one_chunk(one_cpu):
     rng = np.random.default_rng(32)
     length, d_inner, state, c_off = 32_400, 32, 16, 16
     params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
@@ -800,60 +802,90 @@ def test_token_order_scan_of_a_partial_block_peaks_as_whole_blocks():
 
 
 @pytest.fixture()
-def three_cpus(monkeypatch):
+def three_cpus(set_cpus, monkeypatch):
     """Let every sequence split into up to three groups, whatever this host has."""
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+    set_cpus(3)
     monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
 
 
 @pytest.mark.parametrize("mode", [ssm.ZohMode.SIMPLIFIED])
-def test_layer_bytes_do_not_depend_on_threads(three_cpus, mode):
+def test_layer_bytes_do_not_depend_on_threads(three_cpus, set_cpus, mode):
     # 3 threads split D = 32 into uneven groups.
     for length in stream_lengths(64):
         rng = np.random.default_rng(length + 2)
         params, x, f_off = make_inputs(rng, 1, length, 32, 16, 16)
         h0 = rng.normal(size=(1, 32, 16))
-        y, h = ssm.flow_ssm_layer(x, f_off, params, h0, threads=1)
-        for threads in (2, 3):
-            assert ssm.split_groups(threads, length, 32, 16) == threads
-            got, h_got = ssm.flow_ssm_layer(x, f_off, params, h0, threads=threads)
+        set_cpus(1)
+        y, h = ssm.flow_ssm_layer(x, f_off, params, h0)
+        for cpus in (2, 3):
+            set_cpus(cpus)
+            assert ssm.split_groups(length, 32, 16) == cpus
+            got, h_got = ssm.flow_ssm_layer(x, f_off, params, h0)
             buf = x.copy()
-            _, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, out=buf, threads=threads)
+            _, h_in = ssm.flow_ssm_layer(buf, f_off, params, h0, out=buf)
             for a, b in ((got, y), (h_got, h), (buf, y), (h_in, h)):
-                assert a.tobytes() == b.tobytes(), (length, threads)
+                assert a.tobytes() == b.tobytes(), (length, cpus)
 
 
-def test_split_groups_reads_threads_cpus_and_sequence_size(monkeypatch):
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 2)
+def test_split_groups_reads_cpus_and_sequence_size(set_cpus):
+    set_cpus(2)
     lanes = ssm.SPLIT_MIN_TERMS // (32 * 16)
-    assert ssm.split_groups(4, lanes, 32, 16) == 2
-    assert ssm.split_groups(4, lanes - 1, 32, 16) == 1
-    assert ssm.split_groups(1, 10**6, 32, 16) == 1
-    assert ssm.split_groups(4, 10**6, 1, 16) == 1
+    assert ssm.split_groups(lanes, 32, 16) == 2
+    assert ssm.split_groups(lanes - 1, 32, 16) == 1
+    assert ssm.split_groups(10**6, 1, 16) == 1
+    set_cpus(1)
+    assert ssm.split_groups(10**6, 32, 16) == 1
+    set_cpus(5000)
+    assert ssm.split_groups(10**6, 32, 16) == 32
+
+
+def test_run_parallel_sizes_its_threads_from_the_usable_cpus(set_cpus, monkeypatch):
+    # max(1, min(usable CPUs, items // per_thread)) threads: this one and
+    # the helpers it submits.  The fake pool's helpers never start, so this
+    # thread runs every item.
+    submitted = []
+
+    class Pool:
+        def submit(self, *call):
+            submitted.append(call)
+            return types.SimpleNamespace(cancel=lambda: True)
+
+    monkeypatch.setattr(ssm, "_helper_pool", Pool)
+    for cpus, n_items, per_thread, threads in ((3, 32, 1, 3), (3, 2, 1, 2), (1, 32, 1, 1),
+                                               (3, 0, 1, 1), (8, 9, 4, 2), (8, 7, 4, 1),
+                                               (2, 64, 4, 2)):
+        set_cpus(cpus)
+        submitted.clear()
+        ran = []
+        ssm.run_parallel(ran.append, n_items, per_thread)
+        assert len(submitted) + 1 == threads, (cpus, n_items, per_thread)
+        assert ran == list(range(n_items))
 
 
 @pytest.mark.parametrize("in_place", [False, True])
-def test_numeric_error_in_upper_group_names_its_global_token(three_cpus, in_place):
+def test_numeric_error_in_upper_group_names_its_global_token(three_cpus, set_cpus, in_place):
     rng = np.random.default_rng(31)
     chunk = chunk_tokens(64)
     params, x, f_off = make_inputs(rng, 1, 3 * chunk + 5, 32, 16, 16)
     bad = chunk + 17
     x[0, bad, 20] = np.nan  # channel 20 is in the upper of two groups
     out = x if in_place else None
+    set_cpus(2)
     with pytest.raises(NumericError) as err:
-        ssm.flow_ssm_layer(x, f_off, params, out=out, threads=2)
+        ssm.flow_ssm_layer(x, f_off, params, out=out)
     assert err.value.index == bad
     # With bad tokens in both groups, the earliest is named, as it is by one
     # group over all channels, whichever group holds it.
     for lower_bad, expect in ((2 * chunk + 3, bad), (40, 40)):
         x[0, lower_bad, 3] = np.inf
-        for threads in (1, 2, 3):
+        for cpus in (1, 2, 3):
+            set_cpus(cpus)
             with pytest.raises(NumericError) as err:
-                ssm.flow_ssm_layer(x, f_off, params, out=out, threads=threads)
-            assert err.value.index == expect, (lower_bad, threads)
+                ssm.flow_ssm_layer(x, f_off, params, out=out)
+            assert err.value.index == expect, (lower_bad, cpus)
 
 
-def test_helper_error_is_raised_after_every_group_stops(three_cpus, monkeypatch):
+def test_helper_error_is_raised_after_every_group_stops(three_cpus, set_cpus, monkeypatch):
     rng = np.random.default_rng(40)
     params, x, f_off = make_inputs(rng, 1, 2 * chunk_tokens(64), 32, 16, 16)
     stopped = []
@@ -867,13 +899,14 @@ def test_helper_error_is_raised_after_every_group_stops(three_cpus, monkeypatch)
         return out
 
     monkeypatch.setattr(ssm, "scan_blocked", failing_upper_group)
+    set_cpus(2)
     with pytest.raises(MemoryError, match="upper group"):
-        ssm.flow_ssm_layer(x, f_off, params, threads=2)
+        ssm.flow_ssm_layer(x, f_off, params)
     # The lower group scanned both of its chunks before the error was raised.
     assert len(stopped) == 2
 
 
-def test_helper_groups_run_under_the_callers_errstate(three_cpus):
+def test_helper_groups_run_under_the_callers_errstate(three_cpus, set_cpus):
     # np.errstate is a context variable: a helper that ran outside the
     # caller's context would warn where the caller asked to raise.
     rng = np.random.default_rng(42)
@@ -882,24 +915,25 @@ def test_helper_groups_run_under_the_callers_errstate(three_cpus):
     d[20] = 1e300
     params = dataclasses.replace(params, d=d)
     x[0, 50, 20] = 1e300  # d * x overflows in channel 20, in the upper of two groups
-    for threads in (1, 2):
+    for cpus in (1, 2):
+        set_cpus(cpus)
         with np.errstate(all="raise"), pytest.raises(FloatingPointError):
-            ssm.flow_ssm_layer(x, f_off, params, threads=threads)
+            ssm.flow_ssm_layer(x, f_off, params)
 
 
-def test_streamed_layer_memory_at_two_groups_is_bounded_by_one_chunk(monkeypatch):
+def test_streamed_layer_memory_at_two_groups_is_bounded_by_one_chunk(set_cpus):
     # The bound of test_streamed_layer_memory_is_bounded_by_one_chunk, with
     # the helper thread's allocations traced as well.
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 2)
+    set_cpus(2)
     rng = np.random.default_rng(32)
     length, d_inner, state, c_off = 32_400, 32, 16, 16
     params = ssm.SsmParams.seeded(d_inner, state, c_off, rng)
     x = rng.normal(size=(1, length, d_inner))
     f_off = rng.normal(size=(1, length, c_off))
-    assert ssm.split_groups(2, length, d_inner, state) == 2
+    assert ssm.split_groups(length, d_inner, state) == 2
     tracemalloc.start()
     try:
-        ssm.flow_ssm_layer(x, f_off, params, threads=2)
+        ssm.flow_ssm_layer(x, f_off, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -910,16 +944,17 @@ def test_streamed_layer_memory_at_two_groups_is_bounded_by_one_chunk(monkeypatch
 
 def test_one_thread_starts_no_thread_and_import_loads_no_pool():
     script = """
-import sys, threading
+import os, sys, threading
 import numpy as np
 import sfkit, sfkit.cli
 from sfkit import ssm
 assert "concurrent.futures" not in sys.modules
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one usable CPU
 rng = np.random.default_rng(0)
 params = ssm.SsmParams.seeded(32, 16, 16, rng)
 x, f_off = rng.normal(size=(1, 3000, 32)), rng.normal(size=(1, 3000, 16))
-assert ssm.split_groups(2, 3000, 32, 16) == min(2, ssm.usable_cpus())
-ssm.flow_ssm_layer(x, f_off, params, threads=1)
+assert 3000 * 32 * 16 >= ssm.SPLIT_MIN_TERMS and ssm.split_groups(3000, 32, 16) == 1
+ssm.flow_ssm_layer(x, f_off, params)
 assert "concurrent.futures" not in sys.modules
 assert threading.active_count() == 1
 """
@@ -929,18 +964,19 @@ assert threading.active_count() == 1
     assert proc.returncode == 0, proc.stderr
 
 
-def test_concurrent_layers_on_more_groups_than_cores_keep_their_bytes(three_cpus, monkeypatch):
+def test_concurrent_layers_on_more_groups_than_cores_keep_their_bytes(three_cpus, set_cpus):
     # Three callers share the one helper pool, each splitting into 8 groups,
     # with the interpreter switching threads as often as it can.
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 8)
     rng = np.random.default_rng(41)
     cases = [make_inputs(rng, 1, chunk_tokens(64) + 70, 32, 16, 16) for _ in range(3)]
-    expect = [ssm.flow_ssm_layer(x, f_off, params, threads=1) for params, x, f_off in cases]
+    set_cpus(1)
+    expect = [ssm.flow_ssm_layer(x, f_off, params) for params, x, f_off in cases]
+    set_cpus(8)
     got = [None] * len(cases)
 
     def run(i):
         params, x, f_off = cases[i]
-        got[i] = ssm.flow_ssm_layer(x, f_off, params, threads=8)
+        got[i] = ssm.flow_ssm_layer(x, f_off, params)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from sfkit import pipeline, ssm
+from sfkit import ssm
 from sfkit import pointcloud as pc
 from sfkit import stdcb
 from sfkit import voxelizer as vx
@@ -504,7 +504,7 @@ def test_stdcb_forward_leaves_its_input_untouched():
     assert tensor.features.tobytes() == before.tobytes()
 
 
-def test_stdcb_forward_peak_memory_bound():
+def test_stdcb_forward_peak_memory_bound(one_cpu):
     # One block holds a fixed handful of (N, C) arrays above its input; the
     # out-of-place gates held about twelve.  The kernel map is built first,
     # as the backbone builds it once per level.
@@ -597,13 +597,36 @@ def test_row_range_outside_the_tensor_rejected(rows):
         stdcb.sparse_conv(tensor, w.conv_spatial, rows=rows)
 
 
+def test_one_row_conv_checks_and_indexes_only_its_row():
+    # A one-row range is computed together with a neighbour row.  With a
+    # centre-only kernel each output row reads only its own input row, so
+    # only the big rows overflow; a range names its own rows only.
+    rng = np.random.default_rng(67)
+    tensor = tiled_tensor(rng)
+    n = tensor.n_active
+    kernel = stdcb.ConvKernel4D.seeded((3, 3, 3, 1), 4, 4, rng)
+    weights = np.zeros_like(kernel.weights)
+    weights[1, 1, 1, 0] = kernel.weights[1, 1, 1, 0] * 1e10
+    kernel = dataclasses.replace(kernel, weights=weights)
+    features = tensor.features.copy()
+    features[[5, n - 1]] = 1e300
+    tensor = tensor.with_features(features)
+    with np.errstate(all="ignore"):
+        for rows in ((4, 5), (n - 2, n - 1)):  # computed with a big neighbour
+            assert np.isfinite(stdcb.sparse_conv(tensor, kernel, rows=rows).features).all()
+        for rows, row in (((5, 6), 5), ((n - 1, n), n - 1), ((3, 7), 5)):
+            with pytest.raises(NumericError) as err:
+                stdcb.sparse_conv(tensor, kernel, rows=rows)
+            assert err.value.index == row - rows[0], rows
+
+
 @pytest.fixture()
-def three_cpus(monkeypatch):
+def three_cpus(set_cpus):
     """Let every block run on up to three threads, whatever this host has."""
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
+    set_cpus(3)
 
 
-def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
+def test_threaded_block_bytes_match_expression_form(set_cpus, monkeypatch):
     # Fourteen tiles, the last with the one-row tail joined to it: enough
     # for three threads at one thread per four tiles.
     rng = np.random.default_rng(68)
@@ -612,11 +635,12 @@ def test_threaded_block_bytes_match_expression_form(three_cpus, monkeypatch):
     kmap = vx.KernelMap(tensor.coords, w.taps())
     expect = pinned_block(tensor, w, kmap)
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 32)
-    for threads in (1, 2, 3):
-        got = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=threads)
-        assert got.features.tobytes() == expect.tobytes(), threads
-        cut = stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=(100, 449), threads=threads)
-        assert cut.features.tobytes() == expect[100:].tobytes(), threads
+    for cpus in (1, 2, 3):
+        set_cpus(cpus)
+        got = stdcb.stdcb_forward(tensor, w, kmap=kmap)
+        assert got.features.tobytes() == expect.tobytes(), cpus
+        cut = stdcb.stdcb_forward(tensor, w, kmap=kmap, rows=(100, 449))
+        assert cut.features.tobytes() == expect[100:].tobytes(), cpus
 
 
 def test_block_with_a_prebuilt_map_builds_nothing(three_cpus, monkeypatch):
@@ -631,28 +655,59 @@ def test_block_with_a_prebuilt_map_builds_nothing(three_cpus, monkeypatch):
 
     monkeypatch.setattr(vx, "_neighbour_pairs", refuse)
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 32)
-    got = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+    got = stdcb.stdcb_forward(tensor, w, kmap=kmap)
     assert got.features.tobytes() == expect.tobytes()
 
 
-def test_block_numeric_error_names_the_lowest_row_of_the_block(three_cpus, monkeypatch):
-    rng = np.random.default_rng(66)
-    tensor = tiled_tensor(rng, n=300)
-    w = stdcb.StdcbWeights.seeded(4, rng)
-    spatial = w.conv_spatial
-    w = dataclasses.replace(w, conv_spatial=stdcb.ConvKernel4D(spatial.weights * 1e10,
-                                                               spatial.bias))
+def with_big_rows(tensor, w, rows, **scales):
+    """``tensor`` with each row of ``rows`` (row: value) set to its value,
+    and ``w`` with the named weights scaled (a conv kernel's weights)."""
+    def scaled(value, k):
+        if isinstance(value, stdcb.ConvKernel4D):
+            return dataclasses.replace(value, weights=value.weights * k)
+        return value * k
+
     features = tensor.features.copy()
-    features[[131, 260]] = 1e300  # the spatial conv overflows near both rows
-    tensor = tensor.with_features(features)
+    for row, value in rows.items():
+        features[row] = value
+    return tensor.with_features(features), dataclasses.replace(
+        w, **{name: scaled(getattr(w, name), k) for name, k in scales.items()})
+
+
+def test_block_numeric_error_names_the_lowest_row_of_the_block(set_cpus, monkeypatch):
+    rng = np.random.default_rng(66)
+    base = tiled_tensor(rng, n=300)
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    # The spatial conv overflows near both rows.
+    tensor, big = with_big_rows(base, w, {131: 1e300, 260: 1e300}, conv_spatial=1e10)
     with np.errstate(all="ignore"), pytest.raises(NumericError) as whole:
-        stdcb.stdcb_forward(tensor, w)
+        stdcb.stdcb_forward(tensor, big)
     assert whole.value.index >= 16  # past the first 16-row tile
-    monkeypatch.setattr(stdcb, "BLOCK_TILE", 16)  # 19 tiles, enough for three threads
-    for threads in (1, 2, 3):
-        with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
-            stdcb.stdcb_forward(tensor, w, threads=threads)
-        assert err.value.index == whole.value.index, threads
+    # Only the fuse matmul overflows: row 200 and, through the convs, its
+    # neighbours, of which 193 is the lowest.  A cut range names the row of
+    # the block, not of the range.
+    fuse_only = with_big_rows(base, w, {200: 1e306}, fuse_w=1e4)
+    # The fuse matmul overflows near row 50 (38 is the lowest), and the
+    # spatial conv at row 250, in another tile at 16-row tiles and in the
+    # same one at the default tile: the row of the later stage is lower.
+    fuse_and_conv = with_big_rows(base, w, {50: 1e200, 250: 1.7e308},
+                                  fuse_w=1e110, conv_spatial=100)
+    cases = [(tensor, big, None, whole.value.index),
+             (*fuse_only, (100, 300), 193), (*fuse_only, (150, 250), 193),
+             (*fuse_and_conv, None, 38)]
+    with np.errstate(all="ignore"):
+        for case_tensor, case_w, rows, expect in cases[1:]:
+            lo = 0 if rows is None else rows[0]
+            stdcb.stdcb_forward(case_tensor, case_w, rows=(lo, expect))  # no lower bad row
+    for tile in (stdcb.BLOCK_TILE, 16):  # one tile, and 19 tiles: enough for three threads
+        monkeypatch.setattr(stdcb, "BLOCK_TILE", tile)
+        for cpus in (1, 2, 3):
+            set_cpus(cpus)
+            for case_tensor, case_w, rows, expect in cases:
+                with np.errstate(all="ignore"), pytest.raises(NumericError) as err:
+                    stdcb.stdcb_forward(case_tensor, case_w, rows=rows)
+                assert err.value.index == expect, (tile, cpus, rows)
+                assert "coupling-block feature" in str(err.value)
 
 
 def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
@@ -667,14 +722,14 @@ def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
     tensor = SparseTensor4D(coords, rng.normal(size=(n, c)))
     w = stdcb.StdcbWeights.seeded(c, rng)
     kmap = vx.KernelMap(tensor.coords, w.taps())
-    stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+    stdcb.stdcb_forward(tensor, w, kmap=kmap)
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = stdcb.stdcb_forward(tensor, w, kmap=kmap, threads=3)
+        out = stdcb.stdcb_forward(tensor, w, kmap=kmap)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not was_tracing:
@@ -684,7 +739,7 @@ def test_threaded_block_peak_memory_bound(three_cpus, monkeypatch):
     assert peak <= n * c * 8 + 3 * 8 * tile, f"{(peak - n * c * 8) / tile:.1f} tiles per 3 threads"
 
 
-def test_stdcb_forward_tiled_peak_memory_bound(monkeypatch):
+def test_stdcb_forward_tiled_peak_memory_bound(one_cpu, monkeypatch):
     # With 512-row tiles a block holds its output and a few tiles of scratch
     # above its input, about 1.6 (N, C) arrays at N = 6000.
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 512)
@@ -748,32 +803,35 @@ def test_infer_flow_bytes_do_not_depend_on_trace_or_tile(monkeypatch, layout, fr
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_infer_flow_bytes_do_not_depend_on_threads(monkeypatch, layout):
+def test_infer_flow_bytes_do_not_depend_on_threads(set_cpus, monkeypatch, layout):
     # 64-row tiles, so that every level's blocks split over the threads.
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 3)
     monkeypatch.setattr(ssm, "SPLIT_MIN_TERMS", 0)
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 64)
     scene = pc.synth_scene(pc.SceneConfig(n_background=1500, movers=()), 9)
-    weights = init_pipeline_weights(RunConfig(**LAYOUTS[layout]), 9)
-    flows = [infer_flow(scene, weights, RunConfig(threads=threads, **LAYOUTS[layout]))
-             for threads in (1, 2, 3)]
+    config = RunConfig(**LAYOUTS[layout])
+    weights = init_pipeline_weights(config, 9)
+    flows = []
+    for cpus in (1, 2, 3):
+        set_cpus(cpus)
+        flows.append(infer_flow(scene, weights, config))
     assert flows[0].vectors.tobytes() == flows[1].vectors.tobytes() == flows[2].vectors.tobytes()
 
 
-def test_concurrent_backbones_on_more_tiles_than_cores_keep_their_bytes(monkeypatch):
+def test_concurrent_backbones_on_more_tiles_than_cores_keep_their_bytes(set_cpus, monkeypatch):
     # Three callers share the one helper pool, each splitting its blocks
     # over 8 threads, with the interpreter switching threads as often as it
     # can.
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: 8)
     monkeypatch.setattr(stdcb, "BLOCK_TILE", 16)
     rng = np.random.default_rng(70)
     cases = [(random_tensor(rng, channels=4), stdcb.BackboneWeights.seeded(4, (1, 1), (1,), rng))
              for _ in range(3)]
+    set_cpus(1)
     expect = [stdcb.backbone_forward(tensor, weights) for tensor, weights in cases]
+    set_cpus(8)
     got = [None] * len(cases)
 
     def run(i):
-        got[i] = stdcb.backbone_forward(*cases[i], threads=8)
+        got[i] = stdcb.backbone_forward(*cases[i])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -789,13 +847,6 @@ def test_concurrent_backbones_on_more_tiles_than_cores_keep_their_bytes(monkeypa
     for want, result in zip(expect, got):
         assert result is not None
         assert result.features.tobytes() == want.features.tobytes()
-
-
-def test_run_config_threads_default_to_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 6)
-    assert RunConfig().threads == 6
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: 5000)
-    assert RunConfig().threads == 1024
 
 
 def test_out_of_grid_point_flows_do_not_depend_on_its_distance():
@@ -1048,11 +1099,10 @@ def test_infer_flow_peak_memory_bound():
 
 
 @pytest.fixture(params=[8, 32])
-def many_cpus(request, monkeypatch):
-    """A host with many CPUs: RunConfig's default thread count and a fresh
-    helper pool follow the patched count."""
-    monkeypatch.setattr(ssm, "usable_cpus", lambda: request.param)
-    monkeypatch.setattr(pipeline, "usable_cpus", lambda: request.param)
+def many_cpus(request, set_cpus, monkeypatch):
+    """A host with many CPUs: the thread splits and a fresh helper pool
+    follow the patched count."""
+    set_cpus(request.param)
     monkeypatch.setattr(ssm, "_helpers", None)
     yield request.param
     if ssm._helpers is not None:
@@ -1062,7 +1112,6 @@ def many_cpus(request, monkeypatch):
 def test_infer_flow_peak_memory_bound_on_many_cpus(many_cpus):
     # Each block runs on one thread per four tiles at most, so the bound of
     # the default-config test holds whatever the host's CPU count.
-    assert RunConfig().threads == many_cpus
     test_infer_flow_peak_memory_bound()
 
 
