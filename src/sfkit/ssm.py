@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
+from .errors import MAX_FLOATS, InvalidConfig, InvalidInput, NumericError, ShapeError, StateError
 from .weights import ZeroRng, uniform_init
 
 # Tokens per scan block: every scan layer's block, and scan_blocked's default.
@@ -96,7 +96,7 @@ class SsmParams:
             raise ShapeError("B/C projection shapes inconsistent with a_log")
         for name in ("a_log", "d", "w_delta", "b_delta", "w_b", "w_c"):
             if not np.all(np.isfinite(getattr(self, name))):
-                raise NumericError(f"non-finite entries in {name}")
+                raise InvalidInput(f"non-finite entries in {name}")
 
     @property
     def d_inner(self):

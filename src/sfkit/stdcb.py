@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import AlignmentError, NumericError, ShapeError
+from .errors import AlignmentError, InvalidInput, NumericError, ShapeError
 from .ssm import run_parallel, sigmoid
 from .voxelizer import KernelMap, SparseTensor4D, packing_strides, segment_mean
 from .weights import MlpWeights, uniform_init
@@ -56,8 +56,9 @@ class ConvKernel4D:
             raise ShapeError(f"bias must be ({self.weights.shape[5]},)")
         if self.dilation_t < 1:
             raise ShapeError("dilation_t must be >= 1")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
-            raise ShapeError("kernel contains non-finite values")
+        for name in ("weights", "bias"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidInput(f"kernel {name} must be finite")
 
     @property
     def c_in(self):
@@ -131,6 +132,8 @@ def sparse_conv(tensor, kernel, *, kmap=None, rows=None):
     taps; without one the neighbour rows are built for this call only.
     ``rows=(lo, hi)`` evaluates output rows lo..hi-1 only and returns a
     tensor over those rows, byte for byte the same rows of the full output.
+    The output is not checked for finiteness: a coupling block checks only
+    its fused rows (stdcb_forward); a caller that needs finite rows checks.
     """
     if kernel.c_in != tensor.n_channels:
         raise ShapeError(
@@ -247,7 +250,8 @@ def sfsm(f_main, f_aux, w):
     """Soft feature selection: alpha * main + (1 - alpha) * aux, element-wise.
 
     The blend reuses the concatenated branches once the gate has read them, so
-    they and the gate's result are the only arrays allocated here.
+    they and the gate's result are the only arrays allocated here.  The
+    blend is not checked for finiteness; see sparse_conv.
     """
     _require_aligned(f_main, f_aux, "sfsm")
     stacked = np.concatenate([f_main.features, f_aux.features], axis=1)
@@ -264,7 +268,7 @@ def temporal_gated_block(f_spatial, f_temporal, f_temporal_ct, sfsm_w, gate_w):
 
     Returns (modulated spatial features, fused temporal features); the
     multiplier stays in (1, 2) so spatial magnitudes never shrink and at most
-    double.
+    double.  Neither output is checked for finiteness; see sparse_conv.
     """
     f_temporal_fused = sfsm(f_temporal, f_temporal_ct, sfsm_w)
     # Consumed: a caller that passed the branches inline frees them here.
@@ -325,9 +329,14 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
 
     The tiles run on this thread and helper threads (ssm.run_parallel, one
     thread per four tiles, so a block's scratch stays under twice its
-    output), sharing the read-only map.  A row that turns non-finite in any
-    stage raises NumericError naming its row of ``f_sparse``, the lowest
-    such row of the range at any tile size and thread count.
+    output), sharing the read-only map.  The fused rows are the block's one
+    finiteness check: a non-finite row of the range raises NumericError
+    naming its row of ``f_sparse``, the lowest at any tile size and thread
+    count.  That is the row a check after every stage would name: only the
+    convs mix rows, and every later stage is row-wise and keeps a row
+    non-finite (a blend alpha*m + (1-alpha)*a or a gate (1+beta)*s, alpha
+    and beta in [0, 1], turns inf into inf or 0*inf = NaN; the fuse matmul
+    sums inf*w terms into inf, or NaN where w = 0).
     """
     lo, hi, a, b = _computed_rows(f_sparse.n_active, rows)
     if kmap is None:
@@ -337,8 +346,9 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # a one-row tail tile joins the one before it
 
-    def fill(t0, t1):
-        """Write output rows t0..t1-1; a non-finite row raises, indexed from t0."""
+    def run_tile(i):
+        """Write output rows t0..t1-1; a non-finite one in [lo, hi) raises."""
+        t0, t1 = bounds[i], bounds[i + 1]
         # The conv outputs are passed inline, so the gate frees each as soon
         # as it is consumed.
         f_spatial_mod, f_temporal_fused = temporal_gated_block(
@@ -354,21 +364,10 @@ def stdcb_forward(f_sparse, w, *, kmap=None, rows=None):
         del f_fused
         fused = np.matmul(stacked, w.fuse_w, out=out[t0 - a : t1 - a])
         fused += w.fuse_b
-        finite = np.isfinite(fused).all(axis=1)
+        c0 = max(t0, lo)  # a one-row range's neighbour row is not checked
+        finite = np.isfinite(fused[c0 - t0 : min(t1, hi) - t0]).all(axis=1)
         if not finite.all():
-            raise NumericError("non-finite fused feature", index=int(np.argmin(finite)))
-
-    def run_tile(i):
-        t0, t1 = bounds[i], bounds[i + 1]
-        failed = None
-        while t1 > t0:  # rows below a stage's first bad row may fail a later stage
-            try:
-                fill(t0, t1)
-                break
-            except NumericError as err:
-                failed, t1 = err, t0 + err.index
-        if failed is not None:
-            raise NumericError("non-finite coupling-block feature", index=t1) from failed
+            raise NumericError("non-finite coupling-block feature", index=c0 + int(finite.argmin()))
 
     # At least four tiles per thread: each thread holds about six tiles of
     # scratch, so the threads' scratch stays under twice the block's output,
@@ -477,7 +476,8 @@ def backbone_forward(f_4d, weights, rows=None):
     range, only its rows are kept past that stack, and a single level, which
     has no residual, keeps none of it past the first block.  This frees the
     input only if the caller holds no reference to it.  Each decoder level
-    adds the upsampled coarse features into its skip's rows in place.
+    adds the upsampled coarse features into its skip's rows in place.  The
+    outer residual, which no block checks, is checked by the constructor.
     """
     n_levels = len(weights.encoder)
     # One KernelMap per level, of every kernel's taps, serves the level's
@@ -513,5 +513,5 @@ def backbone_forward(f_4d, weights, rows=None):
         for i, block in enumerate(stack):
             cut = rows if level == 0 and i == len(stack) - 1 else None
             x = stdcb_forward(x, block, kmap=kmap, rows=cut)
-    return f_4d.with_features(f_4d.features + x.features)
+    return SparseTensor4D(f_4d.coords, f_4d.features + x.features, _canonical=True)
 

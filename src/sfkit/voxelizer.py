@@ -171,8 +171,8 @@ class SparseTensor4D:
     """Map from (t, ix, iy, iz) keys to C-channel feature rows.
 
     Rows are stored in canonical (t, ix, iy, iz)-lexicographic order, which
-    makes active-set comparison and deterministic iteration trivial.  Inserted
-    features must be finite.
+    makes active-set comparison and deterministic iteration trivial.  Only
+    the constructor, where values enter, checks that features are finite.
     """
 
     def __init__(self, coords, features, _canonical=False):
@@ -222,15 +222,12 @@ class SparseTensor4D:
         return np.where(found, idx, 0), found
 
     def with_features(self, features):
-        """Same active set (already canonical), new feature rows."""
+        """Same active set (already canonical), new feature rows, unchecked."""
         features = np.asarray(features, dtype=np.float64)
         if features.shape[0] != self.n_active:
             raise ShapeError(
                 f"{features.shape[0]} feature rows vs {self.n_active} active sites"
             )
-        if not np.all(np.isfinite(features)):
-            bad = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
-            raise NumericError("non-finite feature on insert", index=bad)
         out = SparseTensor4D.__new__(SparseTensor4D)
         out.coords = self.coords
         out.features = features

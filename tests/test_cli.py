@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -701,6 +702,31 @@ def test_readme_rule_table_names_every_rule():
     rules = CONFIG_RULES.keys() | INPUT_RULES.keys()
     assert sorted(rules - flags - bare) == [], "rules with no row"
     assert sorted(bare - rules) == [], "rows with no rule"
+
+
+def test_readme_numeric_error_list_names_every_raise():
+    # The README lists, by the first names of each item, the top-level
+    # function or method (as Class.method) around every
+    # ``raise NumericError(...)`` in src/sfkit, and no other.
+    def raises_numeric_error(node):
+        return any(isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)
+                   and getattr(n.exc.func, "id", None) == "NumericError"
+                   for n in ast.walk(node))
+
+    raisers = set()
+    for path in (Path(__file__).parents[1] / "src" / "sfkit").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.", m) for m in node.body]
+            else:
+                members = [("", node)]
+            raisers |= {prefix + m.name for prefix, m in members
+                        if isinstance(m, ast.FunctionDef) and raises_numeric_error(m)}
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    items = readme[readme.index("raised in these places only"):].split("\n\n")[1]
+    listed = {name for item in items.split("\n- ")
+              for name in re.findall(r"`([^`]+)`", item.partition(": ")[0])}
+    assert raisers == listed
 
 
 def run_or_usage_error(*argv):

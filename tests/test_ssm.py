@@ -12,7 +12,8 @@ import pytest
 
 from sfkit import pointcloud as pc
 from sfkit import ssm
-from sfkit.errors import MAX_FLOATS, InvalidConfig, NumericError, ShapeError, StateError
+from sfkit.errors import (MAX_FLOATS, InvalidConfig, InvalidInput, NumericError, ShapeError,
+                          StateError)
 from sfkit.pipeline import RunConfig, infer_flow, init_pipeline_weights
 
 
@@ -339,6 +340,15 @@ def test_flow_layer_causality():
     diff = np.abs(out - base).max(axis=(0, 2))
     assert np.all(diff[:k] == 0.0)
     assert diff[k] > 0.0
+
+
+@pytest.mark.parametrize("name", ["a_log", "d", "w_delta", "b_delta", "w_b", "w_c"])
+def test_non_finite_params_are_invalid_input_naming_the_field(name):
+    params = ssm.SsmParams.seeded(4, 4, 3, np.random.default_rng(15))
+    bad = getattr(params, name).copy()
+    bad.flat[0] = np.inf
+    with pytest.raises(InvalidInput, match=f"non-finite entries in {name}"):
+        dataclasses.replace(params, **{name: bad})
 
 
 def test_flow_layer_shape_errors():

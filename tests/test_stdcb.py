@@ -11,7 +11,7 @@ from sfkit import ssm
 from sfkit import pointcloud as pc
 from sfkit import stdcb
 from sfkit import voxelizer as vx
-from sfkit.errors import AlignmentError, NumericError, ShapeError
+from sfkit.errors import AlignmentError, InvalidInput, NumericError, ShapeError
 from sfkit.pipeline import InferenceTrace, RunConfig, infer_flow, init_pipeline_weights
 from sfkit.voxelizer import SparseTensor4D
 from sfkit.weights import MlpWeights, flatten_tree
@@ -169,6 +169,15 @@ def test_conv_channel_mismatch():
 def test_even_kernel_extent_rejected():
     with pytest.raises(ShapeError):
         stdcb.ConvKernel4D(weights=np.zeros((2, 1, 1, 1, 2, 2)), bias=np.zeros(2))
+
+
+@pytest.mark.parametrize("name", ["weights", "bias"])
+def test_non_finite_kernel_is_invalid_input_naming_the_field(name):
+    kernel = stdcb.ConvKernel4D.seeded((3, 3, 3, 1), 2, 2, np.random.default_rng(4))
+    bad = getattr(kernel, name).copy()
+    bad.flat[-1] = np.nan
+    with pytest.raises(InvalidInput, match=f"kernel {name} must be finite"):
+        dataclasses.replace(kernel, **{name: bad})
 
 
 # --- soft feature selection --------------------------------------------------------
@@ -329,32 +338,51 @@ def test_stdcb_forward_matches_dense_reference():
     assert out.same_active_set(tensor)
 
 
-def test_stdcb_zero_branches_identity_fusion_passes_residual():
-    rng = np.random.default_rng(14)
-    tensor = random_tensor(rng, channels=3)
-    w = stdcb.StdcbWeights.seeded(3, rng)
+def identity_fusion_block(channels, rng):
+    """Block weights with zero convs, neutral gates and a fuse that passes
+    the residual lane: the block returns its input."""
+    w = stdcb.StdcbWeights.seeded(channels, rng)
     zero_kernel = lambda k: stdcb.ConvKernel4D(
         weights=np.zeros_like(k.weights), bias=np.zeros_like(k.bias),
         dilation_t=k.dilation_t,
     )
     neutral_sfsm = stdcb.SfsmWeights(
-        conv_w=np.zeros((6, 3)), conv_b=np.zeros(3), bn_scale=np.ones(3),
-        bn_shift=np.zeros(3), bn_mean=np.zeros(3), bn_var=np.ones(3),
+        conv_w=np.zeros((2 * channels, channels)), conv_b=np.zeros(channels),
+        bn_scale=np.ones(channels), bn_shift=np.zeros(channels),
+        bn_mean=np.zeros(channels), bn_var=np.ones(channels),
     )
-    fuse_w = np.vstack([np.zeros((3, 3)), np.eye(3)])  # pass the residual lane
-    w = stdcb.StdcbWeights(
+    zeros = np.zeros((channels, channels))
+    return stdcb.StdcbWeights(
         conv_spatial=zero_kernel(w.conv_spatial),
         conv_temporal=zero_kernel(w.conv_temporal),
         conv_cross=zero_kernel(w.conv_cross),
         sfsm_temporal=neutral_sfsm,
-        gate=MlpWeights(w1=np.zeros((3, 3)), b1=np.zeros(3),
-                        w2=np.zeros((3, 3)), b2=np.zeros(3)),
+        gate=MlpWeights(w1=zeros, b1=np.zeros(channels), w2=zeros, b2=np.zeros(channels)),
         sfsm_fuse=neutral_sfsm,
-        fuse_w=fuse_w,
-        fuse_b=np.zeros(3),
+        fuse_w=np.vstack([zeros, np.eye(channels)]),  # pass the residual lane
+        fuse_b=np.zeros(channels),
     )
-    out = stdcb.stdcb_forward(tensor, w)
+
+
+def test_stdcb_zero_branches_identity_fusion_passes_residual():
+    rng = np.random.default_rng(14)
+    tensor = random_tensor(rng, channels=3)
+    out = stdcb.stdcb_forward(tensor, identity_fusion_block(3, rng))
     assert np.allclose(out.features, tensor.features, atol=1e-14)
+
+
+def test_backbone_outer_residual_overflow_raises():
+    # Row 1 is alone in its parent cell, so level 0's output row is its input
+    # doubled (1.2e308) and the residual adds the input once more.
+    rng = np.random.default_rng(15)
+    coords = np.array([(0, 0, 0, 0), (0, 4, 4, 4), (1, 0, 0, 0)])
+    features = rng.normal(size=(3, 3))
+    features[1] = 6e307
+    block = identity_fusion_block(3, rng)
+    weights = stdcb.BackboneWeights(encoder=((block,), (block,)), decoder=((block,),))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as err:
+        stdcb.backbone_forward(SparseTensor4D(coords, features), weights)
+    assert err.value.index == 1
 
 
 def test_stdcb_empty_tensor():
@@ -597,27 +625,54 @@ def test_row_range_outside_the_tensor_rejected(rows):
         stdcb.sparse_conv(tensor, w.conv_spatial, rows=rows)
 
 
-def test_one_row_conv_checks_and_indexes_only_its_row():
+def centre_only_spatial_block(rng):
+    """4-channel block weights whose spatial conv has only its centre tap,
+    scaled by 1e10: a row of 1e300 overflows that conv in its own row only."""
+    w = stdcb.StdcbWeights.seeded(4, rng)
+    weights = np.zeros_like(w.conv_spatial.weights)
+    weights[1, 1, 1, 0] = w.conv_spatial.weights[1, 1, 1, 0] * 1e10
+    return dataclasses.replace(
+        w, conv_spatial=dataclasses.replace(w.conv_spatial, weights=weights))
+
+
+def test_one_row_range_checks_and_indexes_only_its_row():
     # A one-row range is computed together with a neighbour row.  With a
-    # centre-only kernel each output row reads only its own input row, so
-    # only the big rows overflow; a range names its own rows only.
+    # centre-only spatial kernel each conv row reads only its own input row,
+    # so only the big rows overflow; a range names its own rows only, as
+    # rows of the block.
     rng = np.random.default_rng(67)
+    w = centre_only_spatial_block(rng)
     tensor = tiled_tensor(rng)
     n = tensor.n_active
-    kernel = stdcb.ConvKernel4D.seeded((3, 3, 3, 1), 4, 4, rng)
-    weights = np.zeros_like(kernel.weights)
-    weights[1, 1, 1, 0] = kernel.weights[1, 1, 1, 0] * 1e10
-    kernel = dataclasses.replace(kernel, weights=weights)
-    features = tensor.features.copy()
-    features[[5, n - 1]] = 1e300
-    tensor = tensor.with_features(features)
+    tensor, _ = with_big_rows(tensor, w, {5: 1e300, n - 1: 1e300})
     with np.errstate(all="ignore"):
         for rows in ((4, 5), (n - 2, n - 1)):  # computed with a big neighbour
-            assert np.isfinite(stdcb.sparse_conv(tensor, kernel, rows=rows).features).all()
+            conv = stdcb.sparse_conv(tensor, w.conv_spatial, rows=rows)
+            assert np.isfinite(conv.features).all()
         for rows, row in (((5, 6), 5), ((n - 1, n), n - 1), ((3, 7), 5)):
             with pytest.raises(NumericError) as err:
-                stdcb.sparse_conv(tensor, kernel, rows=rows)
-            assert err.value.index == row - rows[0], rows
+                stdcb.stdcb_forward(tensor, w, rows=rows)
+            assert err.value.index == row, rows
+
+
+@pytest.mark.parametrize("tile", [stdcb.BLOCK_TILE, 32])
+def test_one_row_block_range_beside_a_bad_row_runs_clean(set_cpus, monkeypatch, tile):
+    # The range (5, 6) is computed together with row 6, which overflows the
+    # spatial conv in its own row only; the range checks row 5 alone.
+    rng = np.random.default_rng(68)
+    w = centre_only_spatial_block(rng)
+    tensor, _ = with_big_rows(tiled_tensor(rng), w, {6: 1e300})
+    monkeypatch.setattr(stdcb, "BLOCK_TILE", tile)
+    with np.errstate(all="ignore"):
+        for cpus in (1, 3):
+            set_cpus(cpus)
+            for rows in ((4, 6), (5, 6)):
+                out = stdcb.stdcb_forward(tensor, w, rows=rows)
+                assert np.isfinite(out.features).all(), (cpus, rows)
+            for rows in ((6, 7), None):
+                with pytest.raises(NumericError) as err:
+                    stdcb.stdcb_forward(tensor, w, rows=rows)
+                assert err.value.index == 6, (cpus, rows)
 
 
 @pytest.fixture()
