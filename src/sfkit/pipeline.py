@@ -171,8 +171,7 @@ def pipeline_weights_from_dict(flat, config):
                 f"section {name!r} is {np.shape(value)}, the config wants {np.shape(leaf)}"
             )
         if isinstance(leaf, np.ndarray):
-            if not np.all(np.isfinite(value)):
-                raise InvalidInput(f"section {name!r} holds a non-finite value")
+            _check_finite(name, value)
             leaves[path] = value
         elif value != leaf:
             raise ShapeError(f"section {name!r} holds {value}, the config wants {leaf}")
@@ -182,8 +181,18 @@ def pipeline_weights_from_dict(flat, config):
     return unflatten_like(template, leaves)
 
 
+def _check_finite(name, value):
+    if not np.all(np.isfinite(value)):
+        raise InvalidInput(f"section {name!r} holds a non-finite value")
+
+
 def save_pipeline_weights(weights, path):
-    save_weight_dict(pipeline_weights_to_dict(weights), path)
+    """Write the bundle as SFWT.  A non-finite value raises InvalidInput naming
+    its section before the file is opened, as load_pipeline_weights would."""
+    flat = pipeline_weights_to_dict(weights)
+    for name, value in flat.items():
+        _check_finite(name, value)
+    save_weight_dict(flat, path)
 
 
 def load_pipeline_weights(path, config):

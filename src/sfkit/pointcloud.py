@@ -342,10 +342,9 @@ def sample_mover_specs(n_movers, seed, bounds_lo=(-8.0, -8.0, -1.0),
 
 class ByteReader:
     """Byte cursor over a whole file that raises FormatError with the offset
-    of the failing read; ``kind`` names the file in the message.  It reads
-    SFSC, SFFL and SFWT files."""
+    of the failing read; ``kind`` names the file in the message."""
 
-    def __init__(self, data, kind="file"):
+    def __init__(self, data, kind):
         self.data = data
         self.kind = kind
         self.pos = 0
@@ -369,6 +368,28 @@ class ByteReader:
     def f32_triplets(self, count, what):
         raw = self.take(12 * count, what)
         return np.frombuffer(raw, dtype="<f4").reshape(count, 3).astype(np.float64)
+
+
+def write_file(path, magic, version, chunks):
+    """Write the 4-byte ``magic``, u16 ``version`` and body ``chunks`` in one write."""
+    with open(path, "wb") as fh:
+        fh.write(b"".join([magic, struct.pack("<H", version), *chunks]))
+
+
+def read_file(path, magic, version, kind, parse):
+    """``parse(reader)`` over the body of a file that write_file wrote.  A
+    wrong magic raises FormatError at offset 0, a wrong version at offset 4,
+    and bytes that ``parse`` leaves unread at the first of them."""
+    with open(path, "rb") as fh:
+        r = ByteReader(fh.read(), kind)
+    if r.take(4, "magic") != magic:
+        raise FormatError(f"bad magic, not an {magic.decode()} {kind}", 0)
+    if (found := r.u16("version")) != version:
+        raise FormatError(f"unsupported {kind} version {found}", 4)
+    out = parse(r)
+    if r.pos < len(r.data):
+        raise FormatError(f"{len(r.data) - r.pos} byte(s) after the end of the {kind}", r.pos)
+    return out
 
 
 def _as_f32(rows):
@@ -395,7 +416,7 @@ def save_scene(seq, path):
     Raises RangeError, before the file is opened, when a coordinate or flow
     entry does not fit f32, since load_scene would reject the file.
     """
-    chunks = [SCENE_MAGIC, struct.pack("<H", SCENE_VERSION), struct.pack("<H", N_FRAMES)]
+    chunks = [struct.pack("<H", N_FRAMES)]
     for i, frame in enumerate(seq.frames):
         chunks.append(struct.pack("<Q", len(frame)))
         chunks.append(_sfsc_f32(frame.points, f"frame {i}").tobytes())
@@ -404,20 +425,15 @@ def save_scene(seq, path):
     chunks.append(struct.pack("<Q", len(seq.mask)))
     chunks.append(seq.mask.astype(np.uint8).tobytes())
     chunks.append(struct.pack("<Q", seq.seed))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_file(path, SCENE_MAGIC, SCENE_VERSION, chunks)
 
 
 def load_scene(path):
     """Read an SFSC scene file; inverse of save_scene for f32-quantized data."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = ByteReader(data)
-    if r.take(4, "magic") != SCENE_MAGIC:
-        raise FormatError("bad magic, not an SFSC scene file", 0)
-    version = r.u16("version")
-    if version != SCENE_VERSION:
-        raise FormatError(f"unsupported scene format version {version}", 4)
+    return read_file(path, SCENE_MAGIC, SCENE_VERSION, "scene file", _scene_body)
+
+
+def _scene_body(r):
     n_frames = r.u16("frame count")
     if n_frames != N_FRAMES:
         raise FormatError(f"expected {N_FRAMES} frames, file has {n_frames}", 6)
@@ -453,24 +469,12 @@ def save_flow(flow, path):
     raw, bad = _as_f32(flow.vectors)
     if bad is not None:
         raise NumericError("flow vector outside the f32 range of SFFL files", index=bad)
-    with open(path, "wb") as fh:
-        fh.write(FLOW_MAGIC)
-        fh.write(struct.pack("<H", FLOW_VERSION))
-        fh.write(struct.pack("<Q", len(flow)))
-        fh.write(raw.tobytes())
+    write_file(path, FLOW_MAGIC, FLOW_VERSION, [struct.pack("<Q", len(flow)), raw.tobytes()])
 
 
 def load_flow(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = ByteReader(data)
-    if r.take(4, "magic") != FLOW_MAGIC:
-        raise FormatError("bad magic, not an SFFL flow file", 0)
-    version = r.u16("version")
-    if version != FLOW_VERSION:
-        raise FormatError(f"unsupported flow format version {version}", 4)
-    count = r.u64("point count")
-    return FlowField(r.f32_triplets(count, "flow vectors"))
+    return read_file(path, FLOW_MAGIC, FLOW_VERSION, "flow file",
+                     lambda r: FlowField(r.f32_triplets(r.u64("point count"), "flow vectors")))
 
 
 def export_ply(cloud, path):

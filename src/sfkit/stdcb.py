@@ -78,22 +78,11 @@ class ConvKernel4D:
         )
 
     def offsets(self):
-        """Kernel taps as (n_taps, 4) displacements in (t, x, y, z) key order."""
-        kx, ky, kz, kt = self.weights.shape[:4]
-        taps = []
-        for a in range(kx):
-            for b in range(ky):
-                for c in range(kz):
-                    for d in range(kt):
-                        taps.append(
-                            (
-                                (d - kt // 2) * self.dilation_t,
-                                a - kx // 2,
-                                b - ky // 2,
-                                c - kz // 2,
-                            )
-                        )
-        return np.array(taps, dtype=np.int64).reshape(-1, 4)
+        """Kernel taps as (n_taps, 4) displacements in (t, x, y, z) key order;
+        rows run over x, then y, z and t, t fastest."""
+        extent = np.array(self.weights.shape[:4])
+        x, y, z, t = np.indices(extent, dtype=np.int64).reshape(4, -1) - (extent // 2)[:, None]
+        return np.stack([t * self.dilation_t, x, y, z], axis=1)
 
 
 def _scratch(buf, shape):

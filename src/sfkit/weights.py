@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import FormatError, SceneFlowError, ShapeError
-from .pointcloud import ByteReader
+from .pointcloud import read_file, write_file
 
 WEIGHTS_MAGIC = b"SFWT"
 WEIGHTS_VERSION = 1
@@ -87,7 +87,7 @@ class MlpWeights:
 
 def save_weight_dict(weights, path):
     """Write {name: float array} as an SFWT file. Sections are name-sorted."""
-    chunks = [WEIGHTS_MAGIC, struct.pack("<H", WEIGHTS_VERSION)]
+    chunks = []
     for name in sorted(weights):
         arr = np.asarray(weights[name], dtype=np.float64)
         encoded = name.encode("utf-8")
@@ -96,8 +96,7 @@ def save_weight_dict(weights, path):
         chunks.append(struct.pack("<B", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.astype("<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_file(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, chunks)
 
 
 def load_weight_dict(path):
@@ -106,13 +105,10 @@ def load_weight_dict(path):
     Every defect, including an undecodable or repeated section name, raises
     FormatError at the offset where it starts.
     """
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), "weight file")
-    if r.take(4, "magic") != WEIGHTS_MAGIC:
-        raise FormatError("bad magic, not an SFWT weight file", 0)
-    version = r.u16("version")
-    if version != WEIGHTS_VERSION:
-        raise FormatError(f"unsupported weight format version {version}", 4)
+    return read_file(path, WEIGHTS_MAGIC, WEIGHTS_VERSION, "weight file", _sections)
+
+
+def _sections(r):
     out = {}
     while r.pos < len(r.data):
         start = r.pos

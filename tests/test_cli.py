@@ -90,6 +90,14 @@ def test_eval_count_mismatch_exit_code(scene_path, tmp_path):
     assert run("eval", scene_path, bad_flow) == 2
 
 
+def test_eval_refuses_a_flow_file_with_a_byte_after_its_body(scene_path, tmp_path, capsys):
+    flow_path = tmp_path / "gt.sffl"
+    pc.save_flow(pc.load_scene(scene_path).gt_flow, flow_path)
+    flow_path.write_bytes(flow_path.read_bytes() + b"\0")
+    assert run("eval", scene_path, flow_path) == 2
+    assert "after the end of the flow file" in capsys.readouterr().err
+
+
 def test_eval_dt_overflowing_speed_buckets_exit_code(tmp_path):
     mover = pc.MoverSpec(center=(2.0, 1.0, 0.0), extents=(1.0, 1.0, 0.5),
                          velocity=(2.0, 0.0, 0.0), n_points=20)

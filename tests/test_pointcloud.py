@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -201,6 +202,81 @@ def test_flow_roundtrip(tmp_path):
     path = tmp_path / "flow.sffl"
     pc.save_flow(flow, path)
     assert pc.load_flow(path) == flow
+
+
+def _tiny_scene():
+    """3 background points and one 2-point mover: a 437-byte SFSC file."""
+    mover = pc.MoverSpec(center=(1.0, 0.0, 0.0), extents=(0.5, 0.5, 0.5),
+                         velocity=(1.0, 0.0, 0.0), n_points=2)
+    return pc.synth_scene(basic_config(n_background=3, movers=(mover,)), seed=4)
+
+
+def _tiny_file(tmp_path, save):
+    """The tiny scene saved by save_scene, or its flow by save_flow: path and bytes."""
+    scene = _tiny_scene()
+    path = tmp_path / "good"
+    save(scene if save is pc.save_scene else scene.gt_flow, path)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("save, load", [
+    (pc.save_scene, pc.load_scene), (pc.save_flow, pc.load_flow),
+], ids=["sfsc", "sffl"])
+def test_every_truncation_byte_flip_and_appended_byte(tmp_path, save, load):
+    # Each variant is refused, or loads to an object that saves back to its bytes.
+    _, blob = _tiny_file(tmp_path, save)
+    variants = [blob[:n] for n in range(len(blob))]
+    variants += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob))]
+    variants.append(blob + b"\0")
+    broken, resaved = tmp_path / "broken", tmp_path / "resaved"
+    for variant in variants:
+        broken.write_bytes(variant)
+        try:
+            loaded = load(broken)
+        except (FormatError, InvalidInput):
+            continue
+        save(loaded, resaved)
+        assert resaved.read_bytes() == variant
+
+
+@pytest.mark.parametrize("save, load, kind", [
+    (pc.save_scene, pc.load_scene, "scene file"), (pc.save_flow, pc.load_flow, "flow file"),
+], ids=["sfsc", "sffl"])
+def test_a_byte_after_the_body_raises_at_the_original_length(tmp_path, save, load, kind):
+    path, blob = _tiny_file(tmp_path, save)
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(FormatError, match=f"after the end of the {kind}") as err:
+        load(path)
+    assert err.value.offset == len(blob)
+
+
+def _scene_count_offsets(scene):
+    """Byte offsets of an SFSC file's flow count and mask count."""
+    flow = 8 + sum(8 + 12 * len(frame) for frame in scene.frames)
+    return flow, flow + 8 + 12 * len(scene.gt_flow)
+
+
+@pytest.mark.parametrize("defect", ["flow_count", "mask_count", "mask_code"])
+def test_scene_count_and_mask_defects_raise_at_their_offset(tmp_path, defect):
+    scene = _tiny_scene()
+    path = tmp_path / "scene.sfsc"
+    pc.save_scene(scene, path)
+    blob = bytearray(path.read_bytes())
+    flow_at, mask_at = _scene_count_offsets(scene)
+    n = len(scene.prediction_frame)
+    if defect == "flow_count":
+        struct.pack_into("<Q", blob, flow_at, n + 1)
+        match, offset = "flow count 6 != prediction frame count 5", flow_at
+    elif defect == "mask_count":
+        struct.pack_into("<Q", blob, mask_at, n - 1)
+        match, offset = "mask count 4 != flow count 5", mask_at
+    else:
+        blob[mask_at + 8 + n - 1] = 3  # the last mask code
+        match, offset = "mask code outside 0..2", mask_at + 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=match) as err:
+        pc.load_scene(path)
+    assert err.value.offset == offset
 
 
 def test_ply_export(tmp_path):

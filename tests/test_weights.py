@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import sfkit
 
-from sfkit.errors import MAX_FLOATS, FormatError, InvalidConfig, ShapeError
+from sfkit.errors import MAX_FLOATS, FormatError, InvalidConfig, InvalidInput, ShapeError
 from sfkit.pipeline import (
     RunConfig,
     _build_pipeline_weights,
@@ -59,6 +60,16 @@ def test_weight_file_truncation(tmp_path):
     assert err.value.offset > 0
 
 
+def test_weight_file_byte_after_the_last_section_raises_at_its_offset(tmp_path):
+    path = tmp_path / "w.sfwt"
+    save_weight_dict({"x": np.zeros(2)}, path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(FormatError) as err:
+        load_weight_dict(path)
+    assert err.value.offset == len(blob)
+
+
 def test_weight_file_bad_magic(tmp_path):
     path = tmp_path / "bad.sfwt"
     path.write_bytes(b"XXXX\x01\x00")
@@ -78,6 +89,23 @@ def test_pipeline_weights_roundtrip(tmp_path):
     assert set(flat_a) == set(flat_b)
     for name in flat_a:
         assert np.array_equal(np.asarray(flat_a[name], float), np.asarray(flat_b[name], float)), name
+
+
+def test_save_refuses_a_non_finite_leaf_before_writing(tmp_path):
+    config = RunConfig(channels=4)
+    weights = init_pipeline_weights(config, seed=1)
+    w1 = weights.point_encoder.w1.copy()
+    w1[2, 1] = np.nan
+    bad = replace(weights, point_encoder=replace(weights.point_encoder, w1=w1))
+    message = "section 'point_encoder.w1' holds a non-finite value"
+    loadable = tmp_path / "raw.sfwt"
+    save_weight_dict(pipeline_weights_to_dict(bad), loadable)
+    with pytest.raises(InvalidInput, match=message):
+        load_pipeline_weights(loadable, config)
+    path = tmp_path / "pipe.sfwt"
+    with pytest.raises(InvalidInput, match=message):
+        save_pipeline_weights(bad, path)
+    assert not path.exists()
 
 
 def test_every_weight_tree_leaf_is_a_stored_section():
